@@ -21,7 +21,7 @@ from .errors import (ConfigError, DegenerateFitError, DimensionError,
                      DivergenceError, GridError, RampSchedError,
                      ReportOnUnconvergedError, ShortSeriesError, SpacingError,
                      ValidationError)
-from .oracle import DiscreteSolution, discretize_objective, solve_projected_gradient
+from .oracle import DiscreteSolution, discretize_objective, solve_active_set
 from .pmp import (CostBreakdown, PmpSolution, PmpState, Scenario, Tolerances,
                   evaluate, hamiltonian, integrate, make_scenario, pmp_rhs,
                   shoot_periodic, solve, stationary_point)

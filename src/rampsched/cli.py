@@ -9,6 +9,7 @@ from the RAMP_SCHED_LOG environment variable (error|warn|info|debug).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import logging
@@ -105,11 +106,7 @@ def _build_scenario(args) -> tuple[pmp.Scenario, cmod.MachineSpec]:
 def cmd_solve(args) -> int:
     out = Path(args.out)
     sc, _ = _build_scenario(args)
-    try:
-        sol = pmp.solve(sc)
-    except DivergenceError as exc:
-        print(f"error: integration diverged: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+    sol = pmp.solve(sc)
     diagnostics = pmp.solution_diagnostics(sol, sc)
     _write_atomic(out / "solution.csv", pmp.solution_to_csv(sol, sc))
     _write_atomic(out / "diagnostics.json", _json_text(diagnostics))
@@ -132,12 +129,9 @@ def cmd_oracle_check(args) -> int:
         sc = pmp.make_scenario(load, sc.fleet, g=sc.cost.g, d=sc.cost.d,
                                cm=sc.cost.cm, alpha_schedule=sc.alpha_schedule,
                                tolerances=sc.tolerances)
-    try:
-        sol = pmp.solve(sc)
-    except DivergenceError as exc:
-        print(f"error: integration diverged: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    ref = oracle.solve_projected_gradient(sc, max_iters=args.oracle_iters)
+    sol = pmp.solve(sc)
+    ref = oracle.solve_active_set(sc)
+    ref_diagnostics = oracle.oracle_diagnostics(ref, sc)
 
     j_pmp = pmp.evaluate(sol, sc)
     # penalty excluded: the discrete program enforces the box exactly
@@ -145,8 +139,8 @@ def cmd_oracle_check(args) -> int:
     obj_gap = abs(j_pmp_cmp - ref.objective) / (1.0 + abs(ref.objective))
     pm_gap = float(np.max(np.abs(sol.pm_clipped[:-1] - ref.pm)))
     pm_gap_frac = pm_gap / sc.cost.pbar_kw
-    ok = (sol.converged and obj_gap <= args.obj_tol
-          and pm_gap_frac <= args.pm_tol)
+    ok = (sol.converged and ref_diagnostics["converged"]
+          and obj_gap <= args.obj_tol and pm_gap_frac <= args.pm_tol)
 
     doc = {
         "n": sc.load.count,
@@ -164,14 +158,14 @@ def cmd_oracle_check(args) -> int:
     }
     _write_atomic(out / "comparison.json", _json_text(doc))
     _write_atomic(out / "oracle_solution.csv", oracle.oracle_to_csv(ref, sc))
-    _write_atomic(out / "oracle_diagnostics.json",
-                  _json_text(oracle.oracle_diagnostics(ref, sc)))
+    _write_atomic(out / "oracle_diagnostics.json", _json_text(ref_diagnostics))
     _write_atomic(out / "solution.csv", pmp.solution_to_csv(sol, sc))
     _write_atomic(out / "diagnostics.json",
                   _json_text(pmp.solution_diagnostics(sol, sc)))
     if not ok:
         print(f"verification gap: objective {obj_gap:.3%}, "
-              f"pm {pm_gap_frac:.3%} of Pbar", file=sys.stderr)
+              f"pm {pm_gap_frac:.3%} of Pbar, oracle KKT residual "
+              f"{ref.grad_norm:.3g}", file=sys.stderr)
         return EXIT_VERIFICATION
     return EXIT_OK
 
@@ -239,11 +233,7 @@ def cmd_econ(args) -> int:
         if args.ramp_trend is not None:
             trend = price_fit.merged_with(
                 econ.fit_ramp_trend(econ.read_trend_csv(args.ramp_trend)))
-        trend = econ.TrendModel(
-            price_intercept=trend.price_intercept,
-            price_slope=trend.price_slope, price_rms=trend.price_rms,
-            ramp_coeff=trend.ramp_coeff, ramp_rms=trend.ramp_rms,
-            share_per_year=args.share_per_year)
+        trend = dataclasses.replace(trend, share_per_year=args.share_per_year)
         stats = econ.ScheduleStats(
             share0_pct=args.share0,
             ramp_saved_usd_day=stats_ramp_saved,
@@ -274,12 +264,6 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _add_seed_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0,
-                   help="reserved for reproducibility; all commands are "
-                        "deterministic already")
-
-
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--load", required=True, help="load CSV (timestamp,load_kw[,pv_kw])")
     p.add_argument("--machine", required=True, help="machine key=value config file")
@@ -301,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one scheduling scenario")
     _add_scenario_flags(p)
-    _add_seed_flag(p)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("json", "csv"), default="csv",
                    help="with json, also print the diagnostics document")
@@ -310,12 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="cross-check the solver against "
                                             "the discrete-oracle solution")
     _add_scenario_flags(p)
-    _add_seed_flag(p)
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=None, help="resample to N nodes")
     p.add_argument("--obj-tol", type=float, default=DEFAULT_OBJECTIVE_GAP)
     p.add_argument("--pm-tol", type=float, default=DEFAULT_PM_GAP_FRACTION)
-    p.add_argument("--oracle-iters", type=int, default=oracle.DEFAULT_MAX_ITERS)
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("econ", help="economics reports and projections")
@@ -336,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--share-per-year", type=float, default=0.0)
     p.add_argument("--profit-a", type=float, default=14.0)
     p.add_argument("--profit-b", type=float, default=0.1)
-    _add_seed_flag(p)
     p.set_defaults(func=cmd_econ)
 
     p = sub.add_parser("synth", help="write synthetic duck-curve profiles")
@@ -345,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pv-peak", type=float, required=True)
     p.add_argument("--dt", type=float, default=profiles.DEFAULT_DT_HOURS)
     p.add_argument("--out", required=True)
-    _add_seed_flag(p)
     p.set_defaults(func=cmd_synth)
     return parser
 
@@ -363,7 +342,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DivergenceError as exc:
-        print(f"error: integration diverged: {exc}", file=sys.stderr)
+        print(f"error: integration diverged: {exc}; initial state "
+              f"(x, lambda) = {exc.initial_state}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     except RampSchedError as exc:
         print(f"error: {exc}", file=sys.stderr)

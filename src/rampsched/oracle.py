@@ -1,4 +1,4 @@
-"""Brute-force dispatch verifier on the time-discretized problem.
+"""Exact dispatch verifier on the time-discretized problem.
 
 Independently of the shooting solver, the dispatch objective can be
 discretized on the load grid into a finite-dimensional convex quadratic
@@ -8,13 +8,13 @@ in the miner draw vector pm:
     pg_i  = pl_i + pm_i,
     ramp_i = (pg_{i+1 mod N} - pg_i) / dt     (periodic forward difference)
 
-with the box 0 <= pm_i <= Pbar enforced exactly by projection rather
-than a penalty.  Projected gradient descent on this program provides
-ground truth for the shooting solver on desk-scale instances.
-
-The iteration works on the time-density J/dt (same minimizer), whose
-gradient has the exact Lipschitz bound L = 2g + 8d/dt^2 used for the
-default step; the objective reported is J itself.
+with the box 0 <= pm_i <= Pbar enforced exactly rather than by a
+penalty.  The Hessian of the time-density J/dt is the cyclic
+tridiagonal M-matrix H = 2g*I + (2d/dt^2)*L, L the cyclic Laplacian.
+The primal-dual active-set method (semismooth Newton; Hintermueller,
+Ito & Kunisch, SIAM J. Optim. 13(3), 2002) solves this program exactly
+in finitely many steps, which makes it ground truth for the shooting
+solver.  The objective reported is J itself.
 """
 
 from __future__ import annotations
@@ -23,28 +23,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
-from .pmp import SOLUTION_CSV_HEADER, Scenario, _cm_nodes
+from .errors import DimensionError, RampSchedError
+from .pmp import Scenario, _cm_nodes, format_solution_csv
 
-DEFAULT_MAX_ITERS = 200_000
-_STEP_SAFETY = 0.9
+# Step cap per grid node.  From the default start the active sets grow
+# about one node per step (n/4 + 1 steps on the corpus's longest arc),
+# so 2n leaves room beyond the n + 1 steps of monotone growth.
+_MAX_STEPS_PER_NODE = 2
 _TOL_GRAD_FRACTION = 1e-8
 
 
 @dataclass(frozen=True)
 class DiscreteSolution:
-    """Result of one projected-gradient solve."""
+    """Result of one active-set solve."""
 
     pm: np.ndarray
     objective: float
     iterations: int
     grad_norm: float
-
-
-def lipschitz_bound(sc: Scenario) -> float:
-    """Gradient Lipschitz constant of the density objective J/dt."""
-    dt = sc.load.dt
-    return 2.0 * sc.cost.g + 8.0 * sc.cost.d / (dt * dt)
 
 
 def discretize_objective(sc: Scenario, pm: np.ndarray) -> float:
@@ -71,6 +67,14 @@ def _gradient_density(sc: Scenario, pm: np.ndarray) -> np.ndarray:
             + (2.0 * sc.cost.d / (dt * dt)) * curvature)
 
 
+def _hessian_density(sc: Scenario) -> np.ndarray:
+    """Hessian of J/dt: 2g*I + (2d/dt^2) * cyclic Laplacian, dense."""
+    eye = np.eye(sc.load.count)
+    k = 2.0 * sc.cost.d / (sc.load.dt * sc.load.dt)
+    return ((2.0 * sc.cost.g + 2.0 * k) * eye
+            - k * (np.roll(eye, 1, axis=1) + np.roll(eye, -1, axis=1)))
+
+
 def _projected_residual(pm: np.ndarray, grad: np.ndarray, pbar: float) -> float:
     """Sup-norm KKT residual: gradient components pointing into the box."""
     res = grad.copy()
@@ -86,62 +90,61 @@ def default_start(sc: Scenario) -> np.ndarray:
 
     clip(cm/2g - pl, 0, Pbar) is the exact optimum of the ramp-free
     problem, and for the circulant quadratic here its mean level is
-    already the optimal one whenever the box stays inactive -- the one
-    error component plain gradient steps would correct slowly (that
-    direction's Hessian eigenvalue is only 2g).
+    already the optimal one whenever the box stays inactive.
     """
     base = _cm_nodes(sc) / (2.0 * sc.cost.g) - sc.load.values
     return np.clip(base, 0.0, sc.cost.pbar_kw)
 
 
-def solve_projected_gradient(sc: Scenario, pm0: np.ndarray | None = None,
-                             step: float | None = None,
-                             max_iters: int = DEFAULT_MAX_ITERS,
-                             tol_grad: float | None = None) -> DiscreteSolution:
-    """Minimize the discrete objective over the box by projected gradient.
+def solve_active_set(sc: Scenario) -> DiscreteSolution:
+    """Minimize the discrete objective over the box by primal-dual active set.
 
-    Iterates pm <- clip(pm - step*grad, 0, Pbar) until the projected
-    gradient sup-norm drops below tol_grad or max_iters is reached;
-    non-convergence is reported through grad_norm, never raised.
+    From `default_start`, each step predicts the active sets from
+    trial = pm - y/c, with y the gradient of J/dt (zero on free nodes)
+    and c = H_ii: nodes with trial <= 0 are pinned to 0, nodes with
+    trial >= Pbar to Pbar, and the free nodes take the exact minimizer
+    given the pinned ones, H_FF pm_F = -(q_F + H_FA pm_A) with q the
+    gradient at pm = 0.  The solve ends when a step repeats the previous
+    step's sets; `iterations` counts the linear solves.
 
-    Args:
-        pm0: start vector; defaults to `default_start`.
-        step: positive step, at most 1/L with L = 2g + 8d/dt^2
-            (default 0.9/L, guaranteed descent for this quadratic).
-        max_iters: iteration cap.
-        tol_grad: projected-gradient tolerance (default 1e-8 * Pbar).
+    Raises:
+        RampSchedError: an earlier set pattern came back (cycling) or
+            the step count reached 2n without the sets settling.
     """
+    n = sc.load.count
     pbar = sc.cost.pbar_kw
-    lip = lipschitz_bound(sc)
-    if step is None:
-        step = _STEP_SAFETY / lip
-    if not 0.0 < step <= 1.0 / lip:
-        raise ValidationError(
-            f"step must be in (0, {1.0 / lip:.3e}], got {step:.3e}")
-    if tol_grad is None:
-        tol_grad = _TOL_GRAD_FRACTION * pbar
+    hess = _hessian_density(sc)
+    c = hess[0, 0]
+    pm = default_start(sc)
+    y = _gradient_density(sc, pm)
+    seen: set[bytes] = set()
+    prev = b""
+    while True:
+        trial = pm - y / c
+        state = np.where(trial <= 0.0, -1, np.where(trial >= pbar, 1, 0))
+        key = state.astype(np.int8).tobytes()
+        if key == prev:
+            break
+        if key in seen:
+            raise RampSchedError(
+                f"active-set cycling after {len(seen)} steps")
+        if len(seen) >= _MAX_STEPS_PER_NODE * n:
+            raise RampSchedError(
+                f"active set not settled after {len(seen)} steps")
+        seen.add(key)
+        prev = key
+        free = state == 0
+        pm = np.where(state > 0, pbar, 0.0)
+        if free.any():
+            pm[free] = np.linalg.solve(hess[np.ix_(free, free)],
+                                       -_gradient_density(sc, pm)[free])
+        y = _gradient_density(sc, pm)
+        y[free] = 0.0
 
-    if pm0 is None:
-        pm = default_start(sc)
-    else:
-        pm = np.asarray(pm0, dtype=float).copy()
-        if pm.shape != sc.load.values.shape:
-            raise DimensionError(
-                f"pm0 has length {pm.size}, load grid has {sc.load.count}")
-        pm = np.clip(pm, 0.0, pbar)
-
-    grad = _gradient_density(sc, pm)
-    grad_norm = _projected_residual(pm, grad, pbar)
-    iters = 0
-    while grad_norm > tol_grad and iters < max_iters:
-        pm = np.clip(pm - step * grad, 0.0, pbar)
-        grad = _gradient_density(sc, pm)
-        grad_norm = _projected_residual(pm, grad, pbar)
-        iters += 1
-
+    pm = np.clip(pm, 0.0, pbar)
     return DiscreteSolution(
-        pm=pm, objective=discretize_objective(sc, pm),
-        iterations=iters, grad_norm=grad_norm)
+        pm=pm, objective=discretize_objective(sc, pm), iterations=len(seen),
+        grad_norm=_projected_residual(pm, _gradient_density(sc, pm), pbar))
 
 
 def oracle_diagnostics(sol: DiscreteSolution, sc: Scenario) -> dict:
@@ -169,9 +172,5 @@ def oracle_to_csv(sol: DiscreteSolution, sc: Scenario) -> str:
     fwd = (np.roll(pg_ext[:n], -1) - pg_ext[:n]) / dt
     u_ext = np.concatenate([fwd, fwd[:1]])
     lam_ext = -2.0 * sc.cost.d * u_ext
-    lines = [SOLUTION_CSV_HEADER]
-    for i in range(n + 1):
-        lines.append(",".join(repr(float(v)) for v in (
-            i * dt, pg_ext[i], lam_ext[i], u_ext[i],
-            pm_ext[i], pm_ext[i], pl_ext[i])))
-    return "\n".join(lines) + "\n"
+    return format_solution_csv(np.arange(n + 1) * dt, pg_ext, lam_ext, u_ext,
+                               pm_ext, pm_ext, pl_ext)

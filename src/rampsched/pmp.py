@@ -485,16 +485,24 @@ def solution_diagnostics(sol: PmpSolution, sc: Scenario) -> dict:
     }
 
 
+def format_solution_csv(*columns: np.ndarray) -> str:
+    """CSV text under SOLUTION_CSV_HEADER from its seven node columns.
+
+    Values are written with repr, so reading them back is exact.
+    """
+    rows = np.column_stack(columns).tolist()
+    lines = [SOLUTION_CSV_HEADER]
+    lines.extend(",".join(map(repr, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def solution_to_csv(sol: PmpSolution, sc: Scenario) -> str:
     """Render the solution as CSV text (one row per grid node, t=T included)."""
     n = sc.load.count
     pl_ext = np.concatenate([sc.load.values, sc.load.values[:1]])
-    lines = [SOLUTION_CSV_HEADER]
-    for i in range(n + 1):
-        lines.append(",".join(repr(float(v)) for v in (
-            i * sc.load.dt, sol.x_traj[i], sol.lambda_traj[i], sol.u_traj[i],
-            sol.pm_traj[i], sol.pm_clipped[i], pl_ext[i])))
-    return "\n".join(lines) + "\n"
+    return format_solution_csv(
+        np.arange(n + 1) * sc.load.dt, sol.x_traj, sol.lambda_traj,
+        sol.u_traj, sol.pm_traj, sol.pm_clipped, pl_ext)
 
 
 def read_solution_csv(source) -> dict[str, np.ndarray]:

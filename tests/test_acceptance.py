@@ -3,7 +3,8 @@ pass/fail line.
 
  1. Constant-scenario schedules reproduce the closed-form optimum.
  2. Periodicity and stationarity residuals on the full corpus.
- 3. Solver-vs-discrete-oracle equivalence at N in {48, 96, 192}.
+ 3. Solver-vs-discrete-oracle equivalence at N in {48, 96, 192}, with
+    the oracle itself converged.
  4. Costate dynamics match the Hamiltonian gradient by finite differences.
  5. Duck-curve ramp flattening (cost ratio and flatness of generation).
  6. Optimized objective dominates constant-draw baselines.
@@ -27,7 +28,7 @@ from rampsched import (FleetSpec, ProfitModel, SampledProfile,
                        stationary_point)
 from rampsched.cli import main
 from rampsched.costmodel import penalty_xi
-from rampsched.oracle import solve_projected_gradient
+from rampsched.oracle import solve_active_set
 from rampsched.pmp import PmpState, initial_guess, shoot_periodic
 
 FLEET20 = FleetSpec(M1, 20)
@@ -83,13 +84,14 @@ def test_criterion_02_residuals_across_corpus():
 
 def test_criterion_03_oracle_equivalence():
     t0 = time.perf_counter()
-    worst_obj = worst_pm = 0.0
+    worst_obj = worst_pm = worst_kkt = 0.0
     count = 0
     for n in (48, 96, 192):
         for name, sc in build_corpus(n).items():
             sol = solve(sc)
             assert sol.converged, (name, n)
-            ref = solve_projected_gradient(sc)
+            ref = solve_active_set(sc)
+            assert ref.grad_norm <= 1e-8 * sc.cost.pbar_kw, (name, n)
             bd = evaluate(sol, sc)
             # penalty excluded: the discrete program enforces the box exactly
             j_solver = bd.generation_usd + bd.ramping_usd - bd.revenue_usd
@@ -97,12 +99,14 @@ def test_criterion_03_oracle_equivalence():
             pm_gap = float(np.max(np.abs(sol.pm_clipped[:-1] - ref.pm)))
             worst_obj = max(worst_obj, obj_gap)
             worst_pm = max(worst_pm, pm_gap / sc.cost.pbar_kw)
+            worst_kkt = max(worst_kkt, ref.grad_norm / sc.cost.pbar_kw)
             count += 1
     elapsed = time.perf_counter() - t0
     ok = worst_obj <= 0.005 and worst_pm <= 0.02 and elapsed < 120.0
     _report(3, "discrete-oracle equivalence", ok,
             f"{count} solves, worst obj gap={worst_obj:.2e}, "
-            f"worst pm gap={worst_pm * 100:.3f}% of Pbar, {elapsed:.0f}s")
+            f"worst pm gap={worst_pm * 100:.3f}% of Pbar, "
+            f"worst oracle KKT residual={worst_kkt:.1e}*Pbar, {elapsed:.1f}s")
 
 
 def test_criterion_04_costate_matches_hamiltonian_gradient():
@@ -266,7 +270,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     for tag in ("a", "b"):
         out = tmp_path / tag
         code = main(["solve", "--load", load, "--machine", str(cfg),
-                     "--seed", "42", "--out", str(out)])
+                     "--out", str(out)])
         assert code == 0
         outs.append(out)
     identical = all(

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from rampsched import oracle
 from rampsched.cli import main
 
 MACHINE_CFG = """\
@@ -94,7 +95,7 @@ def test_solve_is_byte_deterministic(tmp_path, machine_cfg, plant_net_csv):
     for tag in ("a", "b"):
         out = tmp_path / tag
         assert main(["solve", "--load", plant_net_csv, "--machine",
-                     machine_cfg, "--seed", "7", "--out", str(out)]) == 0
+                     machine_cfg, "--out", str(out)]) == 0
         outs.append(out)
     for name in ("solution.csv", "diagnostics.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
@@ -121,6 +122,33 @@ def test_oracle_check_gap_exit_code(tmp_path, machine_cfg, plant_net_csv):
     assert code == 3
     doc = json.loads((out / "comparison.json").read_text())
     assert doc["within_tolerance"] is False
+
+
+def test_oracle_check_fails_when_oracle_not_converged(
+        tmp_path, machine_cfg, plant_net_csv, monkeypatch):
+    monkeypatch.setattr(oracle, "_TOL_GRAD_FRACTION", -1.0)
+    out = tmp_path / "check4"
+    code = main(["oracle-check", "--load", plant_net_csv, "--machine",
+                 machine_cfg, "--n", "48", "--out", str(out)])
+    assert code == 3
+    doc = json.loads((out / "comparison.json").read_text())
+    assert doc["within_tolerance"] is False
+    assert doc["objective_gap_rel"] <= 0.005
+
+
+def test_divergence_reports_initial_state(tmp_path, capsys):
+    load = tmp_path / "flat.csv"
+    load.write_text("timestamp,load_kw\n"
+                    + "".join(f"{i * 900},100.0\n" for i in range(96)))
+    cfg = tmp_path / "stiff.cfg"
+    cfg.write_text(MACHINE_CFG.replace("count = 2853", "count = 20")
+                   .replace("d = 1", "d = 1e-9\ng_override = 1e-6"))
+    code = main(["solve", "--load", str(load), "--machine", str(cfg),
+                 "--alpha-schedule", "1e12", "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "integration diverged" in err
+    assert "initial state (x, lambda) = (207.2, 0.0)" in err
 
 
 def test_econ_breakeven_prints_price(capsys):

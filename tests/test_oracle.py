@@ -1,15 +1,19 @@
-"""Discrete objective, its gradient, and projected-gradient behavior."""
+"""Discrete objective, its gradient, and the active-set verifier."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from corpus import CM1, M1, build_corpus
 
-from rampsched import (DimensionError, FleetSpec, SampledProfile,
-                       ValidationError, evaluate, make_scenario, solve)
+from rampsched import (DimensionError, FleetSpec, RampSchedError,
+                       SampledProfile, evaluate, make_scenario, solve)
+from rampsched import oracle
 from rampsched.oracle import (DiscreteSolution, default_start,
-                              discretize_objective, lipschitz_bound,
-                              solve_projected_gradient, _gradient_density)
+                              discretize_objective, oracle_to_csv,
+                              solve_active_set, _gradient_density)
+from rampsched.pmp import solution_to_csv
 
 FLEET20 = FleetSpec(M1, 20)
 
@@ -100,64 +104,61 @@ def test_gradient_matches_finite_differences():
             assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-8), name
 
 
-# ------------------------------------------------------------- descent
+# ------------------------------------------------------------- active set
 
 def test_constant_scenario_recovers_kkt_closed_form():
     sc = const_scenario(level=100.0, xstar=150.0)
-    ref = solve_projected_gradient(sc)
+    ref = solve_active_set(sc)
     expected = np.clip(float(sc.cost.cm) / (2 * sc.cost.g) - 100.0,
                        0.0, sc.cost.pbar_kw)
     assert np.max(np.abs(ref.pm - expected)) < 1e-6
 
 
-def test_objective_never_increases_along_iterations():
-    corpus = build_corpus(48)
-    sc = corpus["peak_touch"]
-    pm0 = np.full(sc.load.count, 0.3 * sc.cost.pbar_kw)
-    values = []
-    for iters in range(0, 60, 5):
-        ref = solve_projected_gradient(sc, pm0=pm0, max_iters=iters)
-        values.append(ref.objective)
-    assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
-
-
 def test_kkt_residual_at_convergence():
-    corpus = build_corpus(48)
-    sc = corpus["trough_touch"]
-    ref = solve_projected_gradient(sc)
-    tol = 1e-8 * sc.cost.pbar_kw
-    assert ref.grad_norm <= tol
-    grad = _gradient_density(sc, ref.pm)
-    for i in range(sc.load.count):
-        if ref.pm[i] <= 0.0:
-            assert grad[i] >= -tol
-        elif ref.pm[i] >= sc.cost.pbar_kw:
-            assert grad[i] <= tol
-        else:
-            assert abs(grad[i]) <= tol
+    for name, sc in build_corpus(48).items():
+        ref = solve_active_set(sc)
+        tol = 1e-8 * sc.cost.pbar_kw
+        assert ref.grad_norm <= tol, name
+        grad = _gradient_density(sc, ref.pm)
+        lo = ref.pm <= 0.0
+        hi = ref.pm >= sc.cost.pbar_kw
+        free = ~(lo | hi)
+        assert np.all(grad[lo] >= -tol), name
+        assert np.all(grad[hi] <= tol), name
+        assert np.all(np.abs(grad[free]) <= tol), name
 
 
 def test_box_respected_exactly():
     corpus = build_corpus(48)
     for name, sc in corpus.items():
-        ref = solve_projected_gradient(sc, max_iters=2000)
+        ref = solve_active_set(sc)
         assert np.all(ref.pm >= 0.0), name
         assert np.all(ref.pm <= sc.cost.pbar_kw), name
 
 
-def test_step_precondition_enforced():
-    sc = const_scenario()
-    too_big = 1.5 / lipschitz_bound(sc)
-    with pytest.raises(ValidationError):
-        solve_projected_gradient(sc, step=too_big)
-    with pytest.raises(ValidationError):
-        solve_projected_gradient(sc, step=0.0)
+def test_repeat_solve_is_bit_identical():
+    sc = build_corpus(48)["partial_margin"]
+    a = solve_active_set(sc)
+    b = solve_active_set(sc)
+    assert a.pm.tobytes() == b.pm.tobytes()
+    assert (a.objective, a.iterations, a.grad_norm) \
+        == (b.objective, b.iterations, b.grad_norm)
+
+
+def test_step_cap_raises(monkeypatch):
+    sc = build_corpus(48)["partial_margin"]
+    assert solve_active_set(sc).iterations > 1
+    # a cap of one step in total
+    monkeypatch.setattr(oracle, "_MAX_STEPS_PER_NODE", 1.0 / sc.load.count)
+    with pytest.raises(RampSchedError, match="not settled"):
+        solve_active_set(sc)
 
 
 def test_start_vector_dimension_checked():
-    sc = const_scenario()
-    with pytest.raises(DimensionError):
-        solve_projected_gradient(sc, pm0=np.zeros(7))
+    for name, sc in build_corpus(48).items():
+        start = default_start(sc)
+        assert start.shape == (sc.load.count,), name
+        assert np.all((start >= 0.0) & (start <= sc.cost.pbar_kw)), name
 
 
 def test_default_start_is_clipped_revenue_level():
@@ -166,10 +167,15 @@ def test_default_start_is_clipped_revenue_level():
     assert np.allclose(start, 50.0)
 
 
-def test_non_convergence_reported_not_raised():
-    corpus = build_corpus(48)
-    sc = corpus["peak_touch"]
-    ref = solve_projected_gradient(sc, max_iters=3)
-    assert isinstance(ref, DiscreteSolution)
-    assert ref.iterations == 3
-    assert ref.grad_norm > 1e-8 * sc.cost.pbar_kw
+# ------------------------------------------------------------- CSV
+
+def test_solution_csv_bytes_pinned():
+    """Both solution CSV writers keep their exact output on corpus duck."""
+    sc = build_corpus(48)["duck"]
+    start = DiscreteSolution(pm=default_start(sc), objective=0.0,
+                             iterations=0, grad_norm=0.0)
+    digests = [hashlib.sha256(text.encode()).hexdigest() for text in
+               (solution_to_csv(solve(sc), sc), oracle_to_csv(start, sc))]
+    assert digests == [
+        "e6cd8c68bd724f6858acaabcf7574874883f15d9e7538298c48ed63978aaef29",
+        "15db26097c7c1a864b210cd6e5fc699e7b2abec5b955a417e522c5464091f0ea"]
