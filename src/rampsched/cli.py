@@ -1,7 +1,7 @@
 """Command-line surface: solve schedules, verify, report economics.
 
 Exit codes: 0 success, 1 input error, 2 solver non-convergence,
-3 verification gap.  Outputs are written to temp names and renamed on
+3 verification gap or failed verifier.  Outputs are written to temp names and renamed on
 success, so a crashed run never leaves partial files.  Verbosity comes
 from the RAMP_SCHED_LOG environment variable (error|warn|info|debug).
 """
@@ -130,7 +130,11 @@ def cmd_oracle_check(args) -> int:
                                cm=sc.cost.cm, alpha_schedule=sc.alpha_schedule,
                                tolerances=sc.tolerances)
     sol = pmp.solve(sc)
-    ref = oracle.solve_active_set(sc)
+    try:
+        ref = oracle.solve_active_set(sc)
+    except RampSchedError as exc:
+        print(f"verification failed: oracle error: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
     ref_diagnostics = oracle.oracle_diagnostics(ref, sc)
 
     j_pmp = pmp.evaluate(sol, sc)
@@ -195,6 +199,7 @@ def _scenario_from_solution(args, cfg) -> tuple[pmp.PmpSolution, pmp.Scenario]:
         stationarity_residual=float(diag["stationarity_residual"]),
         newton_iters=int(diag["newton_iters"]),
         alpha_used=alpha,
+        rk4_passes=int(diag.get("rk4_passes", 0)),  # older files lack it
     )
     return sol, sc
 

@@ -17,7 +17,7 @@ import numpy as np
 from .costmodel import MachineSpec
 from .errors import (DegenerateFitError, ReportOnUnconvergedError,
                      ValidationError)
-from .pmp import PmpSolution, Scenario, evaluate
+from .pmp import PmpSolution, Scenario, _trapezoid, evaluate
 
 DAYS_PER_YEAR = 365.0
 
@@ -237,12 +237,10 @@ def daily_report(sol: PmpSolution, sc: Scenario, machine: MachineSpec,
     cm_t = np.asarray(sc.cost.cm_at(t), dtype=float)
     pm_c = sol.pm_clipped
 
-    def trapz(f):
-        return float(dt * (f.sum() - 0.5 * (f[0] + f[-1])))
-
-    gross = trapz(cm_t * pm_c) / n_machines
+    gross = _trapezoid(cm_t * pm_c, dt) / n_machines
     price_factor = 2.0 if attribution == "marginal" else 1.0
-    operating = trapz(price_factor * sc.cost.g * sol.x_traj * pm_c) / n_machines
+    operating = _trapezoid(price_factor * sc.cost.g * sol.x_traj * pm_c,
+                           dt) / n_machines
 
     breakdown = evaluate(sol, sc)
     saved_fleet = breakdown.baseline.ramping_usd - breakdown.ramping_usd

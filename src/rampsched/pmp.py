@@ -14,11 +14,15 @@ value problem in the state x and a costate lam:
 
 which this module integrates with classical fixed-step RK4 on the load
 profile grid and closes with a damped Newton shooting iteration on the
-initial state (2x2 forward-difference Jacobian).  The box constraint on
-p_m enters through the soft penalty xi; `solve` tightens the penalty
-weight over an increasing schedule, warm-starting each stage from the
-previous converged initial state, which keeps Newton inside its
-convergence basin as the costate equation stiffens.
+initial state.  The box constraint on p_m enters through the soft
+penalty xi, whose derivative xi' is piecewise linear, so the system is
+affine between the box edges.  Each RK4 pass therefore records which
+of its stages lay outside the box, and that record gives the exact 2x2
+derivative of the discrete period map (a product of per-step RK4
+derivative matrices) without further integration.  `solve` tightens
+the penalty weight over an increasing schedule, warm-starting each
+stage from the previous converged initial state, which keeps Newton
+inside its convergence basin as the costate equation stiffens.
 
 Everything here is deterministic: fixed steps, fixed iteration order,
 no adaptive logic, so identical scenarios produce bit-identical results.
@@ -29,6 +33,7 @@ results can be handed between threads freely.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -48,7 +53,6 @@ DEFAULT_TOL_BC = 1e-8
 DEFAULT_TOL_STAT = 1e-6
 DEFAULT_NEWTON_MAX_ITERS = 50
 DEFAULT_ALPHA_SCHEDULE = (1.0, 10.0, 100.0, 1e3, 1e4)
-_JACOBIAN_EPS = 1e-6
 _MAX_HALVINGS = 8
 
 SOLUTION_CSV_HEADER = "t_h,x_kw,lambda,u_kw_per_h,pm_kw,pm_clipped_kw,pl_kw"
@@ -127,6 +131,7 @@ class PmpSolution:
     stationarity_residual: float
     newton_iters: int
     alpha_used: float
+    rk4_passes: int = 0
 
 
 @dataclass(frozen=True)
@@ -189,80 +194,151 @@ def _cm_nodes(sc: Scenario) -> np.ndarray:
     return np.full(sc.load.count, float(sc.cost.cm))
 
 
-def _integrate_raw(x0: float, lam0: float, sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 over one period; profile data at half-steps by linear interpolation."""
+def _integrate_raw(x0: float, lam0: float, sc: Scenario
+                   ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+    """RK4 over one period; profile data at half-steps by linear interpolation.
+
+    Returns the node states and the record `_period_jacobian` needs: a
+    (step, pattern) pair for each step in which the penalty acts, bit s
+    of pattern set when the point of RK4 stage s (0..3) lies outside
+    [0, Pbar], where xi'' = 2 alpha; elsewhere xi'' = 0.
+
+    Raises:
+        DivergenceError: a node state is not finite; t_hours is the
+            first such node's time.
+    """
     load = sc.load
-    n = load.count
     dt = load.dt
     half_dt = 0.5 * dt
     sixth_dt = dt / 6.0
 
     # plain Python floats keep the step loop quick and overflow-silent
     pl_arr = load.values
-    pl = pl_arr.tolist()
     pl_next = np.concatenate([pl_arr[1:], pl_arr[:1]])
-    pl_half = (0.5 * (pl_arr + pl_next)).tolist()
-    pl_next = pl_next.tolist()
     cm_arr = _cm_nodes(sc)
-    cm = cm_arr.tolist()
     cm_next = np.concatenate([cm_arr[1:], cm_arr[:1]])
-    cm_half = (0.5 * (cm_arr + cm_next)).tolist()
-    cm_next = cm_next.tolist()
+    nodes = zip(pl_arr.tolist(), (0.5 * (pl_arr + pl_next)).tolist(),
+                pl_next.tolist(), cm_arr.tolist(),
+                (0.5 * (cm_arr + cm_next)).tolist(), cm_next.tolist())
 
     g2 = 2.0 * sc.cost.g
     inv_2d = 1.0 / (2.0 * sc.cost.d)
     a2 = 2.0 * sc.cost.alpha
     pbar = sc.cost.pbar_kw
 
-    xs = np.empty(n + 1)
-    ls = np.empty(n + 1)
     x = float(x0)
     lam = float(lam0)
-    xs[0] = x
-    ls[0] = lam
-    isfinite = math.isfinite
+    xs = [x]
+    ls = [lam]
+    marks = []
 
-    for i in range(n):
-        pl0 = pl[i]; plh = pl_half[i]; pl1 = pl_next[i]
-        cm0 = cm[i]; cmh = cm_half[i]; cm1 = cm_next[i]
-
+    for pl0, plh, pl1, cm0, cmh, cm1 in nodes:
         pm = x - pl0
-        over = pm - pbar
-        xi_p = a2 * pm if pm < 0.0 else (a2 * over if over > 0.0 else 0.0)
+        xi1 = a2 * pm if pm < 0.0 else (a2 * (pm - pbar) if pm > pbar else 0.0)
         k1x = -lam * inv_2d
-        k1l = -g2 * x + cm0 - xi_p
+        k1l = -g2 * x + cm0 - xi1
 
         x2 = x + half_dt * k1x; l2 = lam + half_dt * k1l
         pm = x2 - plh
-        over = pm - pbar
-        xi_p = a2 * pm if pm < 0.0 else (a2 * over if over > 0.0 else 0.0)
+        xi2 = a2 * pm if pm < 0.0 else (a2 * (pm - pbar) if pm > pbar else 0.0)
         k2x = -l2 * inv_2d
-        k2l = -g2 * x2 + cmh - xi_p
+        k2l = -g2 * x2 + cmh - xi2
 
         x3 = x + half_dt * k2x; l3 = lam + half_dt * k2l
         pm = x3 - plh
-        over = pm - pbar
-        xi_p = a2 * pm if pm < 0.0 else (a2 * over if over > 0.0 else 0.0)
+        xi3 = a2 * pm if pm < 0.0 else (a2 * (pm - pbar) if pm > pbar else 0.0)
         k3x = -l3 * inv_2d
-        k3l = -g2 * x3 + cmh - xi_p
+        k3l = -g2 * x3 + cmh - xi3
 
         x4 = x + dt * k3x; l4 = lam + dt * k3l
         pm = x4 - pl1
-        over = pm - pbar
-        xi_p = a2 * pm if pm < 0.0 else (a2 * over if over > 0.0 else 0.0)
+        xi4 = a2 * pm if pm < 0.0 else (a2 * (pm - pbar) if pm > pbar else 0.0)
         k4x = -l4 * inv_2d
-        k4l = -g2 * x4 + cm1 - xi_p
+        k4l = -g2 * x4 + cm1 - xi4
 
+        if xi1 or xi2 or xi3 or xi4:
+            marks.append((len(xs) - 1, (xi1 != 0.0) | (xi2 != 0.0) << 1
+                          | (xi3 != 0.0) << 2 | (xi4 != 0.0) << 3))
         x = x + sixth_dt * (k1x + 2.0 * (k2x + k3x) + k4x)
         lam = lam + sixth_dt * (k1l + 2.0 * (k2l + k3l) + k4l)
-        if not (isfinite(x) and isfinite(lam)):
-            raise DivergenceError(
-                f"non-finite state at t = {(i + 1) * dt:.6g} h",
-                t_hours=(i + 1) * dt, initial_state=(float(x0), float(lam0)))
-        xs[i + 1] = x
-        ls[i + 1] = lam
+        xs.append(x)
+        ls.append(lam)
 
-    return xs, ls
+    # checked once after the loop: inf and nan propagate without raising
+    xs = np.array(xs)
+    ls = np.array(ls)
+    bad = np.flatnonzero(~(np.isfinite(xs[1:]) & np.isfinite(ls[1:])))
+    if bad.size:
+        t_fail = (int(bad[0]) + 1) * dt
+        raise DivergenceError(
+            f"non-finite state at t = {t_fail:.6g} h",
+            t_hours=t_fail, initial_state=(float(x0), float(lam0)))
+    return xs, ls, marks
+
+
+def _mat_mul(p: tuple, q: tuple) -> tuple:
+    """Product of two row-major 2x2 matrices held as 4-tuples."""
+    a, b, c, d = p
+    e, f, g, h = q
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _mat_pow(m: tuple, k: int) -> tuple:
+    """m**k by repeated squaring."""
+    out = (1.0, 0.0, 0.0, 1.0)
+    while k:
+        if k & 1:
+            out = _mat_mul(out, m)
+        m = _mat_mul(m, m)
+        k >>= 1
+    return out
+
+
+def _rk4_step_derivative(pattern: int, sc: Scenario) -> tuple:
+    """Derivative of one RK4 step with respect to its start state.
+
+    At stage s (0..3) the right-hand side has the Jacobian
+    A_s = [[0, -1/2d], [-2g - xi''_s, 0]], with xi''_s = 2 alpha when bit
+    s of pattern is set and 0 otherwise.  The chain rule through the
+    stages gives I + dt/6 (K_0 + 2 K_1 + 2 K_2 + K_3) with
+    K_s = A_s (I + c_s K_{s-1}), c = (0, dt/2, dt/2, dt).
+    """
+    dt = sc.load.dt
+    a = -1.0 / (2.0 * sc.cost.d)
+    b_in = -2.0 * sc.cost.g
+    b_out = b_in - 2.0 * sc.cost.alpha
+    k0 = k1 = k2 = k3 = 0.0
+    s0 = s1 = s2 = s3 = 0.0
+    for s, (c, w) in enumerate(((0.0, 1.0), (0.5 * dt, 2.0),
+                                (0.5 * dt, 2.0), (dt, 1.0))):
+        b = b_out if pattern >> s & 1 else b_in
+        # K_s = A_s (I + c K_{s-1}) with A_s = [[0, a], [b, 0]]
+        k0, k1, k2, k3 = (a * c * k2, a * (1.0 + c * k3),
+                          b * (1.0 + c * k0), b * c * k1)
+        s0 += w * k0; s1 += w * k1; s2 += w * k2; s3 += w * k3
+    h = dt / 6.0
+    return (1.0 + h * s0, h * s1, h * s2, 1.0 + h * s3)
+
+
+def _period_jacobian(marks: list[tuple[int, int]], sc: Scenario) -> np.ndarray:
+    """Exact Jacobian Phi - I of the shooting residual of one RK4 pass.
+
+    `marks` is the penalty record of `_integrate_raw`; steps absent from
+    it have pattern 0.  The period map's derivative Phi is the product
+    of the per-step derivatives, which depend only on each step's
+    pattern, so each run of equal patterns is one power by squaring.
+    """
+    patterns = [0] * sc.load.count
+    for step, pattern in marks:
+        patterns[step] = pattern
+    step_derivative: dict[int, tuple] = {}
+    phi = (1.0, 0.0, 0.0, 1.0)
+    for pattern, run in itertools.groupby(patterns):
+        m = step_derivative.get(pattern)
+        if m is None:
+            m = step_derivative[pattern] = _rk4_step_derivative(pattern, sc)
+        phi = _mat_mul(_mat_pow(m, len(list(run))), phi)
+    return np.array([[phi[0] - 1.0, phi[1]], [phi[2], phi[3] - 1.0]])
 
 
 def integrate(s0: PmpState, sc: Scenario) -> Trajectory:
@@ -277,31 +353,30 @@ def integrate(s0: PmpState, sc: Scenario) -> Trajectory:
     """
     if not (math.isfinite(s0.x) and math.isfinite(s0.lam)):
         raise ValidationError("initial state must be finite")
-    xs, ls = _integrate_raw(s0.x, s0.lam, sc)
+    xs, ls, _ = _integrate_raw(s0.x, s0.lam, sc)
     t = np.arange(sc.load.count + 1) * sc.load.dt
     return Trajectory(t=t, x=xs, lam=ls)
 
 
 def _solution_from(sc: Scenario, xs: np.ndarray, ls: np.ndarray,
-                   iters: int, converged: bool | None = None) -> PmpSolution:
+                   iters: int, passes: int) -> PmpSolution:
     n = sc.load.count
     pl_ext = np.concatenate([sc.load.values, sc.load.values[:1]])
     u = -ls / (2.0 * sc.cost.d) + 0.0  # +0.0 folds -0.0 into 0.0
     pm = xs - pl_ext
     residual = max(abs(xs[n] - xs[0]), abs(ls[n] - ls[0]))
     stat = float(np.max(np.abs(2.0 * sc.cost.d * u + ls)))
-    if converged is None:
-        converged = (residual <= sc.tolerances.tol_bc
-                     and stat <= sc.tolerances.tol_stat)
     return PmpSolution(
         grid=sc.load,
         x_traj=xs, lambda_traj=ls, u_traj=u,
         pm_traj=pm, pm_clipped=np.clip(pm, 0.0, sc.cost.pbar_kw),
-        converged=bool(converged),
+        converged=bool(residual <= sc.tolerances.tol_bc
+                       and stat <= sc.tolerances.tol_stat),
         periodic_residual=float(residual),
         stationarity_residual=stat,
         newton_iters=int(iters),
         alpha_used=float(sc.cost.alpha),
+        rk4_passes=int(passes),
     )
 
 
@@ -309,11 +384,16 @@ def shoot_periodic(sc: Scenario, guess: PmpState) -> PmpSolution:
     """Close the periodic boundary condition by damped Newton shooting.
 
     Newton iterates on the residual R(x0, lam0) = (x(T)-x0, lam(T)-lam0)
-    with a 2x2 forward-difference Jacobian (re-integration with each
-    initial component perturbed by 1e-6*(1+|value|)).  Steps are halved
-    up to 8 times whenever the residual norm fails to decrease; running
-    out of halvings or iterations returns a solution flagged
-    converged=False rather than raising.
+    of the discrete RK4 period map.  Its Jacobian is exact, not
+    differenced: the optimality system is affine between penalty kinks,
+    so the derivative of a pass follows from the pass's record of which
+    RK4 stages lay outside the box (`_period_jacobian`), at no extra
+    integration.  Within one such pattern the period map is affine and
+    a full Newton step lands on its fixed point.  Steps are halved up to
+    8 times whenever the residual norm fails to decrease; running out of
+    halvings or iterations returns a solution flagged converged=False
+    rather than raising.  `rk4_passes` counts every integration,
+    line-search trials included.
     """
     if not (math.isfinite(guess.x) and math.isfinite(guess.lam)):
         raise ValidationError("shooting guess must be finite")
@@ -321,20 +401,15 @@ def shoot_periodic(sc: Scenario, guess: PmpState) -> PmpSolution:
     max_iters = sc.tolerances.newton_max_iters
 
     def residual(v):
-        xs, ls = _integrate_raw(v[0], v[1], sc)
-        return np.array([xs[-1] - v[0], ls[-1] - v[1]]), xs, ls
+        xs, ls, marks = _integrate_raw(v[0], v[1], sc)
+        return np.array([xs[-1] - v[0], ls[-1] - v[1]]), xs, ls, marks
 
     v = np.array([float(guess.x), float(guess.lam)])
-    r, xs, ls = residual(v)
+    r, xs, ls, marks = residual(v)
     iters = 0
+    passes = 1
     while np.max(np.abs(r)) > tol and iters < max_iters:
-        jac = np.empty((2, 2))
-        for j in range(2):
-            h = _JACOBIAN_EPS * (1.0 + abs(v[j]))
-            vp = v.copy()
-            vp[j] += h
-            rp, _, _ = residual(vp)
-            jac[:, j] = (rp - r) / h
+        jac = _period_jacobian(marks, sc)
         try:
             delta = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
@@ -344,14 +419,15 @@ def shoot_periodic(sc: Scenario, guess: PmpState) -> PmpSolution:
         scale = 1.0
         accepted = False
         for _ in range(_MAX_HALVINGS + 1):
+            passes += 1
             try:
-                r_try, xs_try, ls_try = residual(v + scale * delta)
+                trial = residual(v + scale * delta)
             except DivergenceError:
                 scale *= 0.5
                 continue
-            if np.max(np.abs(r_try)) < best:
+            if np.max(np.abs(trial[0])) < best:
                 v = v + scale * delta
-                r, xs, ls = r_try, xs_try, ls_try
+                r, xs, ls, marks = trial
                 accepted = True
                 break
             scale *= 0.5
@@ -361,7 +437,7 @@ def shoot_periodic(sc: Scenario, guess: PmpState) -> PmpSolution:
                          iters, best)
             break
 
-    return _solution_from(sc, xs, ls, iters)
+    return _solution_from(sc, xs, ls, iters, passes)
 
 
 def initial_guess(sc: Scenario) -> PmpState:
@@ -379,10 +455,13 @@ def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
     from the previous converged initial state.  A failed stage ends the
     continuation: the last successful stage's solution is returned with
     converged=False (its alpha_used records how far the schedule got).
-    A divergence in the very first stage propagates.
+    A divergence in the very first stage propagates.  The returned
+    newton_iters and rk4_passes are totals over every stage run,
+    including a failed one (a diverged stage counts its one pass).
     """
     state = guess if guess is not None else initial_guess(sc)
     prev: PmpSolution | None = None
+    iters = passes = 0
     for alpha in sc.alpha_schedule:
         stage = replace(sc, cost=replace(sc.cost, alpha=alpha),
                         alpha_schedule=(alpha,))
@@ -393,16 +472,17 @@ def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
                 raise
             logger.warning("stage alpha=%g diverged; keeping alpha=%g result",
                            alpha, prev.alpha_used)
-            return replace(prev, converged=False)
+            return replace(prev, converged=False, rk4_passes=passes + 1)
+        iters += sol.newton_iters
+        passes += sol.rk4_passes
         if not sol.converged:
             logger.warning("stage alpha=%g did not converge "
                            "(residual %.3g, %d iterations)",
                            alpha, sol.periodic_residual, sol.newton_iters)
-            if prev is None:
-                return sol
-            return replace(prev, converged=False)
+            last = sol if prev is None else replace(prev, converged=False)
+            return replace(last, newton_iters=iters, rk4_passes=passes)
         state = PmpState(x=float(sol.x_traj[0]), lam=float(sol.lambda_traj[0]))
-        prev = sol
+        prev = replace(sol, newton_iters=iters, rk4_passes=passes)
     return prev
 
 
@@ -480,6 +560,7 @@ def solution_diagnostics(sol: PmpSolution, sc: Scenario) -> dict:
         "periodic_residual": sol.periodic_residual,
         "stationarity_residual": sol.stationarity_residual,
         "newton_iters": sol.newton_iters,
+        "rk4_passes": sol.rk4_passes,
         "alpha_used": sol.alpha_used,
         "objective_breakdown": breakdown_as_dict(evaluate(sol, sc)),
     }

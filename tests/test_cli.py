@@ -136,6 +136,16 @@ def test_oracle_check_fails_when_oracle_not_converged(
     assert doc["objective_gap_rel"] <= 0.005
 
 
+def test_oracle_check_exit_code_when_oracle_fails(
+        tmp_path, machine_cfg, plant_net_csv, monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "_MAX_STEPS_PER_NODE", 0)
+    code = main(["oracle-check", "--load", plant_net_csv, "--machine",
+                 machine_cfg, "--n", "48", "--out", str(tmp_path / "c")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "oracle error: active set not settled after 0 steps" in err
+
+
 def test_divergence_reports_initial_state(tmp_path, capsys):
     load = tmp_path / "flat.csv"
     load.write_text("timestamp,load_kw\n"
@@ -169,6 +179,35 @@ def test_econ_report_from_solution(tmp_path, machine_cfg, plant_net_csv):
     assert doc["msrp_per_day"] == pytest.approx(10.14, abs=0.01)
     assert doc["gross_mining"] > 0.0
     assert (out / "econ_report.txt").exists()
+
+
+def test_solve_reports_rk4_passes(tmp_path, machine_cfg, plant_net_csv):
+    out = tmp_path / "run"
+    assert main(["solve", "--load", plant_net_csv, "--machine", machine_cfg,
+                 "--out", str(out)]) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    # five stages, each starting at its fixed point: one pass apiece
+    assert diag["newton_iters"] == 0
+    assert diag["rk4_passes"] == 5
+
+
+def test_econ_reads_diagnostics_without_rk4_passes(tmp_path, machine_cfg,
+                                                   plant_net_csv):
+    run = tmp_path / "run"
+    assert main(["solve", "--load", plant_net_csv, "--machine", machine_cfg,
+                 "--out", str(run)]) == 0
+
+    def econ_report(tag):
+        out = tmp_path / tag
+        assert main(["econ", "--machine", machine_cfg, "--solution", str(run),
+                     "--out", str(out)]) == 0
+        return (out / "econ_report.json").read_bytes()
+    new = econ_report("new")
+    diag_path = run / "diagnostics.json"
+    diag = json.loads(diag_path.read_text())
+    del diag["rk4_passes"]
+    diag_path.write_text(json.dumps(diag))
+    assert econ_report("old") == new
 
 
 def test_econ_projection_flat_with_zero_slopes(tmp_path, machine_cfg):

@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from corpus import CM1, M1
+from corpus import BINDING_NAMES, CM1, M1
 
 from rampsched import (DivergenceError, FleetSpec, SampledProfile,
                        ValidationError, evaluate, hamiltonian, integrate,
                        make_scenario, pmp_rhs, shoot_periodic, solve,
                        stationary_point)
 from rampsched.costmodel import gen_cost, penalty_xi, ramp_cost
-from rampsched.pmp import (PmpState, Scenario, Tolerances, initial_guess,
-                           read_solution_csv, solution_to_csv)
+from rampsched.pmp import (PmpState, Scenario, Tolerances, _integrate_raw,
+                           _period_jacobian, initial_guess, read_solution_csv,
+                           solution_to_csv)
 
 FLEET20 = FleetSpec(M1, 20)
 
@@ -141,13 +142,36 @@ def test_integration_is_fourth_order():
 
 
 def test_integration_divergence_error_carries_time():
-    load = SampledProfile(0.25, np.zeros(96))
-    sc = make_scenario(load, FLEET20, g=1e-6, d=1e-9, cm=0.1,
-                       alpha_schedule=(1e12,))
-    with pytest.raises(DivergenceError) as err:
-        integrate(PmpState(x=5000.0, lam=1.0), sc)
-    assert err.value.t_hours is not None
-    assert 0.0 < err.value.t_hours <= 24.0
+    # t_hours is the first non-finite node of a reference RK4 on pmp_rhs
+    wavy = 100.0 + 10.0 * np.sin(np.arange(96))
+    cases = [(np.zeros(96), 1e-6, 1e-9, 1e12, 5000.0, 1.0),
+             (wavy, 1e-3, 1e-6, 1e6, 300.0, 5.0),
+             (wavy, 1e-3, 1e-7, 1e3, 120.0, 1e3)]
+    for values, g, d, alpha, x0, lam0 in cases:
+        sc = make_scenario(SampledProfile(0.25, values), FLEET20, g=g, d=d,
+                           cm=0.1, alpha_schedule=(alpha,))
+        dt = sc.load.dt
+
+        def f(z, t):
+            return np.array(pmp_rhs(PmpState(*z), t, sc))
+        s = np.array([x0, lam0])
+        expected = None
+        with np.errstate(all="ignore"):
+            for i in range(sc.load.count):
+                t = i * dt
+                k1 = f(s, t)
+                k2 = f(s + 0.5 * dt * k1, t + 0.5 * dt)
+                k3 = f(s + 0.5 * dt * k2, t + 0.5 * dt)
+                k4 = f(s + dt * k3, t + dt)
+                s = s + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+                if not np.all(np.isfinite(s)):
+                    expected = (i + 1) * dt
+                    break
+        assert expected is not None
+        with pytest.raises(DivergenceError) as err:
+            integrate(PmpState(x=x0, lam=lam0), sc)
+        assert err.value.t_hours == expected
+        assert err.value.initial_state == (x0, lam0)
 
 
 def test_integration_rejects_non_finite_start():
@@ -176,6 +200,38 @@ def test_shoot_basin_reaches_same_fixed_point():
         assert sol.converged
         assert sol.x_traj[0] == pytest.approx(150.0, abs=1e-6)
         assert sol.lambda_traj[0] == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("guess", [(160.0, 0.5), (140.0, -1.0), (151.0, 0.1)])
+def test_shoot_closes_in_one_step_inside_box(guess):
+    # inside the box the period map is affine, so exact Newton is one step
+    sc = const_scenario(level=100.0, xstar=150.0)
+    sol = shoot_periodic(sc, PmpState(*guess))
+    assert sol.converged
+    assert sol.newton_iters == 1
+    assert sol.periodic_residual <= 1e-12
+    assert sol.rk4_passes == 2
+
+
+def test_period_jacobian_matches_central_differences(solved96, corpus96):
+    for name in BINDING_NAMES:
+        sc = corpus96[name]
+        sol = solved96[name]
+        assert sol.alpha_used == sc.alpha_schedule[-1], name
+        v = np.array([sol.x_traj[0], sol.lambda_traj[0]])
+        xs, ls, marks = _integrate_raw(v[0], v[1], sc)
+        assert marks, name  # the penalty acts somewhere
+        exact = _period_jacobian(marks, sc)
+
+        def res(w):
+            traj = integrate(PmpState(*w), sc)
+            return np.array([traj.x[-1], traj.lam[-1]]) - w
+        fd = np.empty((2, 2))
+        for j in range(2):
+            step = np.zeros(2)
+            step[j] = 1e-7 * (1.0 + abs(v[j]))
+            fd[:, j] = (res(v + step) - res(v - step)) / (2.0 * step[j])
+        assert np.max(np.abs(exact - fd)) <= 1e-5 * np.max(np.abs(exact)), name
 
 
 def test_converged_implies_residual_within_tolerance(solved96, corpus96):
@@ -211,6 +267,24 @@ def test_constant_scenario_objective_matches_closed_form():
     assert bd.total_usd == pytest.approx(per_hour * 24.0, rel=1e-9)
     assert bd.ramping_usd == 0.0
     assert bd.penalty_usd == 0.0
+
+
+def test_solve_counts_work_of_every_stage(corpus96):
+    for name in ("duck", "peak_touch", "two_peak_touch"):
+        sc = corpus96[name]
+        state = initial_guess(sc)
+        iters = passes = 0
+        for alpha in sc.alpha_schedule:
+            stage = make_scenario(sc.load, sc.fleet, g=sc.cost.g, d=sc.cost.d,
+                                  cm=sc.cost.cm, alpha_schedule=(alpha,))
+            sol = shoot_periodic(stage, state)
+            iters += sol.newton_iters
+            passes += sol.rk4_passes
+            state = PmpState(sol.x_traj[0], sol.lambda_traj[0])
+        full = solve(sc)
+        assert full.newton_iters == iters, name
+        assert full.rk4_passes == passes, name
+        assert passes >= len(sc.alpha_schedule) + iters, name
 
 
 def test_stationary_point_values():
