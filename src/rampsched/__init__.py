@@ -9,10 +9,8 @@ projections).
 """
 
 from .costmodel import (CostModel, FleetSpec, MachineSpec, MACHINE_PRESETS,
-                        DEFAULT_FLEET_COUNTS, compute_cm, compute_g,
-                        control_from_costate, gen_cost, gen_cost_prime,
-                        instantaneous_cost, load_config, penalty_xi,
-                        penalty_xi_prime, ramp_cost, ramp_cost_prime)
+                        compute_cm, compute_g, control_from_costate, gen_cost,
+                        load_config, penalty_xi, penalty_xi_prime, ramp_cost)
 from .econ import (EconReport, ProfitModel, ProjectionSeries, ScheduleStats,
                    TrendModel, amortized_daily_msrp,
                    breakeven_max_machine_price, daily_report, fit_price_trend,

@@ -92,7 +92,7 @@ def _build_scenario(args) -> tuple[pmp.Scenario, cmod.MachineSpec]:
         schedule = (float(cfg["alpha"]),)
     else:
         schedule = pmp.DEFAULT_ALPHA_SCHEDULE
-    tol = pmp.Tolerances(tol_bc=args.tol_bc, tol_stat=args.tol_stat)
+    tol = pmp.Tolerances(tol_bc=args.tol_bc)
     sc = pmp.make_scenario(
         load, fleet,
         g=cfg.get("g_override"),
@@ -122,6 +122,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if args.n is not None and args.n < 4:
+        raise ValidationError(f"--n must be >= 4, got {args.n}")
     out = Path(args.out)
     sc, _ = _build_scenario(args)
     if args.n is not None:
@@ -174,33 +176,53 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK
 
 
+def _json_bool(value) -> bool:
+    if not isinstance(value, bool):  # bool("false") would be True
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+# diagnostics.json keys that restore PmpSolution fields of the same name
+_DIAGNOSTICS_FIELDS = {"converged": _json_bool, "periodic_residual": float,
+                       "stationarity_residual": float, "newton_iters": int,
+                       "alpha_used": float, "rk4_passes": int}
+
+
+def _read_diagnostics(path: Path) -> dict:
+    """The solution fields of a diagnostics.json, converted to their types."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
+    doc.setdefault("rk4_passes", 0)  # older files lack it
+    try:
+        return {key: kind(doc[key]) for key, kind in _DIAGNOSTICS_FIELDS.items()}
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: bad value: {exc}") from exc
+
+
 def _scenario_from_solution(args, cfg) -> tuple[pmp.PmpSolution, pmp.Scenario]:
     sol_dir = Path(args.solution)
     csv_path = sol_dir / "solution.csv" if sol_dir.is_dir() else sol_dir
-    diag_path = csv_path.parent / "diagnostics.json"
     cols = pmp.read_solution_csv(csv_path)
-    diag = json.loads(diag_path.read_text(encoding="utf-8"))
+    diag = _read_diagnostics(csv_path.parent / "diagnostics.json")
 
     t = cols["t_h"]
     dt = float(t[1] - t[0])
     load = profiles.SampledProfile(dt, cols["pl_kw"][:-1])
     fleet = cmod.fleet_from_config(cfg, count_override=args.fleet_count)
-    alpha = float(diag["alpha_used"])
-    cost = cmod.costmodel_from_config(cfg, fleet, alpha=alpha)
-    sc = pmp.Scenario(load=load, cost=cost, fleet=fleet,
-                      alpha_schedule=(alpha,))
+    sc = pmp.make_scenario(load, fleet, g=cfg.get("g_override"),
+                           d=cfg.get("d", 1.0),
+                           alpha_schedule=(diag["alpha_used"],))
     sol = pmp.PmpSolution(
         grid=load,
         x_traj=cols["x_kw"], lambda_traj=cols["lambda"],
         u_traj=cols["u_kw_per_h"], pm_traj=cols["pm_kw"],
-        pm_clipped=cols["pm_clipped_kw"],
-        converged=bool(diag["converged"]),
-        periodic_residual=float(diag["periodic_residual"]),
-        stationarity_residual=float(diag["stationarity_residual"]),
-        newton_iters=int(diag["newton_iters"]),
-        alpha_used=alpha,
-        rk4_passes=int(diag.get("rk4_passes", 0)),  # older files lack it
-    )
+        pm_clipped=cols["pm_clipped_kw"], **diag)
     return sol, sc
 
 
@@ -279,7 +301,6 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--load-scale", type=float, default=1.0,
                    help="multiply ingested power columns by this factor")
     p.add_argument("--tol-bc", type=float, default=pmp.DEFAULT_TOL_BC)
-    p.add_argument("--tol-stat", type=float, default=pmp.DEFAULT_TOL_STAT)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,13 +18,12 @@ with that reading can bypass it via an explicit g override.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Union
 
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .profiles import SampledProfile
+from .profiles import SampledProfile, source_text
 
 HOURS_PER_DAY = 24.0
 
@@ -125,40 +124,23 @@ def gen_cost(x, m: CostModel):
     return m.g * np.square(x)
 
 
-def gen_cost_prime(x, m: CostModel):
-    """Marginal generation cost 2*g*x in $/kWh."""
-    return 2.0 * m.g * np.asarray(x, dtype=float) if np.ndim(x) else 2.0 * m.g * x
-
-
 def ramp_cost(u, m: CostModel):
     """Ramping cost d*u^2 in $/h."""
     return m.d * np.square(u)
-
-
-def ramp_cost_prime(u, m: CostModel):
-    return 2.0 * m.d * np.asarray(u, dtype=float) if np.ndim(u) else 2.0 * m.d * u
 
 
 def penalty_xi(pm, m: CostModel):
     """Soft box penalty: 0 on [0, Pbar], quadratic outside."""
     below = np.minimum(pm, 0.0)
     above = np.maximum(np.subtract(pm, m.pbar_kw), 0.0)
-    out = m.alpha * (below * below + above * above)
-    return out if isinstance(out, np.ndarray) else float(out)
+    return m.alpha * (below * below + above * above)
 
 
 def penalty_xi_prime(pm, m: CostModel):
     """Derivative of the penalty; 0 on the closed band including both kinks."""
     below = np.minimum(pm, 0.0)
     above = np.maximum(np.subtract(pm, m.pbar_kw), 0.0)
-    out = 2.0 * m.alpha * (below + above)
-    return out if isinstance(out, np.ndarray) else float(out)
-
-
-def instantaneous_cost(pg, dpg_dt, pm, t, m: CostModel):
-    """Running cost: generation + ramping - mining revenue + penalty, $/h."""
-    return (gen_cost(pg, m) + ramp_cost(dpg_dt, m)
-            - m.cm_at(t) * np.asarray(pm, dtype=float) + penalty_xi(pm, m))
+    return 2.0 * m.alpha * (below + above)
 
 
 def control_from_costate(lam, m: CostModel):
@@ -167,8 +149,7 @@ def control_from_costate(lam, m: CostModel):
     The minimizer of d*u^2 + lam*u over all u; for the quadratic ramp
     cost the inverse of its derivative is available in closed form.
     """
-    return -np.asarray(lam, dtype=float) / (2.0 * m.d) if np.ndim(lam) \
-        else -lam / (2.0 * m.d)
+    return -lam / (2.0 * m.d)
 
 
 def compute_g(machine: MachineSpec) -> float:
@@ -181,8 +162,7 @@ def compute_cm(machine: MachineSpec) -> float:
     return machine.income_usd_day / (machine.demand_kw * HOURS_PER_DAY)
 
 
-# Vendor machine presets; counts are the reference fleet sizes used in the
-# bundled plant-scale scenario.
+# Vendor machine presets.
 MACHINE_PRESETS = {
     "1": MachineSpec(name="antminer-s21", demand_w=5360.0, hashrate_ths=335.0,
                      income_usd_day=15.0, elec_cost_coeff=0.1, price_usd=7400.0,
@@ -194,7 +174,6 @@ MACHINE_PRESETS = {
                      income_usd_day=5.05, elec_cost_coeff=0.06, price_usd=6500.0,
                      lifespan_years=2.0, k_const=0.0014),
 }
-DEFAULT_FLEET_COUNTS = {"1": 2853, "2": 2175, "3": 2924}
 
 _CONFIG_KEYS = {
     "name", "demand_w", "hashrate_ths", "income_usd_day", "elec_cost",
@@ -205,14 +184,8 @@ _REQUIRED_MACHINE_KEYS = ("demand_w", "income_usd_day", "elec_cost", "k")
 
 def load_config(source) -> dict:
     """Parse a flat ``key = value`` config file (UTF-8, '#' comments)."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    elif isinstance(source, bytes):
-        text = source.decode("utf-8")
-    else:
-        text = source.read()
     cfg: dict = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(source_text(source).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -260,19 +233,3 @@ def fleet_from_config(cfg: dict, count_override: int | None = None) -> FleetSpec
     machine = machine_from_config(cfg)
     count = count_override if count_override is not None else cfg.get("count", 1)
     return FleetSpec(machine=machine, count=int(count))
-
-
-def costmodel_from_config(cfg: dict, fleet: FleetSpec,
-                          cm: Union[float, SampledProfile, None] = None,
-                          alpha: float | None = None) -> CostModel:
-    """Assemble a cost model from config values plus a fleet bound."""
-    machine = fleet.machine
-    g = cfg.get("g_override")
-    if g is None:
-        g = compute_g(machine)
-    if cm is None:
-        cm = compute_cm(machine)
-    if alpha is None:
-        alpha = cfg.get("alpha", 1.0)
-    return CostModel(g=g, d=cfg.get("d", 1.0), alpha=alpha,
-                     pbar_kw=fleet.pbar_kw, cm=cm)

@@ -18,12 +18,13 @@ from .costmodel import MachineSpec
 from .errors import (DegenerateFitError, ReportOnUnconvergedError,
                      ValidationError)
 from .pmp import PmpSolution, Scenario, _trapezoid, evaluate
+from .profiles import source_text
 
 DAYS_PER_YEAR = 365.0
 
 # Break-even rule calibration: a machine pays for itself while the daily
 # mining profit clears the profit floor by at least the amortization gap,
-# i.e. C / 730 - msrp_offset <= V - profit_floor.
+# i.e. C / 730 - BREAKEVEN_MSRP_OFFSET <= V - BREAKEVEN_PROFIT_FLOOR.
 BREAKEVEN_PROFIT_FLOOR = 5.0
 BREAKEVEN_MSRP_OFFSET = 8.9
 BREAKEVEN_AMORT_DAYS = 2.0 * DAYS_PER_YEAR
@@ -119,11 +120,10 @@ def amortized_daily_msrp(price_usd: float, lifespan_years: float) -> float:
     return price_usd / (DAYS_PER_YEAR * lifespan_years)
 
 
-def breakeven_max_machine_price(v_daily: float,
-                                profit_floor: float = BREAKEVEN_PROFIT_FLOOR,
-                                msrp_offset: float = BREAKEVEN_MSRP_OFFSET) -> float:
+def breakeven_max_machine_price(v_daily: float) -> float:
     """Highest machine price for which daily profit V still breaks even."""
-    return BREAKEVEN_AMORT_DAYS * (v_daily - profit_floor + msrp_offset)
+    return BREAKEVEN_AMORT_DAYS * (v_daily - BREAKEVEN_PROFIT_FLOOR
+                                   + BREAKEVEN_MSRP_OFFSET)
 
 
 def fit_price_trend(points) -> TrendModel:
@@ -306,11 +306,7 @@ def format_report_table(reports) -> str:
 
 def read_trend_csv(source) -> list[tuple[float, float]]:
     """Read `share_pct,value` rows (header required)."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in source_text(source).splitlines() if ln.strip()]
     if not lines or lines[0].split(",")[0].strip() != "share_pct":
         raise ValidationError("trend CSV must start with a 'share_pct,value' header")
     points = []

@@ -37,7 +37,6 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -45,12 +44,11 @@ import numpy as np
 from . import costmodel as cmod
 from .costmodel import CostModel, FleetSpec, compute_cm, compute_g
 from .errors import DivergenceError, ValidationError
-from .profiles import SampledProfile
+from .profiles import SampledProfile, source_text
 
 logger = logging.getLogger("rampsched.pmp")
 
 DEFAULT_TOL_BC = 1e-8
-DEFAULT_TOL_STAT = 1e-6
 DEFAULT_NEWTON_MAX_ITERS = 50
 DEFAULT_ALPHA_SCHEDULE = (1.0, 10.0, 100.0, 1e3, 1e4)
 _MAX_HALVINGS = 8
@@ -76,12 +74,11 @@ class Trajectory(NamedTuple):
 @dataclass(frozen=True)
 class Tolerances:
     tol_bc: float = DEFAULT_TOL_BC
-    tol_stat: float = DEFAULT_TOL_STAT
     newton_max_iters: int = DEFAULT_NEWTON_MAX_ITERS
 
     def __post_init__(self):
-        if self.tol_bc <= 0 or self.tol_stat <= 0:
-            raise ValidationError("tolerances must be positive")
+        if self.tol_bc <= 0:
+            raise ValidationError("tol_bc must be positive")
         if self.newton_max_iters < 1:
             raise ValidationError("newton_max_iters must be >= 1")
 
@@ -370,8 +367,7 @@ def _solution_from(sc: Scenario, xs: np.ndarray, ls: np.ndarray,
         grid=sc.load,
         x_traj=xs, lambda_traj=ls, u_traj=u,
         pm_traj=pm, pm_clipped=np.clip(pm, 0.0, sc.cost.pbar_kw),
-        converged=bool(residual <= sc.tolerances.tol_bc
-                       and stat <= sc.tolerances.tol_stat),
+        converged=bool(residual <= sc.tolerances.tol_bc),
         periodic_residual=float(residual),
         stationarity_residual=stat,
         newton_iters=int(iters),
@@ -587,14 +583,30 @@ def solution_to_csv(sol: PmpSolution, sc: Scenario) -> str:
 
 
 def read_solution_csv(source) -> dict[str, np.ndarray]:
-    """Parse a solution CSV back into column arrays keyed by header name."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split(",")
-    if header != SOLUTION_CSV_HEADER.split(","):
-        raise ValidationError(f"unexpected solution CSV header: {lines[0]!r}")
-    rows = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
-    return {name: rows[:, j] for j, name in enumerate(header)}
+    """Parse a solution CSV back into column arrays keyed by header name.
+
+    Raises:
+        ValidationError: naming the line, for an empty file, a wrong
+            header, a row whose field count differs from the header, a
+            non-numeric cell, or fewer than 2 rows.
+    """
+    lines = [(no, ln) for no, ln in
+             enumerate(source_text(source).splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1] != SOLUTION_CSV_HEADER:
+        raise ValidationError(f"line {lines[0][0] if lines else 1}: expected "
+                              f"the header {SOLUTION_CSV_HEADER!r}")
+    header = SOLUTION_CSV_HEADER.split(",")
+    rows = []
+    for no, ln in lines[1:]:
+        try:
+            rows.append([float(c) for c in ln.split(",")])
+        except ValueError as exc:
+            raise ValidationError(f"line {no}: non-numeric cell: {exc}") from exc
+        if len(rows[-1]) != len(header):
+            raise ValidationError(
+                f"line {no}: expected {len(header)} fields, got {len(rows[-1])}")
+    if len(rows) < 2:
+        raise ValidationError(f"line {lines[-1][0]}: solution CSV needs at "
+                              f"least 2 rows, got {len(rows)}")
+    data = np.array(rows)
+    return {name: data[:, j] for j, name in enumerate(header)}

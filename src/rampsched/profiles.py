@@ -1,16 +1,15 @@
-"""Uniformly sampled periodic profiles (load, PV, price) and their CSV I/O.
+"""Uniformly sampled periodic profiles (load, PV) and their CSV I/O.
 
 A profile stores one period of a uniformly sampled series together with
 the sample spacing and is treated as periodic everywhere: index
-arithmetic wraps modulo the sample count.  Power values are kW, prices
-are $/kWh, time is in hours.  All values are validated non-negative at
-construction, which is the domain contract for every series the
-scheduler consumes.
+arithmetic wraps modulo the sample count.  Power values are kW, revenue
+rates are $/kWh, time is in hours.  All values are validated
+non-negative at construction, which is the domain contract for every
+series the scheduler consumes.
 
-Resampling uses periodic linear interpolation followed by a centered
-moving average rather than splines: the solver only needs continuous
-data of bounded variation, and linear interpolation is cheap and never
-overshoots.
+Resampling uses periodic linear interpolation rather than splines: the
+solver only needs continuous data of bounded variation, and linear
+interpolation is cheap and never overshoots.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import IO, Mapping
 
 import numpy as np
 
@@ -34,14 +32,8 @@ EVENING_PEAK_SIGMA_H = 2.0
 PV_SUNRISE_HOUR = 6.0
 PV_DAYLIGHT_HOURS = 12.0
 
-# Canonical CSV schema: header column -> profile role.
-CSV_COLUMN_ROLES = {
-    "timestamp": "timestamp",
-    "load_kw": "load",
-    "pv_kw": "pv",
-    "price_usd_kwh": "price",
-}
-_ROLE_COLUMNS = {"load": "load_kw", "pv": "pv_kw", "price": "price_usd_kwh"}
+# CSV schema timestamp,load_kw[,pv_kw]: power column -> profile role.
+_POWER_COLUMNS = {"load_kw": "load", "pv_kw": "pv"}
 
 _SPACING_JITTER = 0.01     # max fractional deviation of a gap from the median
 _DIVISOR_TOL = 1e-6        # "new_dt divides period_T" tolerance, fractional
@@ -138,70 +130,60 @@ def _parse_timestamp(cell: str, line_no: int) -> float:
     return (stamp - _CSV_EPOCH).total_seconds()
 
 
-def _open_source(source) -> io.TextIOBase:
+def source_text(source) -> str:
+    """The whole text of a UTF-8 file path, bytes, or open text stream."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
+        return Path(source).read_text(encoding="utf-8")
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, io.TextIOBase):
-        return source
-    # binary stream
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return io.StringIO(data)
+        return source.decode("utf-8")
+    return source.read()
 
 
-def load_csv(source, column_map: Mapping[str, str] | None = None,
-             scale: float = 1.0) -> dict[str, SampledProfile]:
-    """Read uniformly spaced profiles from a CSV file, stream, or bytes.
+def load_csv(source, scale: float = 1.0) -> dict[str, SampledProfile]:
+    """Read uniformly spaced profiles from a CSV file, text stream, or bytes.
 
-    The file must have a header row, one timestamp column (ISO-8601 or
-    epoch seconds) and at least one numeric column.  Timestamps must be
-    strictly increasing with uniform spacing within 1% jitter of the
-    median gap; the sample spacing is inferred from the median gap.
+    The header is ``timestamp,load_kw[,pv_kw]`` in any column order: one
+    timestamp column (ISO-8601 or epoch seconds) and at least one power
+    column; any other column is rejected.  Timestamps must be strictly
+    increasing with uniform spacing within 1% jitter of the median gap;
+    the sample spacing is inferred from the median gap.
 
     Args:
-        source: path, bytes, or open text/binary stream.
-        column_map: CSV column name -> role ("timestamp", "load", "pv",
-            "price", ...).  Defaults to the canonical header schema
-            ``timestamp,load_kw[,pv_kw][,price_usd_kwh]``.
-        scale: multiplier applied to every power column (every role
-            except "price").  Operator telemetry is normalized to the
-            plant under study by this explicit factor; no normalization
-            is ever guessed.
+        source: path, bytes, or open text stream.
+        scale: multiplier applied to every power column.  Operator
+            telemetry is normalized to the plant under study by this
+            explicit factor; no normalization is ever guessed.
 
     Returns:
-        One profile per mapped numeric column, keyed by role.
+        One profile per power column, keyed by role ("load", "pv").
 
     Raises:
         SpacingError: non-uniform or non-increasing timestamps.
         ShortSeriesError: fewer than 4 data rows.
-        ValidationError: malformed cells or negative values.
+        ValidationError: an unknown or repeated column, malformed cells
+            or negative values.
     """
     if scale <= 0.0 or not math.isfinite(scale):
         raise ValidationError(f"scale must be finite and > 0, got {scale}")
-    stream = _open_source(source)
+    stream = io.StringIO(source_text(source))
     header_line = stream.readline()
     if not header_line:
         raise ValidationError("line 1: empty file, expected a header row")
     header = [h.strip() for h in header_line.rstrip("\r\n").split(",")]
 
-    if column_map is None:
-        column_map = {name: CSV_COLUMN_ROLES[name]
-                      for name in header if name in CSV_COLUMN_ROLES}
-    missing = [name for name in column_map if name not in header]
-    if missing:
-        raise ValidationError(f"line 1: mapped columns absent from header: {missing}")
-    ts_names = [n for n, role in column_map.items() if role == "timestamp"]
-    if len(ts_names) != 1:
-        raise ValidationError(
-            f"line 1: need exactly one timestamp column, found {len(ts_names)}")
-    value_roles = [(header.index(n), role)
-                   for n, role in column_map.items() if role != "timestamp"]
+    for name in header:
+        if name != "timestamp" and name not in _POWER_COLUMNS:
+            raise ValidationError(f"line 1: unknown column {name!r}, expected "
+                                  "timestamp,load_kw[,pv_kw]")
+        if header.count(name) > 1:
+            raise ValidationError(f"line 1: repeated column {name!r}")
+    if "timestamp" not in header:
+        raise ValidationError("line 1: no timestamp column")
+    value_roles = [(j, _POWER_COLUMNS[name]) for j, name in enumerate(header)
+                   if name != "timestamp"]
     if not value_roles:
-        raise ValidationError("line 1: no numeric columns mapped")
-    ts_idx = header.index(ts_names[0])
+        raise ValidationError("line 1: no power column")
+    ts_idx = header.index("timestamp")
 
     times: list[float] = []
     columns: dict[str, list[float]] = {role: [] for _, role in value_roles}
@@ -251,14 +233,12 @@ def load_csv(source, column_map: Mapping[str, str] | None = None,
             f"{_SPACING_JITTER:.0%} from median {median_gap:.6g}s")
 
     dt_hours = median_gap / 3600.0
-    return {role: SampledProfile(
-        dt_hours, np.asarray(vals) * (1.0 if role == "price" else scale))
-        for role, vals in columns.items()}
+    return {role: SampledProfile(dt_hours, np.asarray(vals) * scale)
+            for role, vals in columns.items()}
 
 
 def write_csv(dest, load: SampledProfile | None = None,
-              pv: SampledProfile | None = None,
-              price: SampledProfile | None = None) -> None:
+              pv: SampledProfile | None = None) -> None:
     """Write profiles to CSV in the canonical column schema.
 
     All given profiles must share one grid.  Timestamps are ISO-8601
@@ -266,8 +246,8 @@ def write_csv(dest, load: SampledProfile | None = None,
     epoch seconds otherwise.  Values are written with ``repr`` so a
     read-back reproduces them exactly.
     """
-    present = [(role, p) for role, p in
-               (("load", load), ("pv", pv), ("price", price)) if p is not None]
+    present = [(name, p) for name, p in (("load_kw", load), ("pv_kw", pv))
+               if p is not None]
     if not present:
         raise ValidationError("write_csv needs at least one profile")
     base = present[0][1]
@@ -277,7 +257,7 @@ def write_csv(dest, load: SampledProfile | None = None,
 
     step_s = base.dt * 3600.0
     iso = abs(step_s - round(step_s)) < 1e-9
-    lines = ["timestamp," + ",".join(_ROLE_COLUMNS[r] for r, _ in present)]
+    lines = ["timestamp," + ",".join(name for name, _ in present)]
     for i in range(base.count):
         if iso:
             stamp = _CSV_EPOCH + timedelta(seconds=round(i * step_s))
@@ -294,29 +274,20 @@ def write_csv(dest, load: SampledProfile | None = None,
         dest.write(text)
 
 
-def resample_periodic(p: SampledProfile, new_dt: float,
-                      smooth_window: int = 1) -> SampledProfile:
-    """Resample onto a new uniform grid, optionally smoothing.
+def resample_periodic(p: SampledProfile, new_dt: float) -> SampledProfile:
+    """Resample onto a new uniform grid by periodic linear interpolation.
 
-    Periodic linear interpolation onto the new grid, then a centered
-    moving average of width ``smooth_window`` with wraparound.  The mean
-    of the input is restored exactly afterwards (a uniform shift), so
-    resampling never drifts the energy content of a profile.
+    The mean of the input is restored exactly afterwards (a uniform
+    shift), so resampling never drifts the energy content of a profile.
 
     Args:
         p: input profile.
         new_dt: target spacing in hours; must divide the period to
             within one part in 1e6.
-        smooth_window: odd window width in samples, >= 1 (1 = no
-            smoothing).
 
     Raises:
         GridError: ``new_dt`` is not a divisor of the period.
-        ValidationError: even or non-positive ``smooth_window``.
     """
-    if smooth_window < 1 or smooth_window % 2 == 0:
-        raise ValidationError(
-            f"smooth_window must be odd and >= 1, got {smooth_window}")
     if new_dt <= 0.0:
         raise GridError(f"new_dt must be positive, got {new_dt}")
     ratio = p.period_T / new_dt
@@ -331,13 +302,6 @@ def resample_periodic(p: SampledProfile, new_dt: float,
     ext = np.concatenate([p.values, p.values[:1]])
     t_new = np.arange(n_new) * dt_used
     out = np.interp(t_new, grid_old, ext)
-
-    if smooth_window > 1:
-        half = smooth_window // 2
-        idx = np.arange(-half, n_new + half) % n_new
-        kernel = np.full(smooth_window, 1.0 / smooth_window)
-        out = np.convolve(out[idx], kernel, mode="valid")
-
     target = p.values.mean()
     out += target - out.mean()
     if out.min() < 0.0:

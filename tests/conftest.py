@@ -1,13 +1,8 @@
-import sys
-from pathlib import Path
-
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
+from corpus import build_corpus
 
-from corpus import build_corpus  # noqa: E402
-
-from rampsched import solve  # noqa: E402
+from rampsched import solve
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import pytest
 
 from rampsched import oracle
 from rampsched.cli import main
+from rampsched.pmp import SOLUTION_CSV_HEADER
 
 MACHINE_CFG = """\
 name = antminer-s21
@@ -84,6 +85,18 @@ def test_solve_malformed_csv_names_line(tmp_path, machine_cfg, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_solve_rejects_price_column(tmp_path, machine_cfg, capsys):
+    priced = tmp_path / "priced.csv"
+    priced.write_text("timestamp,load_kw,price_usd_kwh\n"
+                      + "".join(f"{i * 900},100.0,0.2\n" for i in range(96)))
+    out = tmp_path / "o"
+    code = main(["solve", "--load", str(priced), "--machine", machine_cfg,
+                 "--out", str(out)])
+    assert code == 1
+    assert "unknown column 'price_usd_kwh'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_missing_file_is_input_error(tmp_path, machine_cfg):
     code = main(["solve", "--load", str(tmp_path / "nope.csv"),
                  "--machine", machine_cfg, "--out", str(tmp_path / "o")])
@@ -144,6 +157,16 @@ def test_oracle_check_exit_code_when_oracle_fails(
     assert code == 3
     err = capsys.readouterr().err
     assert "oracle error: active set not settled after 0 steps" in err
+
+
+def test_oracle_check_rejects_too_few_nodes(tmp_path, machine_cfg,
+                                            plant_net_csv, capsys):
+    out = tmp_path / "c"
+    code = main(["oracle-check", "--load", plant_net_csv, "--machine",
+                 machine_cfg, "--n", "0", "--out", str(out)])
+    assert code == 1
+    assert "error: --n must be >= 4, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_divergence_reports_initial_state(tmp_path, capsys):
@@ -208,6 +231,46 @@ def test_econ_reads_diagnostics_without_rk4_passes(tmp_path, machine_cfg,
     del diag["rk4_passes"]
     diag_path.write_text(json.dumps(diag))
     assert econ_report("old") == new
+
+
+HEADER = SOLUTION_CSV_HEADER + "\n"
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("solution.csv", "", "line 1: expected the header"),
+    ("solution.csv", HEADER + "0,1,2,3,4,5,6\n0.25,1,2\n",
+     "line 3: expected 7 fields, got 3"),
+    ("solution.csv", HEADER + "0,1,2,3,4,5,6\n0.25,1,2,3,oops,5,6\n",
+     "line 3: non-numeric cell"),
+    ("solution.csv", HEADER + "0,1,2,3,4,5,6\n",
+     "line 2: solution CSV needs at least 2 rows, got 1"),
+    ("diagnostics.json", "{}", "missing key 'converged'"),
+    ("diagnostics.json", "{\"converged\": tru", "not valid JSON"),
+    ("diagnostics.json", "[]", "expected a JSON object"),
+    ("diagnostics.json", json.dumps(
+        {"converged": True, "periodic_residual": 0.0,
+         "stationarity_residual": 0.0, "newton_iters": 0,
+         "alpha_used": None}), "bad value: float() argument"),
+    ("diagnostics.json", json.dumps(
+        {"converged": "false", "periodic_residual": 0.0,
+         "stationarity_residual": 0.0, "newton_iters": 0,
+         "alpha_used": 1.0}), "expected true or false, got 'false'"),
+], ids=["empty-csv", "short-row", "non-numeric-cell", "one-row",
+        "empty-object", "bad-json", "not-object", "bad-value", "string-bool"])
+def test_econ_rejects_malformed_solution(tmp_path, machine_cfg, plant_net_csv,
+                                         capsys, name, text, message):
+    run = tmp_path / "run"
+    assert main(["solve", "--load", plant_net_csv, "--machine", machine_cfg,
+                 "--alpha-schedule", "1", "--out", str(run)]) == 0
+    (run / name).write_text(text)
+    out = tmp_path / "econ"
+    code = main(["econ", "--machine", machine_cfg, "--solution", str(run),
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_econ_projection_flat_with_zero_slopes(tmp_path, machine_cfg):

@@ -7,11 +7,11 @@ import pytest
 
 from rampsched import (ConfigError, CostModel, FleetSpec, MACHINE_PRESETS,
                        SampledProfile, ValidationError, compute_cm, compute_g,
-                       control_from_costate, gen_cost, gen_cost_prime,
-                       instantaneous_cost, load_config, penalty_xi,
-                       penalty_xi_prime, ramp_cost, ramp_cost_prime)
-from rampsched.costmodel import (costmodel_from_config, fleet_from_config,
-                                 machine_from_config)
+                       control_from_costate, gen_cost, load_config, penalty_xi,
+                       penalty_xi_prime, ramp_cost, write_csv)
+from rampsched.cli import (_build_scenario, _scenario_from_solution,
+                           build_parser, main)
+from rampsched.costmodel import fleet_from_config, machine_from_config
 
 M1 = MACHINE_PRESETS["1"]
 M2 = MACHINE_PRESETS["2"]
@@ -28,25 +28,12 @@ def test_gen_cost_values():
     m = model(g=1.0)
     assert gen_cost(0.0, m) == 0.0
     assert gen_cost(3.0, m) == 9.0
-    assert gen_cost_prime(3.0, m) == 6.0
 
 
 def test_ramp_cost_values():
     m = model(d=1.0)
     assert ramp_cost(0.0, m) == 0.0
     assert ramp_cost(2.0, m) == 4.0
-    assert ramp_cost_prime(2.0, m) == 4.0
-
-
-@pytest.mark.parametrize("fn,fn_prime", [(gen_cost, gen_cost_prime),
-                                         (ramp_cost, ramp_cost_prime)])
-def test_derivatives_match_finite_differences(fn, fn_prime):
-    m = model(g=0.37, d=2.25)
-    rng = np.random.default_rng(1)
-    for x in rng.uniform(-50.0, 50.0, 100):
-        h = 1e-4 * (1.0 + abs(x))
-        fd = (fn(x + h, m) - fn(x - h, m)) / (2.0 * h)
-        assert fn_prime(x, m) == pytest.approx(fd, rel=1e-7, abs=1e-9)
 
 
 def test_strict_convexity_on_random_triples():
@@ -99,29 +86,6 @@ def test_penalty_scales_with_alpha():
     assert penalty_xi(-2.0, model(alpha=5.0)) == 20.0
 
 
-# ------------------------------------------------------------ running cost
-
-def test_instantaneous_cost_zero_at_origin():
-    assert instantaneous_cost(0.0, 0.0, 0.0, 0.0, model(alpha=0.0)) == 0.0
-
-
-def test_instantaneous_cost_formula():
-    m = CostModel(g=1.0, d=1.0, alpha=0.0, pbar_kw=10.0, cm=0.1)
-    # alpha=0 keeps the out-of-band draw unpenalized here
-    assert instantaneous_cost(2.0, 1.0, 1.0, 0.0, m) == pytest.approx(4.9)
-
-
-def test_instantaneous_cost_is_sum_of_components():
-    m = model(g=0.3, d=1.3, alpha=2.0, pbar=7.0, cm=0.25)
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        pg, dpg, pm = rng.uniform(-20.0, 20.0, 3)
-        total = instantaneous_cost(pg, dpg, pm, 0.0, m)
-        parts = (gen_cost(pg, m) + ramp_cost(dpg, m) - m.cm_at(0.0) * pm
-                 + penalty_xi(pm, m))
-        assert total == pytest.approx(parts, rel=1e-12)
-
-
 # ------------------------------------------------------------ control law
 
 def test_control_from_costate_values():
@@ -134,7 +98,8 @@ def test_control_inverts_ramp_derivative():
     rng = np.random.default_rng(4)
     for lam in rng.uniform(-100.0, 100.0, 1000):
         u = control_from_costate(lam, m)
-        assert abs(ramp_cost_prime(u, m) + lam) <= 1e-12 * (1.0 + abs(lam))
+        # the ramp cost's derivative 2*d*u cancels the costate
+        assert abs(2.0 * m.d * u + lam) <= 1e-12 * (1.0 + abs(lam))
 
 
 def test_control_minimizes_pointwise_cost():
@@ -224,23 +189,40 @@ alpha = 1
 """
 
 
-def test_config_roundtrip_builds_preset_machine():
+def cli_scenarios(tmp_path, cfg_text):
+    """The scenarios `solve` and `econ --solution` build from one config."""
+    cfg = tmp_path / "machine.cfg"
+    cfg.write_text(cfg_text)
+    load = tmp_path / "load.csv"
+    write_csv(load, load=SampledProfile(1.0, np.full(24, 100.0)))
+    run = tmp_path / "run"
+    solve_argv = ["solve", "--load", str(load), "--machine", str(cfg),
+                  "--out", str(run)]
+    main(solve_argv)  # writes its files whether or not it converges
+    built, _ = _build_scenario(build_parser().parse_args(solve_argv))
+    econ_args = build_parser().parse_args(
+        ["econ", "--machine", str(cfg), "--solution", str(run)])
+    _, rebuilt = _scenario_from_solution(econ_args, load_config(cfg))
+    return built, rebuilt
+
+
+def test_config_roundtrip_builds_preset_machine(tmp_path):
     cfg = load_config(io.StringIO(CFG_TEXT))
     machine = machine_from_config(cfg)
     assert machine.demand_w == M1.demand_w
     assert machine.income_usd_day == M1.income_usd_day
     fleet = fleet_from_config(cfg)
     assert fleet.count == 2853
-    cost = costmodel_from_config(cfg, fleet)
-    assert cost.g == pytest.approx(compute_g(M1))
-    assert cost.cm == pytest.approx(compute_cm(M1))
-    assert cost.alpha == 1.0
+    for sc in cli_scenarios(tmp_path, CFG_TEXT):
+        assert sc.fleet == fleet
+        assert sc.cost.g == pytest.approx(compute_g(M1))
+        assert sc.cost.cm == pytest.approx(compute_cm(M1))
+        assert sc.cost.alpha == 1.0
 
 
-def test_config_g_override_wins():
-    cfg = load_config(io.StringIO(CFG_TEXT + "g_override = 0.5\n"))
-    cost = costmodel_from_config(cfg, fleet_from_config(cfg))
-    assert cost.g == 0.5
+def test_config_g_override_wins(tmp_path):
+    for sc in cli_scenarios(tmp_path, CFG_TEXT + "g_override = 0.5\n"):
+        assert sc.cost.g == 0.5
 
 
 def test_config_unknown_key_errors():
