@@ -22,7 +22,7 @@ from .errors import (ConfigError, DegenerateFitError, DimensionError,
 from .oracle import DiscreteSolution, discretize_objective, solve_active_set
 from .pmp import (CostBreakdown, PmpSolution, PmpState, Scenario, Tolerances,
                   evaluate, hamiltonian, integrate, make_scenario, pmp_rhs,
-                  shoot_periodic, solve, stationary_point)
+                  solve, stationary_point)
 from .profiles import (SampledProfile, load_csv, resample_periodic,
                        synth_duck_curve, write_csv)
 

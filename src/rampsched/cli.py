@@ -113,8 +113,7 @@ def cmd_solve(args) -> int:
     if args.format == "json":
         print(_json_text(diagnostics), end="")
     if not sol.converged:
-        print(f"not converged: residual {sol.periodic_residual:.3g} at "
-              f"alpha {sol.alpha_used:g}", file=sys.stderr)
+        print(f"not converged: {pmp.failure_reason(sol, sc)}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     logger.info("converged in %d Newton iterations at alpha %g",
                 sol.newton_iters, sol.alpha_used)
@@ -218,11 +217,13 @@ def _scenario_from_solution(args, cfg) -> tuple[pmp.PmpSolution, pmp.Scenario]:
     sc = pmp.make_scenario(load, fleet, g=cfg.get("g_override"),
                            d=cfg.get("d", 1.0),
                            alpha_schedule=(diag["alpha_used"],))
+    violation = pmp.box_violation(cols["pm_kw"], sc.cost.pbar_kw)
     sol = pmp.PmpSolution(
         grid=load,
         x_traj=cols["x_kw"], lambda_traj=cols["lambda"],
         u_traj=cols["u_kw_per_h"], pm_traj=cols["pm_kw"],
-        pm_clipped=cols["pm_clipped_kw"], **diag)
+        pm_clipped=cols["pm_clipped_kw"], box_violation_kw=violation,
+        box_violation_frac=violation / sc.cost.pbar_kw, **diag)
     return sol, sc
 
 

@@ -42,8 +42,8 @@ class ReportOnUnconvergedError(RampSchedError):
 class DivergenceError(RampSchedError):
     """Integration produced a non-finite state.
 
-    Carries the failing time (hours into the period) and, when raised
-    from the shooting loop, the offending initial state.
+    Carries the failing time (hours into the period) and the state the
+    integration or the solve started from.
     """
 
     def __init__(self, message: str, t_hours: float | None = None,

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import DimensionError, RampSchedError
 from .pmp import Scenario, _cm_nodes, format_solution_csv
+from .profiles import periodic_ext
 
 # Step cap per grid node.  From the default start the active sets grow
 # about one node per step (n/4 + 1 steps on the corpus's longest arc),
@@ -166,11 +167,10 @@ def oracle_to_csv(sol: DiscreteSolution, sc: Scenario) -> str:
     """
     dt = sc.load.dt
     n = sc.load.count
-    pl_ext = np.concatenate([sc.load.values, sc.load.values[:1]])
-    pm_ext = np.concatenate([sol.pm, sol.pm[:1]])
+    pl_ext = periodic_ext(sc.load.values)
+    pm_ext = periodic_ext(sol.pm)
     pg_ext = pl_ext + pm_ext
-    fwd = (np.roll(pg_ext[:n], -1) - pg_ext[:n]) / dt
-    u_ext = np.concatenate([fwd, fwd[:1]])
+    u_ext = periodic_ext((np.roll(pg_ext[:n], -1) - pg_ext[:n]) / dt)
     lam_ext = -2.0 * sc.cost.d * u_ext
     return format_solution_csv(np.arange(n + 1) * dt, pg_ext, lam_ext, u_ext,
                                pm_ext, pm_ext, pl_ext)

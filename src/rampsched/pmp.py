@@ -12,17 +12,16 @@ value problem in the state x and a costate lam:
     dlam/dt = -2 g x + c_m(t) - xi'(x - p_L(t))  (costate dynamics)
     x(0) = x(T),  lam(0) = lam(T)                (periodicity)
 
-which this module integrates with classical fixed-step RK4 on the load
-profile grid and closes with a damped Newton shooting iteration on the
-initial state.  The box constraint on p_m enters through the soft
-penalty xi, whose derivative xi' is piecewise linear, so the system is
-affine between the box edges.  Each RK4 pass therefore records which
-of its stages lay outside the box, and that record gives the exact 2x2
-derivative of the discrete period map (a product of per-step RK4
-derivative matrices) without further integration.  `solve` tightens
-the penalty weight over an increasing schedule, warm-starting each
-stage from the previous converged initial state, which keeps Newton
-inside its convergence basin as the costate equation stiffens.
+which this module discretizes with one classical RK4 step per load
+grid interval and solves by multiple shooting with one node per step
+(Bock & Plitt, IFAC 1984): Newton drives the defects
+F_i = RK4step_i(z_i) - z_{i+1 mod n} of all node states z_i = (x_i, lam_i)
+to zero at once.  The box constraint on p_m enters through the soft
+penalty xi, whose derivative xi' is piecewise linear, so each step is
+affine between the box edges and full-step Newton is exact semismooth
+Newton.  Each Newton system is solved in O(n) as a cyclic tridiagonal
+system in the state updates, diagonally dominant while the step
+stiffness dt*sqrt((g + alpha)/d) stays below Z_STAR.
 
 Everything here is deterministic: fixed steps, fixed iteration order,
 no adaptive logic, so identical scenarios produce bit-identical results.
@@ -33,9 +32,9 @@ results can be handed between threads freely.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
+import time
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence, Union
 
@@ -44,14 +43,17 @@ import numpy as np
 from . import costmodel as cmod
 from .costmodel import CostModel, FleetSpec, compute_cm, compute_g
 from .errors import DivergenceError, ValidationError
-from .profiles import SampledProfile, source_text
+from .profiles import SampledProfile, periodic_ext, source_text
 
 logger = logging.getLogger("rampsched.pmp")
 
 DEFAULT_TOL_BC = 1e-8
 DEFAULT_NEWTON_MAX_ITERS = 50
 DEFAULT_ALPHA_SCHEDULE = (1.0, 10.0, 100.0, 1e3, 1e4)
-_MAX_HALVINGS = 8
+# Root of R(-z) = 1, R the RK4 stability polynomial: penalty arcs at step
+# stiffness z = dt*sqrt((g + alpha)/d) below it keep the Newton system
+# diagonally dominant; at it the discrete periodic problem is singular.
+Z_STAR = 2.785293563405289
 
 SOLUTION_CSV_HEADER = "t_h,x_kw,lambda,u_kw_per_h,pm_kw,pm_clipped_kw,pl_kw"
 
@@ -129,6 +131,8 @@ class PmpSolution:
     newton_iters: int
     alpha_used: float
     rk4_passes: int = 0
+    box_violation_kw: float = 0.0
+    box_violation_frac: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -191,114 +195,68 @@ def _cm_nodes(sc: Scenario) -> np.ndarray:
     return np.full(sc.load.count, float(sc.cost.cm))
 
 
-def _integrate_raw(x0: float, lam0: float, sc: Scenario
-                   ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
-    """RK4 over one period; profile data at half-steps by linear interpolation.
+def _prev(v: np.ndarray) -> np.ndarray:
+    """v_{i-1 mod n} at node i; periodic_ext(v)[1:] is v_{i+1 mod n}."""
+    return np.concatenate([v[-1:], v[:-1]])
 
-    Returns the node states and the record `_period_jacobian` needs: a
-    (step, pattern) pair for each step in which the penalty acts, bit s
-    of pattern set when the point of RK4 stage s (0..3) lies outside
-    [0, Pbar], where xi'' = 2 alpha; elsewhere xi'' = 0.
 
-    Raises:
-        DivergenceError: a node state is not finite; t_hours is the
-            first such node's time.
+def _node_data(sc: Scenario) -> np.ndarray:
+    """Profile data of every step, shape (6, n): p_L, then c_m, at the
+    step's start, midpoint (linear interpolation) and end."""
+    pl, cm = sc.load.values, _cm_nodes(sc)
+    pl1, cm1 = periodic_ext(pl)[1:], periodic_ext(cm)[1:]
+    return np.array([pl, 0.5 * (pl + pl1), pl1, cm, 0.5 * (cm + cm1), cm1])
+
+
+def _raise_if_not_finite(x: np.ndarray, lam: np.ndarray, t: np.ndarray,
+                         start: PmpState) -> None:
+    """DivergenceError at the first t_i whose (x_i, lam_i) is not finite."""
+    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(lam)))
+    if bad.size:
+        t_fail = float(t[bad[0]])
+        raise DivergenceError(
+            f"non-finite state at t = {t_fail:.6g} h", t_hours=t_fail,
+            initial_state=(float(start.x), float(start.lam)))
+
+
+def _rk4_step(x: np.ndarray, lam: np.ndarray, nodes: np.ndarray,
+              sc: Scenario) -> tuple[np.ndarray, np.ndarray, list]:
+    """One classical RK4 step from every node at once (or, given floats,
+    from one), on the profile data `nodes` (`_node_data`).  Returns the
+    end states and, for each of the four stages, the excess of the stage
+    point's draw over the box [0, Pbar] (0 inside): xi' = 2 alpha * excess.
     """
-    load = sc.load
-    dt = load.dt
-    half_dt = 0.5 * dt
-    sixth_dt = dt / 6.0
-
-    # plain Python floats keep the step loop quick and overflow-silent
-    pl_arr = load.values
-    pl_next = np.concatenate([pl_arr[1:], pl_arr[:1]])
-    cm_arr = _cm_nodes(sc)
-    cm_next = np.concatenate([cm_arr[1:], cm_arr[:1]])
-    nodes = zip(pl_arr.tolist(), (0.5 * (pl_arr + pl_next)).tolist(),
-                pl_next.tolist(), cm_arr.tolist(),
-                (0.5 * (cm_arr + cm_next)).tolist(), cm_next.tolist())
-
+    pl0, plh, pl1, cm0, cmh, cm1 = nodes
+    dt = sc.load.dt
     g2 = 2.0 * sc.cost.g
     inv_2d = 1.0 / (2.0 * sc.cost.d)
     a2 = 2.0 * sc.cost.alpha
     pbar = sc.cost.pbar_kw
+    excess = []
 
-    x = float(x0)
-    lam = float(lam0)
-    xs = [x]
-    ls = [lam]
-    marks = []
+    def slope(xs, ls, pl, cm):
+        pm = xs - pl
+        ex = pm - np.minimum(np.maximum(pm, 0.0), pbar)
+        excess.append(ex)
+        return -ls * inv_2d, -g2 * xs + cm - a2 * ex
 
-    for pl0, plh, pl1, cm0, cmh, cm1 in nodes:
-        pm = x - pl0
-        xi1 = a2 * pm if pm < 0.0 else (a2 * (pm - pbar) if pm > pbar else 0.0)
-        k1x = -lam * inv_2d
-        k1l = -g2 * x + cm0 - xi1
-
-        x2 = x + half_dt * k1x; l2 = lam + half_dt * k1l
-        pm = x2 - plh
-        xi2 = a2 * pm if pm < 0.0 else (a2 * (pm - pbar) if pm > pbar else 0.0)
-        k2x = -l2 * inv_2d
-        k2l = -g2 * x2 + cmh - xi2
-
-        x3 = x + half_dt * k2x; l3 = lam + half_dt * k2l
-        pm = x3 - plh
-        xi3 = a2 * pm if pm < 0.0 else (a2 * (pm - pbar) if pm > pbar else 0.0)
-        k3x = -l3 * inv_2d
-        k3l = -g2 * x3 + cmh - xi3
-
-        x4 = x + dt * k3x; l4 = lam + dt * k3l
-        pm = x4 - pl1
-        xi4 = a2 * pm if pm < 0.0 else (a2 * (pm - pbar) if pm > pbar else 0.0)
-        k4x = -l4 * inv_2d
-        k4l = -g2 * x4 + cm1 - xi4
-
-        if xi1 or xi2 or xi3 or xi4:
-            marks.append((len(xs) - 1, (xi1 != 0.0) | (xi2 != 0.0) << 1
-                          | (xi3 != 0.0) << 2 | (xi4 != 0.0) << 3))
-        x = x + sixth_dt * (k1x + 2.0 * (k2x + k3x) + k4x)
-        lam = lam + sixth_dt * (k1l + 2.0 * (k2l + k3l) + k4l)
-        xs.append(x)
-        ls.append(lam)
-
-    # checked once after the loop: inf and nan propagate without raising
-    xs = np.array(xs)
-    ls = np.array(ls)
-    bad = np.flatnonzero(~(np.isfinite(xs[1:]) & np.isfinite(ls[1:])))
-    if bad.size:
-        t_fail = (int(bad[0]) + 1) * dt
-        raise DivergenceError(
-            f"non-finite state at t = {t_fail:.6g} h",
-            t_hours=t_fail, initial_state=(float(x0), float(lam0)))
-    return xs, ls, marks
+    k1x, k1l = slope(x, lam, pl0, cm0)
+    k2x, k2l = slope(x + 0.5 * dt * k1x, lam + 0.5 * dt * k1l, plh, cmh)
+    k3x, k3l = slope(x + 0.5 * dt * k2x, lam + 0.5 * dt * k2l, plh, cmh)
+    k4x, k4l = slope(x + dt * k3x, lam + dt * k3l, pl1, cm1)
+    return (x + dt / 6.0 * (k1x + 2.0 * (k2x + k3x) + k4x),
+            lam + dt / 6.0 * (k1l + 2.0 * (k2l + k3l) + k4l), excess)
 
 
-def _mat_mul(p: tuple, q: tuple) -> tuple:
-    """Product of two row-major 2x2 matrices held as 4-tuples."""
-    a, b, c, d = p
-    e, f, g, h = q
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+def _rk4_step_derivative(excess: list, sc: Scenario) -> tuple:
+    """Blocks (A, B, C, D) of each node's RK4 step derivative d z_{i+1} / d z_i.
 
-
-def _mat_pow(m: tuple, k: int) -> tuple:
-    """m**k by repeated squaring."""
-    out = (1.0, 0.0, 0.0, 1.0)
-    while k:
-        if k & 1:
-            out = _mat_mul(out, m)
-        m = _mat_mul(m, m)
-        k >>= 1
-    return out
-
-
-def _rk4_step_derivative(pattern: int, sc: Scenario) -> tuple:
-    """Derivative of one RK4 step with respect to its start state.
-
-    At stage s (0..3) the right-hand side has the Jacobian
-    A_s = [[0, -1/2d], [-2g - xi''_s, 0]], with xi''_s = 2 alpha when bit
-    s of pattern is set and 0 otherwise.  The chain rule through the
-    stages gives I + dt/6 (K_0 + 2 K_1 + 2 K_2 + K_3) with
-    K_s = A_s (I + c_s K_{s-1}), c = (0, dt/2, dt/2, dt).
+    At stage s the right-hand side has the Jacobian
+    A_s = [[0, -1/2d], [-2g - xi''_s, 0]], with xi''_s = 2 alpha where
+    the stage's excess (`_rk4_step`, or a mask) is nonzero and 0
+    elsewhere.  The chain rule through the stages gives
+    I + dt/6 (K_0 + 2 K_1 + 2 K_2 + K_3) with K_s = A_s (I + c_s K_{s-1}),
+    c = (0, dt/2, dt/2, dt).
     """
     dt = sc.load.dt
     a = -1.0 / (2.0 * sc.cost.d)
@@ -306,43 +264,118 @@ def _rk4_step_derivative(pattern: int, sc: Scenario) -> tuple:
     b_out = b_in - 2.0 * sc.cost.alpha
     k0 = k1 = k2 = k3 = 0.0
     s0 = s1 = s2 = s3 = 0.0
-    for s, (c, w) in enumerate(((0.0, 1.0), (0.5 * dt, 2.0),
-                                (0.5 * dt, 2.0), (dt, 1.0))):
-        b = b_out if pattern >> s & 1 else b_in
+    for ex, (c, w) in zip(excess, ((0.0, 1.0), (0.5 * dt, 2.0),
+                                   (0.5 * dt, 2.0), (dt, 1.0))):
+        b = np.where(ex != 0.0, b_out, b_in)
         # K_s = A_s (I + c K_{s-1}) with A_s = [[0, a], [b, 0]]
         k0, k1, k2, k3 = (a * c * k2, a * (1.0 + c * k3),
                           b * (1.0 + c * k0), b * c * k1)
         s0 += w * k0; s1 += w * k1; s2 += w * k2; s3 += w * k3
     h = dt / 6.0
-    return (1.0 + h * s0, h * s1, h * s2, 1.0 + h * s3)
+    return 1.0 + h * s0, h * s1, h * s2, 1.0 + h * s3
 
 
-def _period_jacobian(marks: list[tuple[int, int]], sc: Scenario) -> np.ndarray:
-    """Exact Jacobian Phi - I of the shooting residual of one RK4 pass.
+def _cyclic_thomas(lo: list, di: list, up: list, r: list) -> np.ndarray:
+    """Solve lo_k v_{k-1} + di_k v_k + up_k v_{k+1} = r_k, indices mod n.
 
-    `marks` is the penalty record of `_integrate_raw`; steps absent from
-    it have pattern 0.  The period map's derivative Phi is the product
-    of the per-step derivatives, which depend only on each step's
-    pattern, so each run of equal patterns is one power by squaring.
+    Thomas elimination of the tridiagonal part plus a Sherman-Morrison
+    correction for the two corners (Numerical Recipes, 2.7), in plain
+    floats; stable when the system is diagonally dominant.  Overwrites di.
     """
-    patterns = [0] * sc.load.count
-    for step, pattern in marks:
-        patterns[step] = pattern
-    step_derivative: dict[int, tuple] = {}
-    phi = (1.0, 0.0, 0.0, 1.0)
-    for pattern, run in itertools.groupby(patterns):
-        m = step_derivative.get(pattern)
-        if m is None:
-            m = step_derivative[pattern] = _rk4_step_derivative(pattern, sc)
-        phi = _mat_mul(_mat_pow(m, len(list(run))), phi)
-    return np.array([[phi[0] - 1.0, phi[1]], [phi[2], phi[3] - 1.0]])
+    n = len(di)
+    beta, alpha, gamma = lo[0], up[-1], -di[0]
+    di[0] -= gamma
+    di[-1] -= alpha * beta / gamma
+    u = [gamma] + [0.0] * (n - 2) + [alpha]
+    cp, y, z = [], [], []
+    c = y_k = z_k = 0.0
+    for lo_k, di_k, up_k, r_k, u_k in zip(lo, di, up, r, u):
+        m = di_k - lo_k * c
+        c = up_k / m
+        y_k = (r_k - lo_k * y_k) / m
+        z_k = (u_k - lo_k * z_k) / m
+        cp.append(c); y.append(y_k); z.append(z_k)
+    for k in range(n - 2, -1, -1):
+        y_k = y[k] = y[k] - cp[k] * y_k
+        z_k = z[k] = z[k] - cp[k] * z_k
+    f = (y[0] + beta * y[-1] / gamma) / (1.0 + z[0] + beta * z[-1] / gamma)
+    return np.array(y) - f * np.array(z)
+
+
+def _newton_step(jac: tuple, fx: np.ndarray, fl: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Newton update (dx, dlam) of the node states from the defects (fx, fl).
+
+    Step i's rows read A_i dx_i + B_i dl_i - dx_{i+1} = -fx_i and
+    C_i dx_i + D_i dl_i - dl_{i+1} = -fl_i.  The first gives
+    dl_i = (dx_{i+1} - A_i dx_i - fx_i) / B_i; substituted into the
+    second, it leaves a cyclic tridiagonal system in dx whose row k is
+    step k - 1's costate row.
+    """
+    a, b, c, d = jac
+    inv_b = 1.0 / b
+    lower = -_prev((a * d - b * c) * inv_b)
+    diag = _prev(d * inv_b) + a * inv_b
+    rhs = _prev(d * fx * inv_b - fl) - fx * inv_b
+    dx = _cyclic_thomas(lower.tolist(), diag.tolist(), (-inv_b).tolist(),
+                        rhs.tolist())
+    return dx, (periodic_ext(dx)[1:] - a * dx - fx) * inv_b
+
+
+def _newton(sc: Scenario, start: PmpState) -> tuple:
+    """Full-step semismooth Newton on the node defects from `start` at
+    every node.
+
+    Stops when the defect max |F_i| (wrap step included) is within
+    tol_bc or after newton_max_iters linear solves.  Returns (x, lam,
+    defect, penalty stages, Newton iterations); each iteration and the
+    start cost one residual pass.
+
+    Raises:
+        DivergenceError: a defect is not finite.
+    """
+    n = sc.load.count
+    nodes = _node_data(sc)
+    t = np.arange(n + 1) * sc.load.dt
+    x, lam = np.full(n, float(start.x)), np.full(n, float(start.lam))
+    tol = sc.tolerances.tol_bc
+    # a step's derivative depends only on which of its four stages lie
+    # outside the box: tabulate the 16 patterns once, index per node
+    table = np.array(_rk4_step_derivative(
+        [np.arange(16) >> s & 1 for s in range(4)], sc))
+
+    def defects(x, lam):
+        xn, ln, excess = _rk4_step(x, lam, nodes, sc)
+        fx = xn - periodic_ext(x)[1:]
+        fl = ln - periodic_ext(lam)[1:]
+        defect = max(np.abs(fx).max(), np.abs(fl).max())
+        if not math.isfinite(defect):  # step i ends at t_{i+1}
+            _raise_if_not_finite(fx, fl, t[1:], start)
+        out = [ex != 0.0 for ex in excess]
+        pattern = out[0] | out[1] << 1 | out[2] << 2 | out[3] << 3
+        stages = sum(int(np.count_nonzero(o)) for o in out)
+        return fx, fl, pattern, defect, stages
+
+    iters = 0
+    with np.errstate(all="ignore"):
+        fx, fl, pattern, defect, stages = defects(x, lam)
+        while defect > tol and iters < sc.tolerances.newton_max_iters:
+            t0 = time.perf_counter()
+            dx, dl = _newton_step(table[:, pattern], fx, fl)
+            x, lam = x + dx, lam + dl
+            fx, fl, pattern, defect, stages = defects(x, lam)
+            iters += 1
+            ms = 1e3 * (time.perf_counter() - t0)
+            logger.debug("newton iter %d: defect %.3g, %d penalty stages, "
+                         "%.3f ms", iters, defect, stages, ms,
+                         extra={"iter": iters, "defect": float(defect),
+                                "penalty_stages": stages, "ms": ms})
+    return x, lam, float(defect), stages, iters
 
 
 def integrate(s0: PmpState, sc: Scenario) -> Trajectory:
-    """Integrate the optimality system from s0 over one period.
-
-    Classical 4th-order Runge-Kutta with the fixed grid step of the
-    load profile; returns states at every grid node including t = T.
+    """States at every grid node, t = T included, of classical RK4 from
+    s0 over one period, stepped node by node through the solver's kernel.
 
     Raises:
         DivergenceError: a non-finite state was produced, with the
@@ -350,136 +383,98 @@ def integrate(s0: PmpState, sc: Scenario) -> Trajectory:
     """
     if not (math.isfinite(s0.x) and math.isfinite(s0.lam)):
         raise ValidationError("initial state must be finite")
-    xs, ls, _ = _integrate_raw(s0.x, s0.lam, sc)
+    z = [(float(s0.x), float(s0.lam))]
+    with np.errstate(all="ignore"):
+        for step in _node_data(sc).T.tolist():
+            z.append(_rk4_step(*z[-1], step, sc)[:2])
+    xs, ls = np.array(z).T
     t = np.arange(sc.load.count + 1) * sc.load.dt
+    _raise_if_not_finite(xs, ls, t, s0)
     return Trajectory(t=t, x=xs, lam=ls)
 
 
-def _solution_from(sc: Scenario, xs: np.ndarray, ls: np.ndarray,
-                   iters: int, passes: int) -> PmpSolution:
-    n = sc.load.count
-    pl_ext = np.concatenate([sc.load.values, sc.load.values[:1]])
-    u = -ls / (2.0 * sc.cost.d) + 0.0  # +0.0 folds -0.0 into 0.0
-    pm = xs - pl_ext
-    residual = max(abs(xs[n] - xs[0]), abs(ls[n] - ls[0]))
-    stat = float(np.max(np.abs(2.0 * sc.cost.d * u + ls)))
-    return PmpSolution(
-        grid=sc.load,
-        x_traj=xs, lambda_traj=ls, u_traj=u,
-        pm_traj=pm, pm_clipped=np.clip(pm, 0.0, sc.cost.pbar_kw),
-        converged=bool(residual <= sc.tolerances.tol_bc),
-        periodic_residual=float(residual),
-        stationarity_residual=stat,
-        newton_iters=int(iters),
-        alpha_used=float(sc.cost.alpha),
-        rk4_passes=int(passes),
-    )
-
-
-def shoot_periodic(sc: Scenario, guess: PmpState) -> PmpSolution:
-    """Close the periodic boundary condition by damped Newton shooting.
-
-    Newton iterates on the residual R(x0, lam0) = (x(T)-x0, lam(T)-lam0)
-    of the discrete RK4 period map.  Its Jacobian is exact, not
-    differenced: the optimality system is affine between penalty kinks,
-    so the derivative of a pass follows from the pass's record of which
-    RK4 stages lay outside the box (`_period_jacobian`), at no extra
-    integration.  Within one such pattern the period map is affine and
-    a full Newton step lands on its fixed point.  Steps are halved up to
-    8 times whenever the residual norm fails to decrease; running out of
-    halvings or iterations returns a solution flagged converged=False
-    rather than raising.  `rk4_passes` counts every integration,
-    line-search trials included.
-    """
-    if not (math.isfinite(guess.x) and math.isfinite(guess.lam)):
-        raise ValidationError("shooting guess must be finite")
-    tol = sc.tolerances.tol_bc
-    max_iters = sc.tolerances.newton_max_iters
-
-    def residual(v):
-        xs, ls, marks = _integrate_raw(v[0], v[1], sc)
-        return np.array([xs[-1] - v[0], ls[-1] - v[1]]), xs, ls, marks
-
-    v = np.array([float(guess.x), float(guess.lam)])
-    r, xs, ls, marks = residual(v)
-    iters = 0
-    passes = 1
-    while np.max(np.abs(r)) > tol and iters < max_iters:
-        jac = _period_jacobian(marks, sc)
-        try:
-            delta = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(jac, -r, rcond=None)[0]
-
-        best = np.max(np.abs(r))
-        scale = 1.0
-        accepted = False
-        for _ in range(_MAX_HALVINGS + 1):
-            passes += 1
-            try:
-                trial = residual(v + scale * delta)
-            except DivergenceError:
-                scale *= 0.5
-                continue
-            if np.max(np.abs(trial[0])) < best:
-                v = v + scale * delta
-                r, xs, ls, marks = trial
-                accepted = True
-                break
-            scale *= 0.5
-        iters += 1
-        if not accepted:
-            logger.debug("shooting stalled after %d iterations (residual %.3g)",
-                         iters, best)
-            break
-
-    return _solution_from(sc, xs, ls, iters, passes)
+def box_violation(pm: np.ndarray, pbar: float) -> float:
+    """Largest excursion of the draw pm outside [0, Pbar], in kW."""
+    return max(0.0, float(-pm.min()), float(pm.max()) - pbar)
 
 
 def initial_guess(sc: Scenario) -> PmpState:
-    """Default shooting start: revenue-optimal level bounded into range."""
+    """Default start: revenue-optimal level bounded into range."""
     x0 = sc.cost.cm_at(0.0) / (2.0 * sc.cost.g)
     lo = float(sc.load.values.min())
     hi = float(sc.load.values.max()) + sc.cost.pbar_kw
     return PmpState(x=min(max(x0, lo), hi), lam=0.0)
 
 
-def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
-    """Solve the scenario over its full penalty-weight schedule.
+def resolvable_alpha(sc: Scenario) -> float:
+    """Largest penalty weight the grid resolves: a penalty arc steps at
+    stiffness z = dt*sqrt((g + alpha)/d), and this weight puts z at Z_STAR."""
+    return (Z_STAR / sc.load.dt) ** 2 * sc.cost.d - sc.cost.g
 
-    Each stage runs `shoot_periodic` at one schedule weight, warm-started
-    from the previous converged initial state.  A failed stage ends the
-    continuation: the last successful stage's solution is returned with
-    converged=False (its alpha_used records how far the schedule got).
-    A divergence in the very first stage propagates.  The returned
-    newton_iters and rk4_passes are totals over every stage run,
-    including a failed one (a diverged stage counts its one pass).
+
+def failure_reason(sol: PmpSolution, sc: Scenario) -> str:
+    """Why `solve` returned sol with converged=False."""
+    if sol.periodic_residual > sc.tolerances.tol_bc:
+        reason = (f"residual {sol.periodic_residual:.3g} after "
+                  f"{sol.newton_iters} Newton iterations")
+    else:
+        reason = "the penalty acts"
+    reason += f" at alpha {sol.alpha_used:g}"
+    if sc.cost.alpha >= resolvable_alpha(sc):
+        reason += (f"; the requested alpha {sc.cost.alpha:g} is above "
+                   f"{resolvable_alpha(sc):.4g}, the largest alpha that "
+                   f"dt = {sc.load.dt:g} h resolves")
+    return reason
+
+
+def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
+    """Solve the scenario at the final weight of its schedule.
+
+    Newton runs once, from the constant start `guess` (default
+    `initial_guess`) at every node, at the largest schedule weight the
+    grid resolves (`resolvable_alpha`), or at the first weight if it
+    resolves none.  Below the final weight, a solution with no RK4
+    stage outside the box solves every larger weight too, as the
+    penalty never acts, and is returned at the final weight.  Otherwise
+    the solve stops there: the solution comes back with converged=False
+    and alpha_used set to that weight, and one warning names the
+    requested weight, dt and the largest weight dt resolves.
+
+    Raises:
+        ValidationError: the guess is not finite.
+        DivergenceError: a Newton iterate is not finite.
     """
-    state = guess if guess is not None else initial_guess(sc)
-    prev: PmpSolution | None = None
-    iters = passes = 0
-    for alpha in sc.alpha_schedule:
-        stage = replace(sc, cost=replace(sc.cost, alpha=alpha),
-                        alpha_schedule=(alpha,))
-        try:
-            sol = shoot_periodic(stage, state)
-        except DivergenceError:
-            if prev is None:
-                raise
-            logger.warning("stage alpha=%g diverged; keeping alpha=%g result",
-                           alpha, prev.alpha_used)
-            return replace(prev, converged=False, rk4_passes=passes + 1)
-        iters += sol.newton_iters
-        passes += sol.rk4_passes
-        if not sol.converged:
-            logger.warning("stage alpha=%g did not converge "
-                           "(residual %.3g, %d iterations)",
-                           alpha, sol.periodic_residual, sol.newton_iters)
-            last = sol if prev is None else replace(prev, converged=False)
-            return replace(last, newton_iters=iters, rk4_passes=passes)
-        state = PmpState(x=float(sol.x_traj[0]), lam=float(sol.lambda_traj[0]))
-        prev = replace(sol, newton_iters=iters, rk4_passes=passes)
-    return prev
+    start = guess if guess is not None else initial_guess(sc)
+    if not (math.isfinite(start.x) and math.isfinite(start.lam)):
+        raise ValidationError("solve guess must be finite")
+    limit = resolvable_alpha(sc)
+    alpha = max((a for a in sc.alpha_schedule if a < limit),
+                default=sc.alpha_schedule[0])
+    stage = replace(sc, cost=replace(sc.cost, alpha=alpha),
+                    alpha_schedule=(alpha,))
+    x, lam, defect, stages, iters = _newton(stage, start)
+    converged = defect <= sc.tolerances.tol_bc
+    if converged and alpha < sc.cost.alpha:
+        if stages:
+            converged = False
+        else:
+            alpha = sc.cost.alpha
+
+    xs, ls = periodic_ext(x), periodic_ext(lam)
+    u = -ls / (2.0 * sc.cost.d) + 0.0  # +0.0 folds -0.0 into 0.0
+    pm = xs - periodic_ext(sc.load.values)
+    pbar = sc.cost.pbar_kw
+    violation = box_violation(pm, pbar)
+    sol = PmpSolution(
+        grid=sc.load, x_traj=xs, lambda_traj=ls, u_traj=u, pm_traj=pm,
+        pm_clipped=np.clip(pm, 0.0, pbar), converged=converged,
+        periodic_residual=defect,
+        stationarity_residual=float(np.max(np.abs(2.0 * sc.cost.d * u + ls))),
+        newton_iters=iters, alpha_used=alpha, rk4_passes=iters + 1,
+        box_violation_kw=violation, box_violation_frac=violation / pbar)
+    if not converged:
+        logger.warning("not converged: %s", failure_reason(sol, sc))
+    return sol
 
 
 def stationary_point(sc: Scenario) -> float:
@@ -509,8 +504,7 @@ def evaluate(sol: PmpSolution, sc: Scenario) -> CostBreakdown:
         logger.warning("evaluating a non-converged solution")
     m = sc.cost
     dt = sc.load.dt
-    n = sc.load.count
-    t = np.arange(n + 1) * dt
+    t = np.arange(sc.load.count + 1) * dt
     cm_t = np.asarray(m.cm_at(t), dtype=float)
 
     gen = _trapezoid(m.g * sol.x_traj ** 2, dt)
@@ -519,10 +513,8 @@ def evaluate(sol: PmpSolution, sc: Scenario) -> CostBreakdown:
     penalty = _trapezoid(np.asarray(cmod.penalty_xi(sol.pm_traj, m)), dt)
 
     pl = sc.load.values
-    pl_ext = np.concatenate([pl, pl[:1]])
-    fwd = (np.roll(pl, -1) - pl) / dt
-    ramp_fd = np.concatenate([fwd, fwd[:1]])  # node T wraps to node 0
-    base_gen = _trapezoid(m.g * pl_ext ** 2, dt)
+    ramp_fd = periodic_ext((np.roll(pl, -1) - pl) / dt)
+    base_gen = _trapezoid(m.g * periodic_ext(pl) ** 2, dt)
     base_ramp = _trapezoid(m.d * ramp_fd ** 2, dt)
     baseline = CostBreakdown(
         generation_usd=base_gen, ramping_usd=base_ramp,
@@ -558,6 +550,8 @@ def solution_diagnostics(sol: PmpSolution, sc: Scenario) -> dict:
         "newton_iters": sol.newton_iters,
         "rk4_passes": sol.rk4_passes,
         "alpha_used": sol.alpha_used,
+        "box_violation_kw": sol.box_violation_kw,
+        "box_violation_frac": sol.box_violation_frac,
         "objective_breakdown": breakdown_as_dict(evaluate(sol, sc)),
     }
 
@@ -575,11 +569,10 @@ def format_solution_csv(*columns: np.ndarray) -> str:
 
 def solution_to_csv(sol: PmpSolution, sc: Scenario) -> str:
     """Render the solution as CSV text (one row per grid node, t=T included)."""
-    n = sc.load.count
-    pl_ext = np.concatenate([sc.load.values, sc.load.values[:1]])
     return format_solution_csv(
-        np.arange(n + 1) * sc.load.dt, sol.x_traj, sol.lambda_traj,
-        sol.u_traj, sol.pm_traj, sol.pm_clipped, pl_ext)
+        np.arange(sc.load.count + 1) * sc.load.dt, sol.x_traj,
+        sol.lambda_traj, sol.u_traj, sol.pm_traj, sol.pm_clipped,
+        periodic_ext(sc.load.values))
 
 
 def read_solution_csv(source) -> dict[str, np.ndarray]:

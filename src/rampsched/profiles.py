@@ -274,6 +274,11 @@ def write_csv(dest, load: SampledProfile | None = None,
         dest.write(text)
 
 
+def periodic_ext(v: np.ndarray) -> np.ndarray:
+    """Node values v_0..v_{n-1} extended by v_n = v_0, the value at t = T."""
+    return np.concatenate([v, v[:1]])
+
+
 def resample_periodic(p: SampledProfile, new_dt: float) -> SampledProfile:
     """Resample onto a new uniform grid by periodic linear interpolation.
 
@@ -299,9 +304,8 @@ def resample_periodic(p: SampledProfile, new_dt: float) -> SampledProfile:
     dt_used = p.period_T / n_new  # snap so period_T stays exact
 
     grid_old = np.arange(p.count + 1) * p.dt
-    ext = np.concatenate([p.values, p.values[:1]])
     t_new = np.arange(n_new) * dt_used
-    out = np.interp(t_new, grid_old, ext)
+    out = np.interp(t_new, grid_old, periodic_ext(p.values))
     target = p.values.mean()
     out += target - out.mean()
     if out.min() < 0.0:

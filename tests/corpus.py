@@ -8,19 +8,21 @@ smooth arcs (penalty machinery active, violations decaying over the
 weight schedule), and plant-scale configurations using the preset
 machine data unmodified.
 
-Single shooting bounds the binding scenarios: inside a penalty region
-the costate dynamics stiffen like sqrt(alpha/d), so the corpus keeps
-binding arcs short and smooth and caps each scenario's final weight
-where sqrt(alpha/d) * arc-hours stays small.  Long constraint-riding
-arcs are out of scope for this solver architecture.
+The binding scenarios keep their arcs short and smooth, so their
+violations decay cleanly over each schedule.  `build_long_arc` adds
+scenarios whose bound binds for hours: a plant-scale duck day with an
+undersized fleet and a wide evening bump.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from rampsched import (FleetSpec, MACHINE_PRESETS, SampledProfile, compute_cm,
                        compute_g, make_scenario, synth_duck_curve)
+from rampsched.pmp import DEFAULT_ALPHA_SCHEDULE
 from rampsched.pmp import Scenario
 
 M1 = MACHINE_PRESETS["1"]
@@ -134,3 +136,27 @@ def build_corpus(n: int = 96) -> dict[str, Scenario]:
         FleetSpec(M3, 2924), d=1.0, alpha_schedule=(1.0,))
 
     return scenarios
+
+
+def plant_duck_undersized(n: int, alpha_schedule=DEFAULT_ALPHA_SCHEDULE
+                          ) -> Scenario:
+    """The corpus plant duck day with a fleet at 0.85x the smallest fleet
+    whose box holds the constant optimum cm/2g: the miner bound binds
+    for hours around the midday trough."""
+    _, _, net = synth_duck_curve(8000.0, 3000.0, 9000.0, dt=24.0 / n)
+    level = CM1 / (2.0 * compute_g(M1))
+    interior = math.ceil((level - net.values.min()) / M1.demand_kw)
+    return make_scenario(net, FleetSpec(M1, round(0.85 * interior)),
+                         d=1.0, alpha_schedule=alpha_schedule)
+
+
+def build_long_arc(n: int = 96) -> dict[str, Scenario]:
+    """Scenarios whose miner bound binds on arcs hours long."""
+    # peak_touch with a 3-hour instead of a 1.2-hour evening bump
+    wide = 100.0 + 12.0 * _wrapped_gauss(_grid(n), 19.0, 3.0)
+    return {
+        "plant_duck_085": plant_duck_undersized(n),
+        "peak_touch_wide": make_scenario(
+            SampledProfile(24.0 / n, wide), FleetSpec(M1, 20), g=CM1 / 212.0,
+            d=1.0, alpha_schedule=_geom(0.25, 16.0)),
+    }

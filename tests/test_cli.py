@@ -209,9 +209,28 @@ def test_solve_reports_rk4_passes(tmp_path, machine_cfg, plant_net_csv):
     assert main(["solve", "--load", plant_net_csv, "--machine", machine_cfg,
                  "--out", str(out)]) == 0
     diag = json.loads((out / "diagnostics.json").read_text())
-    # five stages, each starting at its fixed point: one pass apiece
+    # the constant start is the fixed point: one residual pass, no solve
     assert diag["newton_iters"] == 0
-    assert diag["rk4_passes"] == 5
+    assert diag["rk4_passes"] == 1
+
+
+def test_solve_reports_stop_below_final_alpha(tmp_path, plant_net_csv, capsys):
+    # 1898 machines is 0.85x the fleet that holds the constant optimum
+    cfg = tmp_path / "undersized.cfg"
+    cfg.write_text(MACHINE_CFG.replace("count = 2853", "count = 1898"))
+    out = tmp_path / "run"
+    code = main(["solve", "--load", plant_net_csv, "--machine", str(cfg),
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert ("not converged: the penalty acts at alpha 100; the requested "
+            "alpha 10000 is above 124.1, the largest alpha that dt = 0.25 h "
+            "resolves") in err
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["converged"] is False and diag["alpha_used"] == 100.0
+    assert 0.0 < diag["box_violation_frac"] <= 0.01
+    assert diag["box_violation_kw"] == pytest.approx(
+        diag["box_violation_frac"] * 1898 * 5.36, rel=1e-12)
 
 
 def test_econ_reads_diagnostics_without_rk4_passes(tmp_path, machine_cfg,
@@ -228,7 +247,8 @@ def test_econ_reads_diagnostics_without_rk4_passes(tmp_path, machine_cfg,
     new = econ_report("new")
     diag_path = run / "diagnostics.json"
     diag = json.loads(diag_path.read_text())
-    del diag["rk4_passes"]
+    for key in ("rk4_passes", "box_violation_kw", "box_violation_frac"):
+        del diag[key]  # older files lack these
     diag_path.write_text(json.dumps(diag))
     assert econ_report("old") == new
 
