@@ -82,30 +82,26 @@ def _load_net_profile(path: str, dt: float | None,
     return load
 
 
-def _build_scenario(args) -> tuple[pmp.Scenario, cmod.MachineSpec]:
+def _build_scenario(args) -> pmp.Scenario:
     cfg = cmod.load_config(args.machine)
     fleet = cmod.fleet_from_config(cfg, count_override=args.fleet_count)
     load = _load_net_profile(args.load, args.dt, args.load_scale)
+    if getattr(args, "n", None) is not None:  # oracle-check --n
+        load = profiles.resample_periodic(load, load.period_T / args.n)
     if args.alpha_schedule is not None:
         schedule = _parse_schedule(args.alpha_schedule)
     elif "alpha" in cfg:
         schedule = (float(cfg["alpha"]),)
     else:
         schedule = pmp.DEFAULT_ALPHA_SCHEDULE
-    tol = pmp.Tolerances(tol_bc=args.tol_bc)
-    sc = pmp.make_scenario(
-        load, fleet,
-        g=cfg.get("g_override"),
-        d=cfg.get("d", 1.0),
-        alpha_schedule=schedule,
-        tolerances=tol,
-    )
-    return sc, fleet.machine
+    return pmp.make_scenario(load, fleet, g=cfg.get("g_override"),
+                             d=cfg.get("d", 1.0), alpha_schedule=schedule,
+                             tolerances=pmp.Tolerances(tol_bc=args.tol_bc))
 
 
 def cmd_solve(args) -> int:
     out = Path(args.out)
-    sc, _ = _build_scenario(args)
+    sc = _build_scenario(args)
     sol = pmp.solve(sc)
     diagnostics = pmp.solution_diagnostics(sol, sc)
     _write_atomic(out / "solution.csv", pmp.solution_to_csv(sol, sc))
@@ -124,12 +120,7 @@ def cmd_oracle_check(args) -> int:
     if args.n is not None and args.n < 4:
         raise ValidationError(f"--n must be >= 4, got {args.n}")
     out = Path(args.out)
-    sc, _ = _build_scenario(args)
-    if args.n is not None:
-        load = profiles.resample_periodic(sc.load, sc.load.period_T / args.n)
-        sc = pmp.make_scenario(load, sc.fleet, g=sc.cost.g, d=sc.cost.d,
-                               cm=sc.cost.cm, alpha_schedule=sc.alpha_schedule,
-                               tolerances=sc.tolerances)
+    sc = _build_scenario(args)
     sol = pmp.solve(sc)
     try:
         ref = oracle.solve_active_set(sc)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, RampSchedError
-from .pmp import Scenario, _cm_nodes, format_solution_csv
+from .pmp import Scenario, _cm_nodes, _cyclic_thomas, format_solution_csv
 from .profiles import periodic_ext
 
 # Step cap per grid node.  From the default start the active sets grow
@@ -68,14 +68,6 @@ def _gradient_density(sc: Scenario, pm: np.ndarray) -> np.ndarray:
             + (2.0 * sc.cost.d / (dt * dt)) * curvature)
 
 
-def _hessian_density(sc: Scenario) -> np.ndarray:
-    """Hessian of J/dt: 2g*I + (2d/dt^2) * cyclic Laplacian, dense."""
-    eye = np.eye(sc.load.count)
-    k = 2.0 * sc.cost.d / (sc.load.dt * sc.load.dt)
-    return ((2.0 * sc.cost.g + 2.0 * k) * eye
-            - k * (np.roll(eye, 1, axis=1) + np.roll(eye, -1, axis=1)))
-
-
 def _projected_residual(pm: np.ndarray, grad: np.ndarray, pbar: float) -> float:
     """Sup-norm KKT residual: gradient components pointing into the box."""
     res = grad.copy()
@@ -105,8 +97,10 @@ def solve_active_set(sc: Scenario) -> DiscreteSolution:
     and c = H_ii: nodes with trial <= 0 are pinned to 0, nodes with
     trial >= Pbar to Pbar, and the free nodes take the exact minimizer
     given the pinned ones, H_FF pm_F = -(q_F + H_FA pm_A) with q the
-    gradient at pm = 0.  The solve ends when a step repeats the previous
-    step's sets; `iterations` counts the linear solves.
+    gradient at pm = 0, solved by `_cyclic_thomas` with identity rows at
+    the pinned nodes (strictly diagonally dominant for any sets).  The
+    solve ends when a step repeats the previous step's sets;
+    `iterations` counts the linear solves.
 
     Raises:
         RampSchedError: an earlier set pattern came back (cycling) or
@@ -114,8 +108,8 @@ def solve_active_set(sc: Scenario) -> DiscreteSolution:
     """
     n = sc.load.count
     pbar = sc.cost.pbar_kw
-    hess = _hessian_density(sc)
-    c = hess[0, 0]
+    k = 2.0 * sc.cost.d / (sc.load.dt * sc.load.dt)
+    c = 2.0 * sc.cost.g + 2.0 * k
     pm = default_start(sc)
     y = _gradient_density(sc, pm)
     seen: set[bytes] = set()
@@ -136,9 +130,11 @@ def solve_active_set(sc: Scenario) -> DiscreteSolution:
         prev = key
         free = state == 0
         pm = np.where(state > 0, pbar, 0.0)
-        if free.any():
-            pm[free] = np.linalg.solve(hess[np.ix_(free, free)],
-                                       -_gradient_density(sc, pm)[free])
+        lower = np.where(free & np.roll(free, 1), -k, 0.0)
+        upper = np.where(free & np.roll(free, -1), -k, 0.0)
+        rhs = np.where(free, -_gradient_density(sc, pm), 0.0)
+        pm += _cyclic_thomas(lower.tolist(), np.where(free, c, 1.0).tolist(),
+                             upper.tolist(), rhs.tolist())
         y = _gradient_density(sc, pm)
         y[free] = 0.0
 

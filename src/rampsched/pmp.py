@@ -421,10 +421,15 @@ def failure_reason(sol: PmpSolution, sc: Scenario) -> str:
         reason = "the penalty acts"
     reason += f" at alpha {sol.alpha_used:g}"
     if sc.cost.alpha >= resolvable_alpha(sc):
-        reason += (f"; the requested alpha {sc.cost.alpha:g} is above "
-                   f"{resolvable_alpha(sc):.4g}, the largest alpha that "
-                   f"dt = {sc.load.dt:g} h resolves")
+        reason += f"; {_resolution_limit(sc)}"
     return reason
+
+
+def _resolution_limit(sc: Scenario) -> str:
+    """Names the requested weight and the largest weight dt resolves."""
+    return (f"the requested alpha {sc.cost.alpha:g} is above "
+            f"{resolvable_alpha(sc):.4g}, the largest alpha that "
+            f"dt = {sc.load.dt:g} h resolves")
 
 
 def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
@@ -442,7 +447,8 @@ def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
 
     Raises:
         ValidationError: the guess is not finite.
-        DivergenceError: a Newton iterate is not finite.
+        DivergenceError: a Newton iterate is not finite; at a weight
+            the grid does not resolve, the message names the limit.
     """
     start = guess if guess is not None else initial_guess(sc)
     if not (math.isfinite(start.x) and math.isfinite(start.lam)):
@@ -452,7 +458,13 @@ def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
                 default=sc.alpha_schedule[0])
     stage = replace(sc, cost=replace(sc.cost, alpha=alpha),
                     alpha_schedule=(alpha,))
-    x, lam, defect, stages, iters = _newton(stage, start)
+    try:
+        x, lam, defect, stages, iters = _newton(stage, start)
+    except DivergenceError as exc:
+        if alpha < limit:
+            raise
+        raise DivergenceError(f"{exc}; {_resolution_limit(sc)}", exc.t_hours,
+                              exc.initial_state) from exc
     converged = defect <= sc.tolerances.tol_bc
     if converged and alpha < sc.cost.alpha:
         if stages:

@@ -184,6 +184,20 @@ def test_divergence_reports_initial_state(tmp_path, capsys):
     assert "initial state (x, lambda) = (207.2, 0.0)" in err
 
 
+def test_divergence_above_resolvable_alpha_names_limit(tmp_path,
+                                                       plant_net_csv, capsys):
+    cfg = tmp_path / "undersized.cfg"
+    cfg.write_text(MACHINE_CFG.replace("count = 2853", "count = 1898"))
+    code = main(["solve", "--load", plant_net_csv, "--machine", str(cfg),
+                 "--alpha-schedule", "10000", "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "integration diverged: non-finite state at t = 0.25 h" in err
+    assert ("the requested alpha 10000 is above 124.1, the largest alpha "
+            "that dt = 0.25 h resolves; initial state (x, lambda) = "
+            "(11964.285714285714, 0.0)") in err
+
+
 def test_econ_breakeven_prints_price(capsys):
     assert main(["econ", "--breakeven", "--daily-profit", "5"]) == 0
     out = capsys.readouterr().out.strip()

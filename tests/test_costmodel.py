@@ -199,7 +199,7 @@ def cli_scenarios(tmp_path, cfg_text):
     solve_argv = ["solve", "--load", str(load), "--machine", str(cfg),
                   "--out", str(run)]
     main(solve_argv)  # writes its files whether or not it converges
-    built, _ = _build_scenario(build_parser().parse_args(solve_argv))
+    built = _build_scenario(build_parser().parse_args(solve_argv))
     econ_args = build_parser().parse_args(
         ["econ", "--machine", str(cfg), "--solution", str(run)])
     _, rebuilt = _scenario_from_solution(econ_args, load_config(cfg))

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from corpus import CM1, M1, build_corpus
+from corpus import BINDING_NAMES, CM1, M1, build_corpus
 
 from rampsched import (DimensionError, FleetSpec, RampSchedError,
                        SampledProfile, evaluate, make_scenario, solve)
@@ -107,11 +107,37 @@ def test_gradient_matches_finite_differences():
 # ------------------------------------------------------------- active set
 
 def test_constant_scenario_recovers_kkt_closed_form():
-    sc = const_scenario(level=100.0, xstar=150.0)
+    # xstar 60 and 400 pin every node, to 0 and to Pbar: the step is an
+    # identity system, exact in one step
+    pinned = {60.0: 0.0, 400.0: FLEET20.pbar_kw}
+    for xstar in (150.0, *pinned):
+        sc = const_scenario(level=100.0, xstar=xstar)
+        ref = solve_active_set(sc)
+        expected = np.clip(float(sc.cost.cm) / (2 * sc.cost.g) - 100.0,
+                           0.0, sc.cost.pbar_kw)
+        assert np.max(np.abs(ref.pm - expected)) < 1e-6, xstar
+        if xstar in pinned:
+            assert ref.iterations == 1, xstar
+            assert np.all(ref.pm == pinned[xstar]), xstar
+
+
+def test_binding_corpus_at_1440_nodes():
+    corpus = build_corpus(1440)
+    refs = [solve_active_set(corpus[name]) for name in BINDING_NAMES]
+    assert tuple(r.iterations for r in refs) == (73, 134, 82, 360)
+    for name, ref in zip(BINDING_NAMES, refs):
+        assert ref.grad_norm <= 1e-8 * corpus[name].cost.pbar_kw, name
+
+
+def test_active_set_makes_no_dense_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    sc = build_corpus(48)["partial_margin"]
     ref = solve_active_set(sc)
-    expected = np.clip(float(sc.cost.cm) / (2 * sc.cost.g) - 100.0,
-                       0.0, sc.cost.pbar_kw)
-    assert np.max(np.abs(ref.pm - expected)) < 1e-6
+    assert ref.iterations > 1
+    assert ref.grad_norm <= 1e-8 * sc.cost.pbar_kw
 
 
 def test_kkt_residual_at_convergence():
