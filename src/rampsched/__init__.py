@@ -21,8 +21,8 @@ from .errors import (ConfigError, DegenerateFitError, DimensionError,
                      ValidationError)
 from .oracle import DiscreteSolution, discretize_objective, solve_active_set
 from .pmp import (CostBreakdown, PmpSolution, PmpState, Scenario, Tolerances,
-                  evaluate, hamiltonian, integrate, make_scenario, pmp_rhs,
-                  solve, stationary_point)
+                  evaluate, hamiltonian, integrate, make_scenario, objective,
+                  pmp_rhs, solve, stationary_point)
 from .profiles import (SampledProfile, load_csv, resample_periodic,
                        synth_duck_curve, write_csv)
 

@@ -174,8 +174,8 @@ def _json_bool(value) -> bool:
 
 # diagnostics.json keys that restore PmpSolution fields of the same name
 _DIAGNOSTICS_FIELDS = {"converged": _json_bool, "periodic_residual": float,
-                       "stationarity_residual": float, "newton_iters": int,
-                       "alpha_used": float, "rk4_passes": int}
+                       "newton_iters": int, "alpha_used": float,
+                       "rk4_passes": int}
 
 
 def _read_diagnostics(path: Path) -> dict:

@@ -17,7 +17,7 @@ import numpy as np
 from .costmodel import MachineSpec
 from .errors import (DegenerateFitError, ReportOnUnconvergedError,
                      ValidationError)
-from .pmp import PmpSolution, Scenario, _trapezoid, evaluate
+from .pmp import PmpSolution, Scenario, evaluate, objective
 from .profiles import source_text
 
 DAYS_PER_YEAR = 365.0
@@ -218,7 +218,7 @@ def daily_report(sol: PmpSolution, sc: Scenario, machine: MachineSpec,
                  attribution: str = "marginal") -> EconReport:
     """Assemble the daily per-machine economics of a converged schedule.
 
-    Gross mining revenue is the revenue rate integrated over one
+    Gross mining revenue is the revenue term of `objective` over one
     machine's share of the clipped miner draw (the physical machine
     cannot exceed its rating, so economics always uses the clipped
     trajectory).  Operating cost attributes generation cost to mining
@@ -232,15 +232,11 @@ def daily_report(sol: PmpSolution, sc: Scenario, machine: MachineSpec,
         raise ValidationError(f"unknown attribution {attribution!r}")
 
     n_machines = sc.fleet.count
-    dt = sc.load.dt
-    t = np.arange(sc.load.count + 1) * dt
-    cm_t = np.asarray(sc.cost.cm_at(t), dtype=float)
-    pm_c = sol.pm_clipped
-
-    gross = _trapezoid(cm_t * pm_c, dt) / n_machines
+    pm_c = sol.pm_clipped[:-1]
+    gross = objective(sc, pm_c).revenue_usd / n_machines
     price_factor = 2.0 if attribution == "marginal" else 1.0
-    operating = _trapezoid(price_factor * sc.cost.g * sol.x_traj * pm_c,
-                           dt) / n_machines
+    operating = (price_factor * sc.cost.g * sc.load.dt
+                 * float(sol.x_traj[:-1] @ pm_c) / n_machines)
 
     breakdown = evaluate(sol, sc)
     saved_fleet = breakdown.baseline.ramping_usd - breakdown.ramping_usd

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, RampSchedError
-from .pmp import Scenario, _cm_nodes, _cyclic_thomas, format_solution_csv
+from .pmp import (Scenario, _cm_nodes, _cyclic_thomas, _forward_ramp,
+                  format_solution_csv, objective)
 from .profiles import periodic_ext
 
 # Step cap per grid node.  From the default start the active sets grow
@@ -45,18 +46,15 @@ class DiscreteSolution:
 
 
 def discretize_objective(sc: Scenario, pm: np.ndarray) -> float:
-    """Discrete objective J(pm) in $ over one period."""
+    """Discrete objective J(pm) in $ over one period: `pmp.objective`
+    without its penalty term, as the box here is enforced exactly."""
     pm = np.asarray(pm, dtype=float)
     pl = sc.load.values
     if pm.shape != pl.shape:
         raise DimensionError(
             f"pm has length {pm.size}, load grid has {pl.size}")
-    dt = sc.load.dt
-    pg = pl + pm
-    ramp = (np.roll(pg, -1) - pg) / dt
-    cm = _cm_nodes(sc)
-    density = sc.cost.g * pg * pg + sc.cost.d * ramp * ramp - cm * pm
-    return float(density.sum() * dt)
+    bd = objective(sc, pm)
+    return bd.generation_usd + bd.ramping_usd - bd.revenue_usd
 
 
 def _gradient_density(sc: Scenario, pm: np.ndarray) -> np.ndarray:
@@ -162,11 +160,10 @@ def oracle_to_csv(sol: DiscreteSolution, sc: Scenario) -> str:
     costate column is the value implied by the optimal control law.
     """
     dt = sc.load.dt
-    n = sc.load.count
     pl_ext = periodic_ext(sc.load.values)
     pm_ext = periodic_ext(sol.pm)
-    pg_ext = pl_ext + pm_ext
-    u_ext = periodic_ext((np.roll(pg_ext[:n], -1) - pg_ext[:n]) / dt)
+    u_ext = periodic_ext(_forward_ramp(sc.load.values + sol.pm, dt))
     lam_ext = -2.0 * sc.cost.d * u_ext
-    return format_solution_csv(np.arange(n + 1) * dt, pg_ext, lam_ext, u_ext,
-                               pm_ext, pm_ext, pl_ext)
+    return format_solution_csv(np.arange(sc.load.count + 1) * dt,
+                               pl_ext + pm_ext, lam_ext, u_ext, pm_ext, pm_ext,
+                               pl_ext)

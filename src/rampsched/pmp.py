@@ -127,7 +127,6 @@ class PmpSolution:
     pm_clipped: np.ndarray
     converged: bool
     periodic_residual: float
-    stationarity_residual: float
     newton_iters: int
     alpha_used: float
     rk4_passes: int = 0
@@ -480,10 +479,9 @@ def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
     sol = PmpSolution(
         grid=sc.load, x_traj=xs, lambda_traj=ls, u_traj=u, pm_traj=pm,
         pm_clipped=np.clip(pm, 0.0, pbar), converged=converged,
-        periodic_residual=defect,
-        stationarity_residual=float(np.max(np.abs(2.0 * sc.cost.d * u + ls))),
-        newton_iters=iters, alpha_used=alpha, rk4_passes=iters + 1,
-        box_violation_kw=violation, box_violation_frac=violation / pbar)
+        periodic_residual=defect, newton_iters=iters, alpha_used=alpha,
+        rk4_passes=iters + 1, box_violation_kw=violation,
+        box_violation_frac=violation / pbar)
     if not converged:
         logger.warning("not converged: %s", failure_reason(sol, sc))
     return sol
@@ -500,44 +498,40 @@ def stationary_point(sc: Scenario) -> float:
     return float(sc.cost.cm) / (2.0 * sc.cost.g)
 
 
-def _trapezoid(f: np.ndarray, dt: float) -> float:
-    return float(dt * (f.sum() - 0.5 * (f[0] + f[-1])))
+def _forward_ramp(pg: np.ndarray, dt: float) -> np.ndarray:
+    """Ramp rate at each node: the periodic forward difference of pg."""
+    return (periodic_ext(pg)[1:] - pg) / dt
+
+
+def objective(sc: Scenario, pm: np.ndarray) -> CostBreakdown:
+    """Objective terms in $ of the draw pm at the n grid nodes.
+
+    Each term is dt times the node sum of its density: generation and
+    ramping of pg = p_L + pm (ramp by `_forward_ramp`), revenue c_m * pm
+    and the box penalty.
+    """
+    m = sc.cost
+    dt = sc.load.dt
+    pg = sc.load.values + pm
+    gen = dt * float(cmod.gen_cost(pg, m).sum())
+    ramp = dt * float(cmod.ramp_cost(_forward_ramp(pg, dt), m).sum())
+    revenue = dt * float(_cm_nodes(sc) @ pm)
+    penalty = dt * float(cmod.penalty_xi(pm, m).sum())
+    return CostBreakdown(
+        generation_usd=gen, ramping_usd=ramp, revenue_usd=revenue,
+        penalty_usd=penalty, total_usd=gen + ramp - revenue + penalty)
 
 
 def evaluate(sol: PmpSolution, sc: Scenario) -> CostBreakdown:
-    """Integrate each objective term over one period (trapezoidal rule).
-
-    Also evaluates the no-mining baseline (p_m = 0, generation follows
-    the load, ramp from periodic forward differences of the load) so
-    callers can report savings.  Warns when evaluating a non-converged
-    solution but still evaluates it.
+    """`objective` of the solution's draw, with the no-mining baseline
+    (p_m = 0, generation follows the load) attached so callers can
+    report savings.  Warns when evaluating a non-converged solution but
+    still evaluates it.
     """
     if not sol.converged:
         logger.warning("evaluating a non-converged solution")
-    m = sc.cost
-    dt = sc.load.dt
-    t = np.arange(sc.load.count + 1) * dt
-    cm_t = np.asarray(m.cm_at(t), dtype=float)
-
-    gen = _trapezoid(m.g * sol.x_traj ** 2, dt)
-    ramp = _trapezoid(m.d * sol.u_traj ** 2, dt)
-    revenue = _trapezoid(cm_t * sol.pm_traj, dt)
-    penalty = _trapezoid(np.asarray(cmod.penalty_xi(sol.pm_traj, m)), dt)
-
-    pl = sc.load.values
-    ramp_fd = periodic_ext((np.roll(pl, -1) - pl) / dt)
-    base_gen = _trapezoid(m.g * periodic_ext(pl) ** 2, dt)
-    base_ramp = _trapezoid(m.d * ramp_fd ** 2, dt)
-    baseline = CostBreakdown(
-        generation_usd=base_gen, ramping_usd=base_ramp,
-        revenue_usd=0.0, penalty_usd=0.0,
-        total_usd=base_gen + base_ramp)
-
-    return CostBreakdown(
-        generation_usd=gen, ramping_usd=ramp, revenue_usd=revenue,
-        penalty_usd=penalty,
-        total_usd=gen + ramp - revenue + penalty,
-        baseline=baseline)
+    baseline = objective(sc, np.zeros(sc.load.count))
+    return replace(objective(sc, sol.pm_traj[:-1]), baseline=baseline)
 
 
 def breakdown_as_dict(bd: CostBreakdown) -> dict:
@@ -558,7 +552,6 @@ def solution_diagnostics(sol: PmpSolution, sc: Scenario) -> dict:
     return {
         "converged": sol.converged,
         "periodic_residual": sol.periodic_residual,
-        "stationarity_residual": sol.stationarity_residual,
         "newton_iters": sol.newton_iters,
         "rk4_passes": sol.rk4_passes,
         "alpha_used": sol.alpha_used,

@@ -81,14 +81,6 @@ class SampledProfile:
         """Period in hours; exactly dt * count by construction."""
         return self.dt * self.values.size
 
-    def times(self) -> np.ndarray:
-        """Sample times in hours, 0, dt, ..., (count-1)*dt."""
-        return np.arange(self.values.size) * self.dt
-
-    def sample(self, i: int) -> float:
-        """Value at sample index ``i`` with periodic wraparound."""
-        return float(self.values[i % self.values.size])
-
     def value_at(self, t):
         """Periodic linear interpolation at time ``t`` hours (scalar or array)."""
         pos = np.asarray(t, dtype=float) / self.dt
@@ -101,9 +93,6 @@ class SampledProfile:
         if np.isscalar(t) or np.ndim(t) == 0:
             return float(out)
         return out
-
-    def mean(self) -> float:
-        return float(self.values.mean())
 
     def same_grid(self, other: "SampledProfile") -> bool:
         return (self.values.size == other.values.size

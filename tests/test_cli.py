@@ -267,6 +267,26 @@ def test_econ_reads_diagnostics_without_rk4_passes(tmp_path, machine_cfg,
     assert econ_report("old") == new
 
 
+def test_econ_reads_diagnostics_with_stationarity_residual(
+        tmp_path, machine_cfg, plant_net_csv):
+    run = tmp_path / "run"
+    assert main(["solve", "--load", plant_net_csv, "--machine", machine_cfg,
+                 "--out", str(run)]) == 0
+
+    def econ_report(tag):
+        out = tmp_path / tag
+        assert main(["econ", "--machine", machine_cfg, "--solution", str(run),
+                     "--out", str(out)]) == 0
+        return (out / "econ_report.json").read_bytes()
+    new = econ_report("new")
+    diag_path = run / "diagnostics.json"
+    diag = json.loads(diag_path.read_text())
+    assert "stationarity_residual" not in diag
+    diag["stationarity_residual"] = 0.0  # older files carry it
+    diag_path.write_text(json.dumps(diag))
+    assert econ_report("old") == new
+
+
 HEADER = SOLUTION_CSV_HEADER + "\n"
 
 

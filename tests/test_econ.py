@@ -257,8 +257,7 @@ def test_daily_report_zero_draw_is_flagged():
         x_traj=sc.load.values[0] * np.ones(n),
         lambda_traj=np.zeros(n), u_traj=np.zeros(n),
         pm_traj=np.zeros(n), pm_clipped=np.zeros(n),
-        converged=True, periodic_residual=0.0, stationarity_residual=0.0,
-        newton_iters=0, alpha_used=1.0)
+        converged=True, periodic_residual=0.0, newton_iters=0, alpha_used=1.0)
     report = daily_report(idle, sc, M1)
     assert report.gross_mining == 0.0
     assert "no-mining" in report.flags
@@ -271,8 +270,8 @@ def test_daily_report_rejects_unconverged():
     bad = PmpSolution(
         grid=sol.grid, x_traj=sol.x_traj, lambda_traj=sol.lambda_traj,
         u_traj=sol.u_traj, pm_traj=sol.pm_traj, pm_clipped=sol.pm_clipped,
-        converged=False, periodic_residual=1.0, stationarity_residual=0.0,
-        newton_iters=50, alpha_used=1.0)
+        converged=False, periodic_residual=1.0, newton_iters=50,
+        alpha_used=1.0)
     with pytest.raises(ReportOnUnconvergedError):
         daily_report(bad, sc, M1)
 

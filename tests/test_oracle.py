@@ -54,21 +54,17 @@ def test_objective_dimension_mismatch():
         discretize_objective(sc, np.zeros(sc.load.count + 1))
 
 
-def test_objective_matches_solver_quadrature_on_interior_solution():
-    corpus = build_corpus(96)
-    sc = corpus["tv_cm"]
-    sol = solve(sc)
-    bd = evaluate(sol, sc)
-    solver_obj = bd.generation_usd + bd.ramping_usd - bd.revenue_usd
-    discrete_obj = discretize_objective(sc, sol.pm_clipped[:-1])
-    # the two quadratures differ only by the ramp discretization, O(dt^2)
-    assert discrete_obj == pytest.approx(solver_obj, rel=2e-3)
-
-    sc_const = corpus["const_feasible"]
-    sol_const = solve(sc_const)
-    bd_const = evaluate(sol_const, sc_const)
-    assert discretize_objective(sc_const, sol_const.pm_clipped[:-1]) \
-        == pytest.approx(bd_const.total_usd, rel=1e-12)
+def test_evaluate_prices_with_discrete_objective(solved96, corpus96):
+    """evaluate and its no-mining baseline are the verifier's J, binding
+    scenarios included, where the draw leaves the box."""
+    for name, sc in corpus96.items():
+        sol = solved96[name]
+        bd = evaluate(sol, sc)
+        assert bd.generation_usd + bd.ramping_usd - bd.revenue_usd \
+            == pytest.approx(discretize_objective(sc, sol.pm_traj[:-1]),
+                             rel=1e-12), name
+        assert bd.baseline.total_usd == pytest.approx(
+            discretize_objective(sc, np.zeros(sc.load.count)), rel=1e-12), name
 
 
 def test_objective_is_convex_on_random_segments():

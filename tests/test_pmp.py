@@ -358,9 +358,9 @@ def test_guard_schedule_within_reach_matches_oracle():
     assert sol.converged and sol.alpha_used == 100.0
     ref = solve_active_set(sc)
     pm = sol.pm_clipped[:-1]
-    # ramping is 97 % of this day's objective, and evaluate's costate
-    # ramp under the soft alpha = 100 box sits 3 % below the discrete
-    # one, so the objectives are compared in the oracle's measure
+    # under the soft alpha = 100 box the raw draw leaves [0, Pbar] by
+    # 0.09 % of Pbar, and with its penalty dropped it scores 2.9 % below
+    # the oracle's optimum; the clipped schedule scores 0.16 % above it
     gap = discretize_objective(sc, pm) - ref.objective
     assert 0.0 <= gap <= 0.005 * (1.0 + abs(ref.objective))
     assert np.max(np.abs(pm - ref.pm)) <= 0.02 * sc.cost.pbar_kw
