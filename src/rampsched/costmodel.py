@@ -210,6 +210,8 @@ def load_config(source) -> dict:
                 raise ConfigError(
                     f"line {line_no}: value {value!r} for {key!r} is not numeric"
                 ) from exc
+            if not np.isfinite(cfg[key]):
+                raise ConfigError(f"line {line_no}: value {value!r} for {key!r} is not finite")
     return cfg
 
 

@@ -61,18 +61,16 @@ def _gradient_density(sc: Scenario, pm: np.ndarray) -> np.ndarray:
     """Gradient of J/dt with respect to pm (exact, from the quadratic form)."""
     dt = sc.load.dt
     pg = sc.load.values + pm
-    curvature = 2.0 * pg - np.roll(pg, 1) - np.roll(pg, -1)
+    wrap = np.concatenate([pg[-1:], pg, pg[:1]])  # [:-2] previous, [2:] next
+    curvature = 2.0 * pg - wrap[:-2] - wrap[2:]
     return (2.0 * sc.cost.g * pg - _cm_nodes(sc)
             + (2.0 * sc.cost.d / (dt * dt)) * curvature)
 
 
 def _projected_residual(pm: np.ndarray, grad: np.ndarray, pbar: float) -> float:
     """Sup-norm KKT residual: gradient components pointing into the box."""
-    res = grad.copy()
-    at_lo = pm <= 0.0
-    at_hi = pm >= pbar
-    res[at_lo] = np.minimum(grad[at_lo], 0.0)
-    res[at_hi] = np.maximum(grad[at_hi], 0.0)
+    res = np.where(pm <= 0.0, np.minimum(grad, 0.0), grad)
+    res = np.where(pm >= pbar, np.maximum(grad, 0.0), res)
     return float(np.max(np.abs(res)))
 
 
@@ -128,8 +126,9 @@ def solve_active_set(sc: Scenario) -> DiscreteSolution:
         prev = key
         free = state == 0
         pm = np.where(state > 0, pbar, 0.0)
-        lower = np.where(free & np.roll(free, 1), -k, 0.0)
-        upper = np.where(free & np.roll(free, -1), -k, 0.0)
+        wrap = np.concatenate([free[-1:], free, free[:1]])
+        lower = np.where(free & wrap[:-2], -k, 0.0)
+        upper = np.where(free & wrap[2:], -k, 0.0)
         rhs = np.where(free, -_gradient_density(sc, pm), 0.0)
         pm += _cyclic_thomas(lower.tolist(), np.where(free, c, 1.0).tolist(),
                              upper.tolist(), rhs.tolist())

@@ -55,6 +55,8 @@ DEFAULT_ALPHA_SCHEDULE = (1.0, 10.0, 100.0, 1e3, 1e4)
 # diagonally dominant; at it the discrete periodic problem is singular.
 Z_STAR = 2.785293563405289
 
+_STAGE_BITS = np.array([1, 2, 4, 8])  # RK4 stages in a penalty pattern
+
 SOLUTION_CSV_HEADER = "t_h,x_kw,lambda,u_kw_per_h,pm_kw,pm_clipped_kw,pl_kw"
 
 
@@ -194,23 +196,17 @@ def _cm_nodes(sc: Scenario) -> np.ndarray:
     return np.full(sc.load.count, float(sc.cost.cm))
 
 
-def _prev(v: np.ndarray) -> np.ndarray:
-    """v_{i-1 mod n} at node i; periodic_ext(v)[1:] is v_{i+1 mod n}."""
-    return np.concatenate([v[-1:], v[:-1]])
-
-
 def _node_data(sc: Scenario) -> np.ndarray:
-    """Profile data of every step, shape (6, n): p_L, then c_m, at the
-    step's start, midpoint (linear interpolation) and end."""
-    pl, cm = sc.load.values, _cm_nodes(sc)
-    pl1, cm1 = periodic_ext(pl)[1:], periodic_ext(cm)[1:]
-    return np.array([pl, 0.5 * (pl + pl1), pl1, cm, 0.5 * (cm + cm1), cm1])
+    """Profile data of every step, shape (6, n + 1): p_L, then c_m, at the
+    step's start, midpoint (linear interpolation) and end; column n is step 0."""
+    ends = [np.concatenate([v, v[:2]]) for v in (sc.load.values, _cm_nodes(sc))]
+    return np.array([row for v in ends
+                     for row in (v[:-1], 0.5 * (v[:-1] + v[1:]), v[1:])])
 
 
-def _raise_if_not_finite(x: np.ndarray, lam: np.ndarray, t: np.ndarray,
-                         start: PmpState) -> None:
-    """DivergenceError at the first t_i whose (x_i, lam_i) is not finite."""
-    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(lam)))
+def _raise_if_not_finite(z: np.ndarray, t: np.ndarray, start: PmpState) -> None:
+    """DivergenceError at the first t_i whose column z_i is not finite."""
+    bad = np.flatnonzero(~np.isfinite(z).all(axis=0))
     if bad.size:
         t_fail = float(t[bad[0]])
         raise DivergenceError(
@@ -218,42 +214,44 @@ def _raise_if_not_finite(x: np.ndarray, lam: np.ndarray, t: np.ndarray,
             initial_state=(float(start.x), float(start.lam)))
 
 
-def _rk4_step(x: np.ndarray, lam: np.ndarray, nodes: np.ndarray,
-              sc: Scenario) -> tuple[np.ndarray, np.ndarray, list]:
-    """One classical RK4 step from every node at once (or, given floats,
-    from one), on the profile data `nodes` (`_node_data`).  Returns the
-    end states and, for each of the four stages, the excess of the stage
-    point's draw over the box [0, Pbar] (0 inside): xi' = 2 alpha * excess.
-    """
+def _rk4_step(z: np.ndarray, nodes: np.ndarray, sc: Scenario
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """One classical RK4 step from the stacked states z = (x, lam), shape
+    (2, m) or (2,), on the profile data `nodes` (`_node_data`'s columns).
+    Returns the end states and the four stage points' excess draw over the
+    box [0, Pbar] (0 inside), shape (4, m) or (4,): xi' = 2 alpha * excess."""
     pl0, plh, pl1, cm0, cmh, cm1 = nodes
     dt = sc.load.dt
-    g2 = 2.0 * sc.cost.g
-    inv_2d = 1.0 / (2.0 * sc.cost.d)
+    # rate * (lam, x) is the right-hand side less c_m - xi'
+    rate = np.array([-1.0 / (2.0 * sc.cost.d), -2.0 * sc.cost.g]
+                    ).reshape((2,) + (1,) * (z.ndim - 1))
     a2 = 2.0 * sc.cost.alpha
     pbar = sc.cost.pbar_kw
-    excess = []
+    excess = np.empty((4,) + z.shape[1:])
 
-    def slope(xs, ls, pl, cm):
-        pm = xs - pl
-        ex = pm - np.minimum(np.maximum(pm, 0.0), pbar)
-        excess.append(ex)
-        return -ls * inv_2d, -g2 * xs + cm - a2 * ex
+    def slope(zs, s, pl, cm):
+        pm = zs[0] - pl
+        ex = excess[s] = pm - np.minimum(np.maximum(pm, 0.0), pbar)
+        k = rate * zs[::-1]
+        kl = k[1:]  # a view also when z is one node
+        kl += cm
+        kl -= a2 * ex
+        return k
 
-    k1x, k1l = slope(x, lam, pl0, cm0)
-    k2x, k2l = slope(x + 0.5 * dt * k1x, lam + 0.5 * dt * k1l, plh, cmh)
-    k3x, k3l = slope(x + 0.5 * dt * k2x, lam + 0.5 * dt * k2l, plh, cmh)
-    k4x, k4l = slope(x + dt * k3x, lam + dt * k3l, pl1, cm1)
-    return (x + dt / 6.0 * (k1x + 2.0 * (k2x + k3x) + k4x),
-            lam + dt / 6.0 * (k1l + 2.0 * (k2l + k3l) + k4l), excess)
+    k1 = slope(z, 0, pl0, cm0)
+    k2 = slope(z + 0.5 * dt * k1, 1, plh, cmh)
+    k3 = slope(z + 0.5 * dt * k2, 2, plh, cmh)
+    k4 = slope(z + dt * k3, 3, pl1, cm1)
+    return z + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4), excess
 
 
-def _rk4_step_derivative(excess: list, sc: Scenario) -> tuple:
+def _rk4_step_derivative(excess: np.ndarray, sc: Scenario) -> tuple:
     """Blocks (A, B, C, D) of each node's RK4 step derivative d z_{i+1} / d z_i.
 
     At stage s the right-hand side has the Jacobian
     A_s = [[0, -1/2d], [-2g - xi''_s, 0]], with xi''_s = 2 alpha where
-    the stage's excess (`_rk4_step`, or a mask) is nonzero and 0
-    elsewhere.  The chain rule through the stages gives
+    the stage's excess (row s of `_rk4_step`'s, or of a mask) is nonzero
+    and 0 elsewhere.  The chain rule through the stages gives
     I + dt/6 (K_0 + 2 K_1 + 2 K_2 + K_3) with K_s = A_s (I + c_s K_{s-1}),
     c = (0, dt/2, dt/2, dt).
     """
@@ -272,6 +270,16 @@ def _rk4_step_derivative(excess: list, sc: Scenario) -> tuple:
         s0 += w * k0; s1 += w * k1; s2 += w * k2; s3 += w * k3
     h = dt / 6.0
     return 1.0 + h * s0, h * s1, h * s2, 1.0 + h * s3
+
+
+def _condensed_table(sc: Scenario) -> np.ndarray:
+    """Rows -(AD - BC)/B, -1/B, D/B, A/B, D, 1/B, A of the step derivative
+    (A, B, C, D) for each of the 16 patterns of stages outside the box."""
+    a, b, c, d = _rk4_step_derivative(
+        (np.arange(16) >> np.arange(4)[:, None]) & 1, sc)
+    inv_b = 1.0 / b
+    return np.array([-((a * d - b * c) * inv_b), -inv_b, d * inv_b,
+                     a * inv_b, d, inv_b, a])
 
 
 def _cyclic_thomas(lo: list, di: list, up: list, r: list) -> np.ndarray:
@@ -301,75 +309,80 @@ def _cyclic_thomas(lo: list, di: list, up: list, r: list) -> np.ndarray:
     return np.array(y) - f * np.array(z)
 
 
-def _newton_step(jac: tuple, fx: np.ndarray, fl: np.ndarray
+def _newton_step(table: np.ndarray, pattern: np.ndarray, f: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Newton update (dx, dlam) of the node states from the defects (fx, fl).
-
-    Step i's rows read A_i dx_i + B_i dl_i - dx_{i+1} = -fx_i and
+    """Newton update (dx, dlam) of the node states from the defects f =
+    (fx, fl) of the steps n - 1, 0, ..., n - 1 and the steps' penalty
+    patterns, which index `_condensed_table`.  Step i's rows read
+    A_i dx_i + B_i dl_i - dx_{i+1} = -fx_i and
     C_i dx_i + D_i dl_i - dl_{i+1} = -fl_i.  The first gives
     dl_i = (dx_{i+1} - A_i dx_i - fx_i) / B_i; substituted into the
     second, it leaves a cyclic tridiagonal system in dx whose row k is
     step k - 1's costate row.
     """
-    a, b, c, d = jac
-    inv_b = 1.0 / b
-    lower = -_prev((a * d - b * c) * inv_b)
-    diag = _prev(d * inv_b) + a * inv_b
-    rhs = _prev(d * fx * inv_b - fl) - fx * inv_b
-    dx = _cyclic_thomas(lower.tolist(), diag.tolist(), (-inv_b).tolist(),
-                        rhs.tolist())
-    return dx, (periodic_ext(dx)[1:] - a * dx - fx) * inv_b
+    n = pattern.size
+    lower, upper, d_b, a_b, d, inv_b, a = table.take(
+        pattern[np.arange(-1, n)], axis=1)
+    fx, fl = f
+    rhs = (d * fx * inv_b - fl)[:n] - fx[1:] * inv_b[1:]
+    dx = _cyclic_thomas(lower[:n].tolist(), (d_b[:n] + a_b[1:]).tolist(),
+                        upper[1:].tolist(), rhs.tolist())
+    return dx, (periodic_ext(dx)[1:] - a[1:] * dx - fx[1:]) * inv_b[1:]
 
 
 def _newton(sc: Scenario, start: PmpState) -> tuple:
     """Full-step semismooth Newton on the node defects from `start` at
     every node.
 
+    The node states are one (2, n + 1) array whose last column mirrors
+    the first, so the next node's state is a view.  A step's condensed
+    system depends only on which of its stages lie outside the box: the
+    first iteration tabulates the 16 patterns, every iteration gathers.
+
     Stops when the defect max |F_i| (wrap step included) is within
-    tol_bc or after newton_max_iters linear solves.  Returns (x, lam,
-    defect, penalty stages, Newton iterations); each iteration and the
-    start cost one residual pass.
+    tol_bc or after newton_max_iters linear solves.  Returns (z, defect,
+    penalty stages, Newton iterations), z the node states with t = T
+    mirrored; each iteration and the start cost one residual pass.
 
     Raises:
         DivergenceError: a defect is not finite.
     """
     n = sc.load.count
     nodes = _node_data(sc)
-    t = np.arange(n + 1) * sc.load.dt
-    x, lam = np.full(n, float(start.x)), np.full(n, float(start.lam))
+    z = np.array([[float(start.x)], [float(start.lam)]]).repeat(n + 1, axis=1)
+    f = np.empty((2, n + 1))
     tol = sc.tolerances.tol_bc
-    # a step's derivative depends only on which of its four stages lie
-    # outside the box: tabulate the 16 patterns once, index per node
-    table = np.array(_rk4_step_derivative(
-        [np.arange(16) >> s & 1 for s in range(4)], sc))
 
-    def defects(x, lam):
-        xn, ln, excess = _rk4_step(x, lam, nodes, sc)
-        fx = xn - periodic_ext(x)[1:]
-        fl = ln - periodic_ext(lam)[1:]
-        defect = max(np.abs(fx).max(), np.abs(fl).max())
+    def defects():
+        zn, excess = _rk4_step(z, nodes, sc)
+        np.subtract(zn[:, :n], z[:, 1:], out=f[:, 1:])
+        f[:, 0] = f[:, n]
+        defect = np.abs(f).max()
         if not math.isfinite(defect):  # step i ends at t_{i+1}
-            _raise_if_not_finite(fx, fl, t[1:], start)
-        out = [ex != 0.0 for ex in excess]
-        pattern = out[0] | out[1] << 1 | out[2] << 2 | out[3] << 3
-        stages = sum(int(np.count_nonzero(o)) for o in out)
-        return fx, fl, pattern, defect, stages
+            _raise_if_not_finite(f[:, 1:], np.arange(1, n + 1) * sc.load.dt,
+                                 start)
+        out = excess[:, :n] != 0.0
+        return np.dot(_STAGE_BITS, out), defect, int(np.count_nonzero(out))
 
     iters = 0
     with np.errstate(all="ignore"):
-        fx, fl, pattern, defect, stages = defects(x, lam)
+        pattern, defect, stages = defects()
         while defect > tol and iters < sc.tolerances.newton_max_iters:
             t0 = time.perf_counter()
-            dx, dl = _newton_step(table[:, pattern], fx, fl)
-            x, lam = x + dx, lam + dl
-            fx, fl, pattern, defect, stages = defects(x, lam)
+            if not iters:
+                table = _condensed_table(sc)
+            dx, dl = _newton_step(table, pattern, f)
+            z[0, :n] += dx
+            z[1, :n] += dl
+            z[:, n] = z[:, 0]
+            pattern, defect, stages = defects()
             iters += 1
             ms = 1e3 * (time.perf_counter() - t0)
             logger.debug("newton iter %d: defect %.3g, %d penalty stages, "
                          "%.3f ms", iters, defect, stages, ms,
                          extra={"iter": iters, "defect": float(defect),
                                 "penalty_stages": stages, "ms": ms})
-    return x, lam, float(defect), stages, iters
+    return z, float(defect), stages, iters
 
 
 def integrate(s0: PmpState, sc: Scenario) -> Trajectory:
@@ -382,14 +395,14 @@ def integrate(s0: PmpState, sc: Scenario) -> Trajectory:
     """
     if not (math.isfinite(s0.x) and math.isfinite(s0.lam)):
         raise ValidationError("initial state must be finite")
-    z = [(float(s0.x), float(s0.lam))]
+    z = [np.array([s0.x, s0.lam], dtype=float)]
     with np.errstate(all="ignore"):
-        for step in _node_data(sc).T.tolist():
-            z.append(_rk4_step(*z[-1], step, sc)[:2])
-    xs, ls = np.array(z).T
+        for step in _node_data(sc).T[:-1]:
+            z.append(_rk4_step(z[-1], step, sc)[0])
+    z = np.array(z).T
     t = np.arange(sc.load.count + 1) * sc.load.dt
-    _raise_if_not_finite(xs, ls, t, s0)
-    return Trajectory(t=t, x=xs, lam=ls)
+    _raise_if_not_finite(z, t, s0)
+    return Trajectory(t=t, x=z[0], lam=z[1])
 
 
 def box_violation(pm: np.ndarray, pbar: float) -> float:
@@ -458,7 +471,7 @@ def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
     stage = replace(sc, cost=replace(sc.cost, alpha=alpha),
                     alpha_schedule=(alpha,))
     try:
-        x, lam, defect, stages, iters = _newton(stage, start)
+        z, defect, stages, iters = _newton(stage, start)
     except DivergenceError as exc:
         if alpha < limit:
             raise
@@ -471,7 +484,7 @@ def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
         else:
             alpha = sc.cost.alpha
 
-    xs, ls = periodic_ext(x), periodic_ext(lam)
+    xs, ls = z
     u = -ls / (2.0 * sc.cost.d) + 0.0  # +0.0 folds -0.0 into 0.0
     pm = xs - periodic_ext(sc.load.values)
     pbar = sc.cost.pbar_kw
@@ -535,13 +548,7 @@ def evaluate(sol: PmpSolution, sc: Scenario) -> CostBreakdown:
 
 
 def breakdown_as_dict(bd: CostBreakdown) -> dict:
-    out = {
-        "generation_usd": bd.generation_usd,
-        "ramping_usd": bd.ramping_usd,
-        "revenue_usd": bd.revenue_usd,
-        "penalty_usd": bd.penalty_usd,
-        "total_usd": bd.total_usd,
-    }
+    out = {k: v for k, v in vars(bd).items() if k != "baseline"}
     if bd.baseline is not None:
         out["baseline"] = breakdown_as_dict(bd.baseline)
     return out

@@ -106,17 +106,19 @@ def _parse_timestamp(cell: str, line_no: int) -> float:
     """Parse an ISO-8601 or epoch-seconds timestamp cell into seconds."""
     text = cell.strip()
     try:
-        return float(text)
+        seconds = float(text)
     except ValueError:
-        pass
-    try:
-        stamp = datetime.fromisoformat(text)
-    except ValueError as exc:
-        raise ValidationError(
-            f"line {line_no}: unparseable timestamp {text!r}") from exc
-    if stamp.tzinfo is not None:
-        stamp = stamp.astimezone(timezone.utc).replace(tzinfo=None)
-    return (stamp - _CSV_EPOCH).total_seconds()
+        try:
+            stamp = datetime.fromisoformat(text)
+        except ValueError as exc:
+            raise ValidationError(
+                f"line {line_no}: unparseable timestamp {text!r}") from exc
+        if stamp.tzinfo is not None:
+            stamp = stamp.astimezone(timezone.utc).replace(tzinfo=None)
+        seconds = (stamp - _CSV_EPOCH).total_seconds()
+    if not math.isfinite(seconds):
+        raise ValidationError(f"line {line_no}: non-finite timestamp {text!r}")
+    return seconds
 
 
 def source_text(source) -> str:

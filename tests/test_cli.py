@@ -85,6 +85,48 @@ def test_solve_malformed_csv_names_line(tmp_path, machine_cfg, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,key,old,value", [(10, "d", "1", "nan"),
+                                                (8, "k", "0.0014", "inf")])
+def test_solve_non_finite_config_value_is_input_error(
+        tmp_path, plant_net_csv, capsys, line, key, old, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(MACHINE_CFG.replace(f"\n{key} = {old}\n",
+                                       f"\n{key} = {value}\n"))
+    code = main(["solve", "--load", plant_net_csv, "--machine", str(cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: value '{value}' for '{key}' "
+                          "is not finite")
+
+
+def test_solve_non_finite_timestamp_is_input_error(tmp_path, machine_cfg,
+                                                   capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("timestamp,load_kw\n0,1.0\n900,2.0\nnan,3.0\n2700,4.0\n")
+    code = main(["solve", "--load", str(bad), "--machine", machine_cfg,
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: line 4: non-finite timestamp 'nan'")
+
+
+def test_econ_non_finite_price_is_input_error(tmp_path, machine_cfg,
+                                              plant_net_csv, capsys):
+    run = tmp_path / "run"
+    assert main(["solve", "--load", plant_net_csv, "--machine", machine_cfg,
+                 "--alpha-schedule", "1", "--out", str(run)]) == 0
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(MACHINE_CFG.replace("price_usd = 7400", "price_usd = nan"))
+    out = tmp_path / "econ"
+    code = main(["econ", "--machine", str(cfg), "--solution", str(run),
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: line 6: value 'nan' for 'price_usd' is not finite")
+    assert not out.exists()
+
+
 def test_solve_rejects_price_column(tmp_path, machine_cfg, capsys):
     priced = tmp_path / "priced.csv"
     priced.write_text("timestamp,load_kw,price_usd_kwh\n"

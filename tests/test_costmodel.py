@@ -238,3 +238,12 @@ def test_config_missing_required_key_errors():
 def test_config_non_numeric_value_errors():
     with pytest.raises(ConfigError):
         load_config(io.StringIO("demand_w = lots\n"))
+
+
+@pytest.mark.parametrize("key,value", [("d", "nan"), ("k", "inf"),
+                                       ("price_usd", "nan"), ("g_override", "-inf")])
+def test_config_non_finite_value_names_line(key, value):
+    text = f"demand_w = 10\n{key} = {value}\n"
+    with pytest.raises(ConfigError,
+                       match=f"line 2: value '{value}' for '{key}' is not finite"):
+        load_config(io.StringIO(text))

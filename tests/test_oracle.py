@@ -117,12 +117,27 @@ def test_constant_scenario_recovers_kkt_closed_form():
             assert np.all(ref.pm == pinned[xstar]), xstar
 
 
-def test_binding_corpus_at_1440_nodes():
+@pytest.fixture(scope="module")
+def binding1440():
     corpus = build_corpus(1440)
-    refs = [solve_active_set(corpus[name]) for name in BINDING_NAMES]
+    return corpus, [solve_active_set(corpus[name]) for name in BINDING_NAMES]
+
+
+def test_binding_corpus_at_1440_nodes(binding1440):
+    corpus, refs = binding1440
     assert tuple(r.iterations for r in refs) == (73, 134, 82, 360)
     for name, ref in zip(BINDING_NAMES, refs):
         assert ref.grad_norm <= 1e-8 * corpus[name].cost.pbar_kw, name
+
+
+def test_binding_corpus_at_1440_nodes_pinned(binding1440):
+    """The active-set steps keep their exact bits: sha256 of pm."""
+    _, refs = binding1440
+    assert [hashlib.sha256(r.pm.tobytes()).hexdigest() for r in refs] == [
+        "95e2b4022eb86c8763c863b2f5c804f71cc64f1aa9f1b1cfe638285e13d352f8",
+        "2eefcf57dbee0e94cf77211ef7742b3d12cfcb00e629c2a03c66ede8916384fd",
+        "b7b5afed2cab641ff6396bd732371c8b48d7f684f1d30928969a5d77d687a58d",
+        "67c8b87b3ec3bdec1bbbd14e062659e1519aafd62069e9c1a214abda4885466c"]
 
 
 def test_active_set_makes_no_dense_solve(monkeypatch):

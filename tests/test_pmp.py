@@ -1,5 +1,6 @@
 """Optimality-system integration and the multiple-shooting Newton solve."""
 
+import hashlib
 import logging
 
 import numpy as np
@@ -249,16 +250,17 @@ def test_step_jacobian_matches_central_differences(solved96, corpus96):
         sol = solved96[name]
         assert sol.alpha_used == sc.alpha_schedule[-1], name
         nodes = _node_data(sc)
-        z = (sol.x_traj[:-1], sol.lambda_traj[:-1])
-        _, _, excess = _rk4_step(*z, nodes, sc)
+        z = np.array([sol.x_traj, sol.lambda_traj])
+        _, excess = _rk4_step(z, nodes, sc)
         assert any(np.any(ex) for ex in excess), name  # the penalty acts
         exact = _rk4_step_derivative(excess, sc)
         for j in range(2):
             h = 1e-7 * (1.0 + np.abs(z[j]))
-            plus = [v + h if k == j else v for k, v in enumerate(z)]
-            minus = [v - h if k == j else v for k, v in enumerate(z)]
-            up = _rk4_step(*plus, nodes, sc)
-            down = _rk4_step(*minus, nodes, sc)
+            plus, minus = z.copy(), z.copy()
+            plus[j] += h
+            minus[j] -= h
+            up = _rk4_step(plus, nodes, sc)[0]
+            down = _rk4_step(minus, nodes, sc)[0]
             for i in range(2):
                 fd = (up[i] - down[i]) / (2.0 * h)
                 blk = exact[2 * i + j]
@@ -385,6 +387,27 @@ def test_long_arc_scenario_converges_at_final_alpha(name, n):
     assert sol.converged, sol.periodic_residual
     assert sol.alpha_used == sc.alpha_schedule[-1]
     assert sol.box_violation_frac <= 0.01
+
+
+def test_solver_iterates_pinned(solved96):
+    """Newton keeps its exact iterates: sha256 of x_traj and lambda_traj
+    on the binding corpus at n=96, the undersized plant day stopped at
+    alpha = 100 at n=96 and the long-arc plant duck day at n=1440."""
+    sols = [solved96[name] for name in BINDING_NAMES]
+    sols.append(solve(plant_duck_undersized(96)))
+    sols.append(solve(build_long_arc(1440)["plant_duck_085"]))
+    digests = []
+    for sol in sols:
+        h = hashlib.sha256(sol.x_traj.tobytes())
+        h.update(sol.lambda_traj.tobytes())
+        digests.append(h.hexdigest())
+    assert digests == [
+        "e0fda2fb6abeafe4af60b4b264d4c14f314127874e6a86c1565aab72e0fbe32b",
+        "663583eb4ff0cebb1dd490f34815bf416ec461f93053dbabb12a8d0866dabb18",
+        "5bbe2e10279d9636fb34a785a6cb16ade530882c42f04b058471e763dc85c790",
+        "05db44cd385369b6dde1ec9fe8ac9fb3048bb2aaaf3996785d3875993911ce7c",
+        "dff4a393e477fc528d517a854497190b98eeb419b671d58935f0dd2eafa7cbd3",
+        "3d0187028f691c4931acdc95ded7a6f5851bdf3ff1ca42c7021a05104e2317d4"]
 
 
 def test_stationary_point_values():

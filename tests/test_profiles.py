@@ -110,6 +110,14 @@ def test_load_csv_non_numeric_names_line():
         load_csv(text.encode())
 
 
+@pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+def test_load_csv_non_finite_timestamp_names_line(stamp):
+    text = _csv_text([0, 900, stamp, 2700, 3600], {"load_kw": [1.0] * 5})
+    with pytest.raises(ValidationError,
+                       match=f"line 4: non-finite timestamp '{stamp}'"):
+        load_csv(text.encode())
+
+
 def test_load_csv_missing_value_rejected_not_imputed():
     text = "timestamp,load_kw\n0,1.0\n900,\n1800,2.0\n2700,3.0\n"
     with pytest.raises(ValidationError, match="line 3"):
