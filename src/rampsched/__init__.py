@@ -15,14 +15,12 @@ from .econ import (EconReport, ProfitModel, ProjectionSeries, ScheduleStats,
                    TrendModel, amortized_daily_msrp,
                    breakeven_max_machine_price, daily_report, fit_price_trend,
                    fit_ramp_trend, profit_vs_price, project_net_profit)
-from .errors import (ConfigError, DegenerateFitError, DimensionError,
-                     DivergenceError, GridError, RampSchedError,
-                     ReportOnUnconvergedError, ShortSeriesError, SpacingError,
+from .errors import (DivergenceError, RampSchedError, ReportOnUnconvergedError,
                      ValidationError)
 from .oracle import DiscreteSolution, discretize_objective, solve_active_set
 from .pmp import (CostBreakdown, PmpSolution, PmpState, Scenario, Tolerances,
-                  evaluate, hamiltonian, integrate, make_scenario, objective,
-                  pmp_rhs, solve, stationary_point)
+                  evaluate, hamiltonian, make_scenario, objective, pmp_rhs,
+                  solve, stationary_point)
 from .profiles import (SampledProfile, load_csv, resample_periodic,
                        synth_duck_curve, write_csv)
 

@@ -1,9 +1,10 @@
 """Command-line surface: solve schedules, verify, report economics.
 
-Exit codes: 0 success, 1 input error, 2 solver non-convergence,
-3 verification gap or failed verifier.  Outputs are written to temp names and renamed on
-success, so a crashed run never leaves partial files.  Verbosity comes
-from the RAMP_SCHED_LOG environment variable (error|warn|info|debug).
+Exit codes: 0 success, 1 input error (usage errors included), 2 solver
+non-convergence, 3 verification gap or failed verifier.  Outputs are
+written to temp names and renamed on success, so a crashed run never
+leaves partial files.  Verbosity comes from the RAMP_SCHED_LOG
+environment variable (error|warn|info|debug).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import dataclasses
 import io
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -61,10 +63,21 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_schedule(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
+        return tuple(_finite_float(v) for v in text.split(","))
+    except argparse.ArgumentTypeError as exc:
         raise ValidationError(f"bad --alpha-schedule {text!r}") from exc
 
 
@@ -210,7 +223,6 @@ def _scenario_from_solution(args, cfg) -> tuple[pmp.PmpSolution, pmp.Scenario]:
                            alpha_schedule=(diag["alpha_used"],))
     violation = pmp.box_violation(cols["pm_kw"], sc.cost.pbar_kw)
     sol = pmp.PmpSolution(
-        grid=load,
         x_traj=cols["x_kw"], lambda_traj=cols["lambda"],
         u_traj=cols["u_kw_per_h"], pm_traj=cols["pm_kw"],
         pm_clipped=cols["pm_clipped_kw"], box_violation_kw=violation,
@@ -247,12 +259,13 @@ def cmd_econ(args) -> int:
     if args.project is not None:
         if args.price_trend is None:
             raise ValidationError("--project requires --price-trend data")
-        price_fit = econ.fit_price_trend(econ.read_trend_csv(args.price_trend))
-        trend = price_fit
+        ramp_fit = econ.TrendModel()
         if args.ramp_trend is not None:
-            trend = price_fit.merged_with(
-                econ.fit_ramp_trend(econ.read_trend_csv(args.ramp_trend)))
-        trend = dataclasses.replace(trend, share_per_year=args.share_per_year)
+            ramp_fit = econ.fit_ramp_trend(econ.read_trend_csv(args.ramp_trend))
+        trend = dataclasses.replace(
+            econ.fit_price_trend(econ.read_trend_csv(args.price_trend)),
+            ramp_coeff=ramp_fit.ramp_coeff, ramp_rms=ramp_fit.ramp_rms,
+            share_per_year=args.share_per_year)
         stats = econ.ScheduleStats(
             share0_pct=args.share0,
             ramp_saved_usd_day=stats_ramp_saved,
@@ -289,10 +302,11 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fleet-count", type=int, default=None)
     p.add_argument("--alpha-schedule", default=None,
                    help="comma-separated increasing penalty weights")
-    p.add_argument("--dt", type=float, default=None, help="resample load to this spacing [h]")
-    p.add_argument("--load-scale", type=float, default=1.0,
+    p.add_argument("--dt", type=_finite_float, default=None,
+                   help="resample load to this spacing [h]")
+    p.add_argument("--load-scale", type=_finite_float, default=1.0,
                    help="multiply ingested power columns by this factor")
-    p.add_argument("--tol-bc", type=float, default=pmp.DEFAULT_TOL_BC)
+    p.add_argument("--tol-bc", type=_finite_float, default=pmp.DEFAULT_TOL_BC)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_flags(p)
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=None, help="resample to N nodes")
-    p.add_argument("--obj-tol", type=float, default=DEFAULT_OBJECTIVE_GAP)
-    p.add_argument("--pm-tol", type=float, default=DEFAULT_PM_GAP_FRACTION)
+    p.add_argument("--obj-tol", type=_finite_float, default=DEFAULT_OBJECTIVE_GAP)
+    p.add_argument("--pm-tol", type=_finite_float, default=DEFAULT_PM_GAP_FRACTION)
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("econ", help="economics reports and projections")
@@ -327,21 +341,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--breakeven", action="store_true")
-    p.add_argument("--daily-profit", type=float, default=None)
+    p.add_argument("--daily-profit", type=_finite_float, default=None)
     p.add_argument("--project", type=int, default=None, help="projection years")
     p.add_argument("--price-trend", default=None, help="share_pct,value CSV")
     p.add_argument("--ramp-trend", default=None, help="share_pct,value CSV")
-    p.add_argument("--share0", type=float, default=10.0)
-    p.add_argument("--share-per-year", type=float, default=0.0)
-    p.add_argument("--profit-a", type=float, default=14.0)
-    p.add_argument("--profit-b", type=float, default=0.1)
+    p.add_argument("--share0", type=_finite_float, default=10.0)
+    p.add_argument("--share-per-year", type=_finite_float, default=0.0)
+    p.add_argument("--profit-a", type=_finite_float, default=14.0)
+    p.add_argument("--profit-b", type=_finite_float, default=0.1)
     p.set_defaults(func=cmd_econ)
 
     p = sub.add_parser("synth", help="write synthetic duck-curve profiles")
-    p.add_argument("--base", type=float, required=True)
-    p.add_argument("--evening-peak", type=float, required=True)
-    p.add_argument("--pv-peak", type=float, required=True)
-    p.add_argument("--dt", type=float, default=profiles.DEFAULT_DT_HOURS)
+    p.add_argument("--base", type=_finite_float, required=True)
+    p.add_argument("--evening-peak", type=_finite_float, required=True)
+    p.add_argument("--pv-peak", type=_finite_float, required=True)
+    p.add_argument("--dt", type=_finite_float, default=profiles.DEFAULT_DT_HOURS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
     return parser
@@ -349,8 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage errors exit 2
+        if exc.code == 2:
+            return EXIT_INPUT
+        raise
     if args.command == "econ" and not args.breakeven and args.machine is None:
         print("error: --machine is required", file=sys.stderr)
         return EXIT_INPUT

@@ -22,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ValidationError
 from .profiles import SampledProfile, source_text
 
 HOURS_PER_DAY = 24.0
@@ -190,35 +190,38 @@ def load_config(source) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {line_no}: expected 'key = value', got {raw!r}")
+            raise ValidationError(
+                f"line {line_no}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if key not in _CONFIG_KEYS:
-            raise ConfigError(f"line {line_no}: unknown key {key!r}")
+            raise ValidationError(f"line {line_no}: unknown key {key!r}")
         if key == "name":
             cfg[key] = value
         elif key == "count":
             try:
                 cfg[key] = int(value)
             except ValueError as exc:
-                raise ConfigError(f"line {line_no}: count must be an integer") from exc
+                raise ValidationError(
+                    f"line {line_no}: count must be an integer") from exc
         else:
             try:
                 cfg[key] = float(value)
             except ValueError as exc:
-                raise ConfigError(
+                raise ValidationError(
                     f"line {line_no}: value {value!r} for {key!r} is not numeric"
                 ) from exc
             if not np.isfinite(cfg[key]):
-                raise ConfigError(f"line {line_no}: value {value!r} for {key!r} is not finite")
+                raise ValidationError(
+                    f"line {line_no}: value {value!r} for {key!r} is not finite")
     return cfg
 
 
 def machine_from_config(cfg: dict) -> MachineSpec:
     missing = [k for k in _REQUIRED_MACHINE_KEYS if k not in cfg]
     if missing:
-        raise ConfigError(f"machine config missing keys: {missing}")
+        raise ValidationError(f"machine config missing keys: {missing}")
     return MachineSpec(
         name=str(cfg.get("name", "custom")),
         demand_w=cfg["demand_w"],

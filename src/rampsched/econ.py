@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .costmodel import MachineSpec
-from .errors import (DegenerateFitError, ReportOnUnconvergedError,
-                     ValidationError)
+from .errors import ReportOnUnconvergedError, ValidationError
 from .pmp import PmpSolution, Scenario, evaluate, objective
 from .profiles import source_text
 
@@ -57,19 +55,6 @@ class TrendModel:
     ramp_coeff: float | None = None
     ramp_rms: float | None = None
     share_per_year: float = 0.0
-
-    def merged_with(self, other: "TrendModel") -> "TrendModel":
-        """Combine two partial models, preferring this model's set fields."""
-        return TrendModel(
-            price_intercept=(self.price_intercept if self.price_intercept
-                             is not None else other.price_intercept),
-            price_slope=(self.price_slope if self.price_slope is not None
-                         else other.price_slope),
-            price_rms=self.price_rms if self.price_rms is not None else other.price_rms,
-            ramp_coeff=self.ramp_coeff if self.ramp_coeff is not None else other.ramp_coeff,
-            ramp_rms=self.ramp_rms if self.ramp_rms is not None else other.ramp_rms,
-            share_per_year=self.share_per_year or other.share_per_year,
-        )
 
 
 @dataclass(frozen=True)
@@ -129,14 +114,14 @@ def breakeven_max_machine_price(v_daily: float) -> float:
 def fit_price_trend(points) -> TrendModel:
     """OLS line through (share %, price) points.
 
-    Raises DegenerateFitError when fewer than two distinct shares exist.
+    Raises ValidationError when fewer than two distinct shares exist.
     """
     pts = np.asarray(list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise ValidationError("need at least two (share, price) points")
     x, y = pts[:, 0], pts[:, 1]
     if np.unique(x).size < 2:
-        raise DegenerateFitError("all shares identical; line fit is degenerate")
+        raise ValidationError("all shares identical; line fit is degenerate")
     xm, ym = x.mean(), y.mean()
     slope = float(((x - xm) * (y - ym)).sum() / ((x - xm) ** 2).sum())
     intercept = float(ym - slope * xm)
@@ -154,7 +139,7 @@ def fit_ramp_trend(points) -> TrendModel:
     x2 = x * x
     denom = float((x2 * x2).sum())
     if denom == 0.0:
-        raise DegenerateFitError("all shares are zero; quadratic fit is degenerate")
+        raise ValidationError("all shares are zero; quadratic fit is degenerate")
     coeff = float((x2 * y).sum() / denom)
     resid = y - coeff * x2
     return TrendModel(ramp_coeff=coeff,
@@ -315,12 +300,3 @@ def read_trend_csv(source) -> list[tuple[float, float]]:
         except ValueError as exc:
             raise ValidationError(f"line {no}: non-numeric cell") from exc
     return points
-
-
-def write_trend_csv(dest, points) -> None:
-    text = "share_pct,value\n" + "".join(
-        f"{repr(float(s))},{repr(float(v))}\n" for s, v in points)
-    if isinstance(dest, (str, Path)):
-        Path(dest).write_text(text, encoding="utf-8")
-    else:
-        dest.write(text)

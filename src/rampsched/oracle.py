@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, RampSchedError
+from .errors import RampSchedError, ValidationError
 from .pmp import (Scenario, _cm_nodes, _cyclic_thomas, _forward_ramp,
                   format_solution_csv, objective)
 from .profiles import periodic_ext
@@ -51,7 +51,7 @@ def discretize_objective(sc: Scenario, pm: np.ndarray) -> float:
     pm = np.asarray(pm, dtype=float)
     pl = sc.load.values
     if pm.shape != pl.shape:
-        raise DimensionError(
+        raise ValidationError(
             f"pm has length {pm.size}, load grid has {pl.size}")
     bd = objective(sc, pm)
     return bd.generation_usd + bd.ramping_usd - bd.revenue_usd

@@ -48,8 +48,8 @@ from .profiles import SampledProfile, periodic_ext, source_text
 logger = logging.getLogger("rampsched.pmp")
 
 DEFAULT_TOL_BC = 1e-8
-DEFAULT_NEWTON_MAX_ITERS = 50
 DEFAULT_ALPHA_SCHEDULE = (1.0, 10.0, 100.0, 1e3, 1e4)
+_MAX_NEWTON_ITERS = 50
 # Root of R(-z) = 1, R the RK4 stability polynomial: penalty arcs at step
 # stiffness z = dt*sqrt((g + alpha)/d) below it keep the Newton system
 # diagonally dominant; at it the discrete periodic problem is singular.
@@ -67,24 +67,13 @@ class PmpState(NamedTuple):
     lam: float
 
 
-class Trajectory(NamedTuple):
-    """States at every grid node of one period, including t = T."""
-
-    t: np.ndarray
-    x: np.ndarray
-    lam: np.ndarray
-
-
 @dataclass(frozen=True)
 class Tolerances:
     tol_bc: float = DEFAULT_TOL_BC
-    newton_max_iters: int = DEFAULT_NEWTON_MAX_ITERS
 
     def __post_init__(self):
-        if self.tol_bc <= 0:
+        if not self.tol_bc > 0:
             raise ValidationError("tol_bc must be positive")
-        if self.newton_max_iters < 1:
-            raise ValidationError("newton_max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -101,7 +90,7 @@ class Scenario:
         sched = tuple(float(a) for a in self.alpha_schedule)
         if not sched:
             raise ValidationError("alpha_schedule must not be empty")
-        if any(b <= a for a, b in zip(sched, sched[1:])):
+        if not all(b > a for a, b in zip(sched, sched[1:])):
             raise ValidationError("alpha_schedule must be strictly increasing")
         if not math.isclose(sched[-1], self.cost.alpha, rel_tol=1e-12):
             raise ValidationError(
@@ -121,7 +110,6 @@ class Scenario:
 class PmpSolution:
     """Trajectories plus convergence diagnostics for one scenario."""
 
-    grid: SampledProfile
     x_traj: np.ndarray
     lambda_traj: np.ndarray
     u_traj: np.ndarray
@@ -202,16 +190,6 @@ def _node_data(sc: Scenario) -> np.ndarray:
     ends = [np.concatenate([v, v[:2]]) for v in (sc.load.values, _cm_nodes(sc))]
     return np.array([row for v in ends
                      for row in (v[:-1], 0.5 * (v[:-1] + v[1:]), v[1:])])
-
-
-def _raise_if_not_finite(z: np.ndarray, t: np.ndarray, start: PmpState) -> None:
-    """DivergenceError at the first t_i whose column z_i is not finite."""
-    bad = np.flatnonzero(~np.isfinite(z).all(axis=0))
-    if bad.size:
-        t_fail = float(t[bad[0]])
-        raise DivergenceError(
-            f"non-finite state at t = {t_fail:.6g} h", t_hours=t_fail,
-            initial_state=(float(start.x), float(start.lam)))
 
 
 def _rk4_step(z: np.ndarray, nodes: np.ndarray, sc: Scenario
@@ -340,12 +318,13 @@ def _newton(sc: Scenario, start: PmpState) -> tuple:
     first iteration tabulates the 16 patterns, every iteration gathers.
 
     Stops when the defect max |F_i| (wrap step included) is within
-    tol_bc or after newton_max_iters linear solves.  Returns (z, defect,
+    tol_bc or after _MAX_NEWTON_ITERS linear solves.  Returns (z, defect,
     penalty stages, Newton iterations), z the node states with t = T
     mirrored; each iteration and the start cost one residual pass.
 
     Raises:
-        DivergenceError: a defect is not finite.
+        DivergenceError: a defect is not finite, at the end time of the
+            first such step.
     """
     n = sc.load.count
     nodes = _node_data(sc)
@@ -359,15 +338,18 @@ def _newton(sc: Scenario, start: PmpState) -> tuple:
         f[:, 0] = f[:, n]
         defect = np.abs(f).max()
         if not math.isfinite(defect):  # step i ends at t_{i+1}
-            _raise_if_not_finite(f[:, 1:], np.arange(1, n + 1) * sc.load.dt,
-                                 start)
+            bad = np.flatnonzero(~np.isfinite(f[:, 1:]).all(axis=0))[0]
+            t_fail = float((bad + 1) * sc.load.dt)
+            raise DivergenceError(
+                f"non-finite state at t = {t_fail:.6g} h", t_hours=t_fail,
+                initial_state=(float(start.x), float(start.lam)))
         out = excess[:, :n] != 0.0
         return np.dot(_STAGE_BITS, out), defect, int(np.count_nonzero(out))
 
     iters = 0
     with np.errstate(all="ignore"):
         pattern, defect, stages = defects()
-        while defect > tol and iters < sc.tolerances.newton_max_iters:
+        while defect > tol and iters < _MAX_NEWTON_ITERS:
             t0 = time.perf_counter()
             if not iters:
                 table = _condensed_table(sc)
@@ -383,26 +365,6 @@ def _newton(sc: Scenario, start: PmpState) -> tuple:
                          extra={"iter": iters, "defect": float(defect),
                                 "penalty_stages": stages, "ms": ms})
     return z, float(defect), stages, iters
-
-
-def integrate(s0: PmpState, sc: Scenario) -> Trajectory:
-    """States at every grid node, t = T included, of classical RK4 from
-    s0 over one period, stepped node by node through the solver's kernel.
-
-    Raises:
-        DivergenceError: a non-finite state was produced, with the
-            failing time attached.
-    """
-    if not (math.isfinite(s0.x) and math.isfinite(s0.lam)):
-        raise ValidationError("initial state must be finite")
-    z = [np.array([s0.x, s0.lam], dtype=float)]
-    with np.errstate(all="ignore"):
-        for step in _node_data(sc).T[:-1]:
-            z.append(_rk4_step(z[-1], step, sc)[0])
-    z = np.array(z).T
-    t = np.arange(sc.load.count + 1) * sc.load.dt
-    _raise_if_not_finite(z, t, s0)
-    return Trajectory(t=t, x=z[0], lam=z[1])
 
 
 def box_violation(pm: np.ndarray, pbar: float) -> float:
@@ -490,7 +452,7 @@ def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
     pbar = sc.cost.pbar_kw
     violation = box_violation(pm, pbar)
     sol = PmpSolution(
-        grid=sc.load, x_traj=xs, lambda_traj=ls, u_traj=u, pm_traj=pm,
+        x_traj=xs, lambda_traj=ls, u_traj=u, pm_traj=pm,
         pm_clipped=np.clip(pm, 0.0, pbar), converged=converged,
         periodic_residual=defect, newton_iters=iters, alpha_used=alpha,
         rk4_passes=iters + 1, box_violation_kw=violation,

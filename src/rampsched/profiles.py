@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GridError, ShortSeriesError, SpacingError, ValidationError
+from .errors import ValidationError
 
 DEFAULT_DT_HOURS = 0.25  # 96 samples per day, typical operator telemetry
 
@@ -149,10 +149,9 @@ def load_csv(source, scale: float = 1.0) -> dict[str, SampledProfile]:
         One profile per power column, keyed by role ("load", "pv").
 
     Raises:
-        SpacingError: non-uniform or non-increasing timestamps.
-        ShortSeriesError: fewer than 4 data rows.
-        ValidationError: an unknown or repeated column, malformed cells
-            or negative values.
+        ValidationError: non-uniform or non-increasing timestamps, fewer
+            than 4 data rows, an unknown or repeated column, malformed
+            cells or negative values.
     """
     if scale <= 0.0 or not math.isfinite(scale):
         raise ValidationError(f"scale must be finite and > 0, got {scale}")
@@ -206,20 +205,20 @@ def load_csv(source, scale: float = 1.0) -> dict[str, SampledProfile]:
             columns[role].append(value)
 
     if len(times) < _MIN_SAMPLES:
-        raise ShortSeriesError(
+        raise ValidationError(
             f"need at least {_MIN_SAMPLES} data rows, got {len(times)}")
 
     ts = np.asarray(times)
     gaps = np.diff(ts)
     if np.any(gaps <= 0.0):
         bad = int(np.argmax(gaps <= 0.0))
-        raise SpacingError(
+        raise ValidationError(
             f"line {bad + 3}: timestamps not strictly increasing")
     median_gap = float(np.median(gaps))
     off = np.abs(gaps - median_gap) > _SPACING_JITTER * median_gap
     if np.any(off):
         bad = int(np.argmax(off))
-        raise SpacingError(
+        raise ValidationError(
             f"line {bad + 3}: gap {gaps[bad]:.6g}s deviates more than "
             f"{_SPACING_JITTER:.0%} from median {median_gap:.6g}s")
 
@@ -244,7 +243,7 @@ def write_csv(dest, load: SampledProfile | None = None,
     base = present[0][1]
     for _, p in present[1:]:
         if not base.same_grid(p):
-            raise GridError("profiles written together must share one grid")
+            raise ValidationError("profiles written together must share one grid")
 
     step_s = base.dt * 3600.0
     iso = abs(step_s - round(step_s)) < 1e-9
@@ -282,14 +281,14 @@ def resample_periodic(p: SampledProfile, new_dt: float) -> SampledProfile:
             within one part in 1e6.
 
     Raises:
-        GridError: ``new_dt`` is not a divisor of the period.
+        ValidationError: ``new_dt`` is not a divisor of the period.
     """
-    if new_dt <= 0.0:
-        raise GridError(f"new_dt must be positive, got {new_dt}")
+    if not new_dt > 0.0:
+        raise ValidationError(f"new_dt must be positive, got {new_dt}")
     ratio = p.period_T / new_dt
     n_new = int(round(ratio))
     if n_new < 1 or abs(ratio - n_new) > _DIVISOR_TOL * max(1.0, ratio):
-        raise GridError(
+        raise ValidationError(
             f"new_dt={new_dt} does not divide period {p.period_T} "
             f"(period/new_dt = {ratio:.9g})")
     dt_used = p.period_T / n_new  # snap so period_T stays exact
@@ -331,10 +330,10 @@ def synth_duck_curve(base_kw: float, evening_peak_kw: float, pv_peak_kw: float,
                     ("pv_peak_kw", pv_peak_kw)):
         if v < 0.0 or not math.isfinite(v):
             raise ValidationError(f"{name} must be finite and >= 0, got {v}")
-    ratio = 24.0 / dt
+    ratio = 24.0 / dt if dt > 0.0 else 0.0  # also refuses NaN
     n = int(round(ratio))
     if n < _MIN_SAMPLES or abs(ratio - n) > _DIVISOR_TOL * max(1.0, ratio):
-        raise GridError(f"dt={dt} must divide 24 h into >= {_MIN_SAMPLES} samples")
+        raise ValidationError(f"dt={dt} must divide 24 h into >= {_MIN_SAMPLES} samples")
     dt_used = 24.0 / n
     t = np.arange(n) * dt_used
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior and exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -387,3 +388,58 @@ def test_econ_projection_requires_trend(tmp_path, machine_cfg):
     code = main(["econ", "--machine", machine_cfg, "--project", "6",
                  "--out", str(tmp_path / "p")])
     assert code == 1
+
+
+def test_econ_projection_pinned(tmp_path, machine_cfg, plant_net_csv):
+    # the quadratic ramp trend scales the saving by (share / share0)^2
+    run = tmp_path / "run"
+    assert main(["solve", "--load", plant_net_csv, "--machine", machine_cfg,
+                 "--out", str(run)]) == 0
+    price = tmp_path / "price.csv"
+    price.write_text("share_pct,value\n10,40\n20,46\n30,51\n45,60\n")
+    ramp = tmp_path / "ramp.csv"
+    ramp.write_text("share_pct,value\n10,100\n20,390\n30,910\n40,1580\n")
+    texts = []
+    for extra in ([], ["--ramp-trend", str(ramp)]):
+        out = tmp_path / f"proj{len(extra)}"
+        assert main(["econ", "--machine", machine_cfg, "--solution", str(run),
+                     "--project", "4", "--price-trend", str(price),
+                     "--share0", "12", "--share-per-year", "3",
+                     "--out", str(out), *extra]) == 0
+        texts.append((out / "projection.csv").read_text())
+    flat, scaled = ([[float(c) for c in row.split(",")]
+                     for row in text.splitlines()[1:]] for text in texts)
+    for year, (a, b) in enumerate(zip(flat, scaled), start=1):
+        assert b[0] == a[0] == year and b[2] == a[2]  # mining
+        assert b[3] == pytest.approx(a[3] * ((12 + 3 * year) / 12) ** 2,
+                                     rel=1e-12)
+    assert [hashlib.sha256(text.encode()).hexdigest() for text in texts] == [
+        "2e6fdd90bcf738b418ce2e5052b344affa8ed0e9de55c1f073d06b629a6d929d",
+        "7fa98d7de16f675dab8cf14b0d011c2ba008807e9ff699dc1e2f405bd3fa4fa6"]
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("solve", "--dt", "nan"), ("solve", "--tol-bc", "nan"),
+    ("solve", "--alpha-schedule", "1,nan,100"),
+    ("oracle-check", "--obj-tol", "nan"), ("econ", "--daily-profit", "nan"),
+    ("solve", "--dt", "abc"), ("synth", "--dt", "0")])
+def test_bad_number_is_input_error(tmp_path, machine_cfg, plant_net_csv,
+                                   capsys, command, flag, value):
+    out = tmp_path / "out"
+    args = {"solve": ["--load", plant_net_csv, "--machine", machine_cfg],
+            "oracle-check": ["--load", plant_net_csv, "--machine", machine_cfg],
+            "econ": ["--breakeven"],
+            "synth": ["--base", "1", "--evening-peak", "1", "--pv-peak", "1"]}
+    assert main([command, *args[command], "--out", str(out), flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and value in errors[0]
+    assert not out.exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--alpha-schedule" in capsys.readouterr().out

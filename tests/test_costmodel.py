@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from rampsched import (ConfigError, CostModel, FleetSpec, MACHINE_PRESETS,
+from rampsched import (CostModel, FleetSpec, MACHINE_PRESETS,
                        SampledProfile, ValidationError, compute_cm, compute_g,
                        control_from_costate, gen_cost, load_config, penalty_xi,
                        penalty_xi_prime, ramp_cost, write_csv)
@@ -226,17 +226,17 @@ def test_config_g_override_wins(tmp_path):
 
 
 def test_config_unknown_key_errors():
-    with pytest.raises(ConfigError, match="unknown key"):
+    with pytest.raises(ValidationError, match="unknown key"):
         load_config(io.StringIO("demand_w = 10\nvoltage = 3\n"))
 
 
 def test_config_missing_required_key_errors():
-    with pytest.raises(ConfigError, match="missing"):
+    with pytest.raises(ValidationError, match="missing"):
         machine_from_config(load_config(io.StringIO("demand_w = 10\n")))
 
 
 def test_config_non_numeric_value_errors():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError, match="'lots' for 'demand_w' is not numeric"):
         load_config(io.StringIO("demand_w = lots\n"))
 
 
@@ -244,6 +244,6 @@ def test_config_non_numeric_value_errors():
                                        ("price_usd", "nan"), ("g_override", "-inf")])
 def test_config_non_finite_value_names_line(key, value):
     text = f"demand_w = 10\n{key} = {value}\n"
-    with pytest.raises(ConfigError,
+    with pytest.raises(ValidationError,
                        match=f"line 2: value '{value}' for '{key}' is not finite"):
         load_config(io.StringIO(text))

@@ -7,7 +7,7 @@ import pytest
 
 from corpus import M1, M3, build_corpus
 
-from rampsched import (DegenerateFitError, EconReport, FleetSpec,
+from rampsched import (EconReport, FleetSpec,
                        MACHINE_PRESETS, ProfitModel, ReportOnUnconvergedError,
                        SampledProfile, ScheduleStats, TrendModel,
                        ValidationError, amortized_daily_msrp,
@@ -15,7 +15,7 @@ from rampsched import (DegenerateFitError, EconReport, FleetSpec,
                        fit_price_trend, fit_ramp_trend, make_scenario,
                        profit_vs_price, project_net_profit, solve)
 from rampsched.econ import (format_report_table, read_trend_csv,
-                            report_as_dict, write_trend_csv,
+                            report_as_dict,
                             BREAKEVEN_AMORT_DAYS, BREAKEVEN_MSRP_OFFSET,
                             BREAKEVEN_PROFIT_FLOOR)
 from rampsched.pmp import PmpSolution
@@ -105,7 +105,7 @@ def test_price_fit_exact_line():
 
 
 def test_price_fit_degenerate_only_when_all_shares_equal():
-    with pytest.raises(DegenerateFitError):
+    with pytest.raises(ValidationError, match="line fit is degenerate"):
         fit_price_trend([(5.0, 1.0), (5.0, 2.0), (5.0, 3.0)])
     fit = fit_price_trend([(5.0, 1.0), (5.0, 2.0), (9.0, 3.0)])
     assert fit.price_slope is not None
@@ -137,7 +137,7 @@ def test_ramp_fit_zero_share_points_are_inert():
 
 
 def test_ramp_fit_degenerate_when_all_zero():
-    with pytest.raises(DegenerateFitError):
+    with pytest.raises(ValidationError, match="quadratic fit is degenerate"):
         fit_ramp_trend([(0.0, 1.0), (0.0, 2.0), (0.0, 3.0)])
 
 
@@ -169,7 +169,7 @@ def test_fits_are_least_squares_optima():
 def test_trend_csv_roundtrip(tmp_path):
     pts = [(5.0, 30.1), (15.0, 44.7), (30.0, 61.2)]
     path = tmp_path / "trend.csv"
-    write_trend_csv(path, pts)
+    path.write_text("share_pct,value\n5.0,30.1\n15.0,44.7\n30.0,61.2\n")
     assert read_trend_csv(path) == pts
 
 
@@ -253,7 +253,6 @@ def test_daily_report_zero_draw_is_flagged():
     sol, sc = _constant_solution(fleet, xstar=103.0)
     n = sol.x_traj.size
     idle = PmpSolution(
-        grid=sol.grid,
         x_traj=sc.load.values[0] * np.ones(n),
         lambda_traj=np.zeros(n), u_traj=np.zeros(n),
         pm_traj=np.zeros(n), pm_clipped=np.zeros(n),
@@ -268,7 +267,7 @@ def test_daily_report_rejects_unconverged():
     fleet = FleetSpec(M1, 1)
     sol, sc = _constant_solution(fleet, xstar=103.0)
     bad = PmpSolution(
-        grid=sol.grid, x_traj=sol.x_traj, lambda_traj=sol.lambda_traj,
+        x_traj=sol.x_traj, lambda_traj=sol.lambda_traj,
         u_traj=sol.u_traj, pm_traj=sol.pm_traj, pm_clipped=sol.pm_clipped,
         converged=False, periodic_residual=1.0, newton_iters=50,
         alpha_used=1.0)

@@ -7,8 +7,8 @@ import pytest
 
 from corpus import BINDING_NAMES, CM1, M1, build_corpus
 
-from rampsched import (DimensionError, FleetSpec, RampSchedError,
-                       SampledProfile, evaluate, make_scenario, solve)
+from rampsched import (FleetSpec, RampSchedError, SampledProfile,
+                       ValidationError, evaluate, make_scenario, solve)
 from rampsched import oracle
 from rampsched.oracle import (DiscreteSolution, default_start,
                               discretize_objective, oracle_to_csv,
@@ -50,7 +50,7 @@ def test_constant_draw_keeps_ramp_terms():
 
 def test_objective_dimension_mismatch():
     sc = const_scenario()
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValidationError, match="pm has length"):
         discretize_objective(sc, np.zeros(sc.load.count + 1))
 
 

@@ -10,8 +10,8 @@ from corpus import (BINDING_NAMES, CM1, M1, build_long_arc,
                     plant_duck_undersized)
 
 from rampsched import (DivergenceError, FleetSpec, SampledProfile,
-                       ValidationError, evaluate, hamiltonian, integrate,
-                       make_scenario, pmp_rhs, solve, stationary_point)
+                       ValidationError, evaluate, hamiltonian, make_scenario,
+                       pmp, pmp_rhs, solve, stationary_point)
 from rampsched.costmodel import gen_cost, penalty_xi, ramp_cost
 from rampsched.oracle import discretize_objective, solve_active_set
 from rampsched.pmp import (PmpState, Scenario, Tolerances, _cyclic_thomas,
@@ -101,15 +101,25 @@ def test_positive_costate_means_decreasing_state():
 
 # ------------------------------------------------------------- integration
 
+def _step_all(sc, z):
+    """One `_rk4_step` from the states z (shape (2, n)) at every node."""
+    return _rk4_step(z, _node_data(sc)[:, :sc.load.count], sc)[0]
+
+
 def test_integration_holds_equilibrium_exactly():
     sc = const_scenario(level=100.0, xstar=150.0)
-    traj = integrate(PmpState(x=150.0, lam=0.0), sc)
-    assert np.all(traj.x == 150.0)
-    assert np.all(traj.lam == 0.0)
+    z = np.array([[150.0], [0.0]]).repeat(sc.load.count, axis=1)
+    end = _step_all(sc, z)
+    assert np.all(end[0] == 150.0)
+    assert np.all(end[1] == 0.0)
 
 
 def _linear_test_setup(n):
-    """Zero load keeps the penalty off while x stays within [0, Pbar]."""
+    """Zero load keeps the penalty off while x stays within [0, Pbar].
+
+    Returns the scenario and the exact states at every node, t = T
+    included, shape (2, n + 1).
+    """
     load = SampledProfile(24.0 / n, np.zeros(n))
     g, d, cm = 0.01, 1.0, 0.1166
     sc = make_scenario(load, FLEET20, g=g, d=d, cm=cm, alpha_schedule=(1.0,))
@@ -118,32 +128,43 @@ def _linear_test_setup(n):
     x0, lam0 = 8.0, 0.1
     a = 0.5 * ((x0 - xstar) - lam0 / (2 * d * omega))
     b = 0.5 * ((x0 - xstar) + lam0 / (2 * d * omega))
-
-    def exact(t):
-        x = xstar + a * np.exp(omega * t) + b * np.exp(-omega * t)
-        lam = -2 * d * omega * (a * np.exp(omega * t) - b * np.exp(-omega * t))
-        return x, lam
-
-    return sc, PmpState(x0, lam0), exact
+    t = np.arange(n + 1) * load.dt
+    x = xstar + a * np.exp(omega * t) + b * np.exp(-omega * t)
+    lam = -2 * d * omega * (a * np.exp(omega * t) - b * np.exp(-omega * t))
+    return sc, np.array([x, lam])
 
 
 def test_integration_matches_analytic_exponential():
-    sc, s0, exact = _linear_test_setup(96)
-    traj = integrate(s0, sc)
-    x_exact, lam_exact = exact(traj.t)
-    assert np.max(np.abs(traj.x - x_exact)) / np.max(np.abs(x_exact)) < 1e-8
-    assert np.max(np.abs(traj.lam - lam_exact)) / np.max(np.abs(lam_exact)) < 1e-8
+    sc, exact = _linear_test_setup(96)
+    end = _step_all(sc, exact[:, :-1])
+    for got, want in zip(end, exact[:, 1:]):
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-8
 
 
 def test_integration_is_fourth_order():
+    # the local error of a fourth-order step falls 2**5 = 32 times when
+    # dt halves
     errors = []
     for n in (96, 192, 384):
-        sc, s0, exact = _linear_test_setup(n)
-        traj = integrate(s0, sc)
-        x_exact, _ = exact(traj.t)
-        errors.append(np.max(np.abs(traj.x - x_exact)))
-    assert 12.0 < errors[0] / errors[1] < 20.0
-    assert 12.0 < errors[1] / errors[2] < 20.0
+        sc, exact = _linear_test_setup(n)
+        end = _step_all(sc, exact[:, :-1])
+        errors.append(np.max(np.abs(end[0] - exact[0, 1:])))
+    assert 24.0 < errors[0] / errors[1] < 40.0
+    assert 24.0 < errors[1] / errors[2] < 40.0
+
+
+def reference_step(sc, s, i):
+    """One classical RK4 step on pmp_rhs from the state s at node i."""
+    dt = sc.load.dt
+    t = i * dt
+
+    def f(z, t):
+        return np.array(pmp_rhs(PmpState(*z), t, sc))
+    k1 = f(s, t)
+    k2 = f(s + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = f(s + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = f(s + dt * k3, t + dt)
+    return s + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
 
 def reference_rk4(sc, x0, lam0):
@@ -152,61 +173,46 @@ def reference_rk4(sc, x0, lam0):
     Returns the (x, lam) state at every node, up to and including the
     first non-finite one.
     """
-    dt = sc.load.dt
-
-    def f(z, t):
-        return np.array(pmp_rhs(PmpState(*z), t, sc))
-    s = np.array([x0, lam0])
-    states = [s]
+    states = [np.array([x0, lam0])]
     with np.errstate(all="ignore"):
         for i in range(sc.load.count):
-            t = i * dt
-            k1 = f(s, t)
-            k2 = f(s + 0.5 * dt * k1, t + 0.5 * dt)
-            k3 = f(s + 0.5 * dt * k2, t + 0.5 * dt)
-            k4 = f(s + dt * k3, t + dt)
-            s = s + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
-            states.append(s)
-            if not np.all(np.isfinite(s)):
+            states.append(reference_step(sc, states[-1], i))
+            if not np.all(np.isfinite(states[-1])):
                 break
     return np.array(states)
 
 
-def test_integrate_matches_reference_rk4(corpus96, solved96):
-    # the fast kernel inlines pmp_rhs; both must give the same RK4 pass
+def test_rk4_step_matches_reference_rk4(corpus96, solved96):
+    # the fast kernel inlines pmp_rhs; both must give the same RK4 step
+    # from every state of a reference pass
     for name in BINDING_NAMES + ("tv_cm", "duck"):
         sc, sol = corpus96[name], solved96[name]
         x0, lam0 = float(sol.x_traj[0]), float(sol.lambda_traj[0])
-        traj = integrate(PmpState(x=x0, lam=lam0), sc)
         ref = reference_rk4(sc, x0, lam0)
         assert ref.shape == (sc.load.count + 1, 2), name
-        for got, want in ((traj.x, ref[:, 0]), (traj.lam, ref[:, 1])):
+        end = _step_all(sc, ref[:-1].T)
+        for got, want in zip(end, ref[1:].T):
             assert np.max(np.abs(got - want)) \
                 <= 1e-12 * np.max(np.abs(want)), name
 
 
 def test_integration_divergence_error_carries_time():
-    # t_hours is the first non-finite node of the reference RK4
+    # from a constant start at every node, t_hours ends the first step
+    # whose reference RK4 step is not finite: there the start lies
+    # outside the box, and the penalty's huge weight overflows
     wavy = 100.0 + 10.0 * np.sin(np.arange(96))
-    cases = [(np.zeros(96), 1e-6, 1e-9, 1e12, 5000.0, 1.0),
-             (wavy, 1e-3, 1e-6, 1e6, 300.0, 5.0),
-             (wavy, 1e-3, 1e-7, 1e3, 120.0, 1e3)]
-    for values, g, d, alpha, x0, lam0 in cases:
-        sc = make_scenario(SampledProfile(0.25, values), FLEET20, g=g, d=d,
-                           cm=0.1, alpha_schedule=(alpha,))
-        states = reference_rk4(sc, x0, lam0)
-        assert not np.all(np.isfinite(states[-1]))
-        expected = (len(states) - 1) * sc.load.dt
+    cases = [(np.zeros(96), 5000.0, 1.0), (wavy, 205.0, 0.0),
+             (wavy, 109.5, -1.0)]
+    for values, x0, lam0 in cases:
+        sc = make_scenario(SampledProfile(0.25, values), FLEET20, g=1e-3,
+                           d=1.0, cm=0.1, alpha_schedule=(1e300,))
+        with np.errstate(all="ignore"):
+            first = next(i for i in range(sc.load.count) if not np.all(
+                np.isfinite(reference_step(sc, np.array([x0, lam0]), i))))
         with pytest.raises(DivergenceError) as err:
-            integrate(PmpState(x=x0, lam=lam0), sc)
-        assert err.value.t_hours == expected
+            solve(sc, PmpState(x=x0, lam=lam0))
+        assert err.value.t_hours == (first + 1) * sc.load.dt
         assert err.value.initial_state == (x0, lam0)
-
-
-def test_integration_rejects_non_finite_start():
-    sc = const_scenario()
-    with pytest.raises(ValidationError):
-        integrate(PmpState(x=float("nan"), lam=0.0), sc)
 
 
 # ------------------------------------------------------------- shooting
@@ -291,8 +297,9 @@ def test_converged_implies_residual_within_tolerance(solved96, corpus96):
 
 def test_shoot_rejects_non_finite_guess():
     sc = const_scenario()
-    with pytest.raises(ValidationError):
-        solve(sc, PmpState(x=float("inf"), lam=0.0))
+    for x in (float("inf"), float("nan")):
+        with pytest.raises(ValidationError):
+            solve(sc, PmpState(x=x, lam=0.0))
 
 
 # ------------------------------------------------------------- solve
@@ -477,13 +484,13 @@ def _constant_draw_objective(sc, draw):
     return float(dt * (dens.sum() - 0.5 * (dens[0] + dens[-1])))
 
 
-def test_unreachable_stage_flags_not_converged():
+def test_unreachable_stage_flags_not_converged(monkeypatch):
     # one Newton iteration cannot close a binding scenario cold
+    monkeypatch.setattr(pmp, "_MAX_NEWTON_ITERS", 1)
     load = SampledProfile(0.25, 100.0 + 12.0 * np.exp(
         -((np.arange(96) * 0.25 - 19.0) ** 2) / 2.88))
     sc = make_scenario(load, FLEET20, g=CM1 / 212.0, d=1.0,
-                       alpha_schedule=(0.25, 16.0),
-                       tolerances=Tolerances(newton_max_iters=1))
+                       alpha_schedule=(0.25, 16.0))
     sol = solve(sc)
     assert not sol.converged
 
@@ -508,8 +515,15 @@ def test_duck_ramping_under_baseline(solved96, corpus96):
 
 def test_alpha_schedule_must_increase():
     load = SampledProfile(0.25, np.full(96, 100.0))
-    with pytest.raises(ValidationError):
-        make_scenario(load, FLEET20, g=1e-3, alpha_schedule=(1.0, 1.0))
+    for schedule in ((1.0, 1.0), (1.0, float("nan"), 100.0)):
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            make_scenario(load, FLEET20, g=1e-3, alpha_schedule=schedule)
+
+
+def test_tol_bc_must_be_positive():
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValidationError, match="tol_bc"):
+            Tolerances(tol_bc=tol)
 
 
 def test_schedule_must_end_at_cost_alpha():

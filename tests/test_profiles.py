@@ -7,8 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rampsched import (GridError, SampledProfile, ShortSeriesError,
-                       SpacingError, ValidationError, load_csv,
+from rampsched import (SampledProfile, ValidationError, load_csv,
                        resample_periodic, synth_duck_curve, write_csv)
 
 
@@ -81,20 +80,20 @@ def test_load_csv_gap_raises_spacing_error():
     hours = list(range(12)) + [13 + h for h in range(12)]  # one 2 h gap
     times = [3600 * h for h in hours]
     text = _csv_text(times, {"load_kw": [1.0] * 24})
-    with pytest.raises(SpacingError):
+    with pytest.raises(ValidationError, match="line 14: gap 7200s deviates"):
         load_csv(text.encode())
 
 
 def test_load_csv_non_increasing_raises():
     times = [0, 900, 900, 1800]
     text = _csv_text(times, {"load_kw": [1.0] * 4})
-    with pytest.raises(SpacingError):
+    with pytest.raises(ValidationError, match="not strictly increasing"):
         load_csv(text.encode())
 
 
 def test_load_csv_too_short():
     text = _csv_text([0, 900, 1800], {"load_kw": [1.0] * 3})
-    with pytest.raises(ShortSeriesError):
+    with pytest.raises(ValidationError, match="at least 4 data rows, got 3"):
         load_csv(text.encode())
 
 
@@ -226,7 +225,7 @@ def test_resample_preserves_mean_fuzz():
 
 def test_resample_rejects_non_divisor():
     p = SampledProfile(0.25, np.full(96, 1.0))
-    with pytest.raises(GridError):
+    with pytest.raises(ValidationError, match="does not divide period"):
         resample_periodic(p, 0.7)
 
 
@@ -269,5 +268,6 @@ def test_synth_rejects_negative_magnitude():
 
 
 def test_synth_rejects_bad_dt():
-    with pytest.raises(GridError):
-        synth_duck_curve(1.0, 1.0, 1.0, dt=0.7)
+    for dt in (0.7, 0.0, float("nan")):
+        with pytest.raises(ValidationError, match="must divide 24 h"):
+            synth_duck_curve(1.0, 1.0, 1.0, dt=dt)
