@@ -95,9 +95,15 @@ def _load_net_profile(path: str, dt: float | None,
     return load
 
 
+def _config_scenario(cfg, args, load, schedule, tolerances=None) -> pmp.Scenario:
+    fleet = cmod.fleet_from_config(cfg, count_override=args.fleet_count)
+    return pmp.make_scenario(load, fleet, g=cfg.get("g_override"),
+                             d=cfg.get("d", 1.0), alpha_schedule=schedule,
+                             tolerances=tolerances)
+
+
 def _build_scenario(args) -> pmp.Scenario:
     cfg = cmod.load_config(args.machine)
-    fleet = cmod.fleet_from_config(cfg, count_override=args.fleet_count)
     load = _load_net_profile(args.load, args.dt, args.load_scale)
     if getattr(args, "n", None) is not None:  # oracle-check --n
         load = profiles.resample_periodic(load, load.period_T / args.n)
@@ -107,18 +113,22 @@ def _build_scenario(args) -> pmp.Scenario:
         schedule = (float(cfg["alpha"]),)
     else:
         schedule = pmp.DEFAULT_ALPHA_SCHEDULE
-    return pmp.make_scenario(load, fleet, g=cfg.get("g_override"),
-                             d=cfg.get("d", 1.0), alpha_schedule=schedule,
-                             tolerances=pmp.Tolerances(tol_bc=args.tol_bc))
+    return _config_scenario(cfg, args, load, schedule,
+                            pmp.Tolerances(tol_bc=args.tol_bc))
+
+
+def _write_solution(out: Path, sol: pmp.PmpSolution, sc: pmp.Scenario) -> dict:
+    diagnostics = pmp.solution_diagnostics(sol, sc)
+    _write_atomic(out / "solution.csv", pmp.solution_to_csv(sol, sc))
+    _write_atomic(out / "diagnostics.json", _json_text(diagnostics))
+    return diagnostics
 
 
 def cmd_solve(args) -> int:
     out = Path(args.out)
     sc = _build_scenario(args)
     sol = pmp.solve(sc)
-    diagnostics = pmp.solution_diagnostics(sol, sc)
-    _write_atomic(out / "solution.csv", pmp.solution_to_csv(sol, sc))
-    _write_atomic(out / "diagnostics.json", _json_text(diagnostics))
+    diagnostics = _write_solution(out, sol, sc)
     if args.format == "json":
         print(_json_text(diagnostics), end="")
     if not sol.converged:
@@ -168,9 +178,7 @@ def cmd_oracle_check(args) -> int:
     _write_atomic(out / "comparison.json", _json_text(doc))
     _write_atomic(out / "oracle_solution.csv", oracle.oracle_to_csv(ref, sc))
     _write_atomic(out / "oracle_diagnostics.json", _json_text(ref_diagnostics))
-    _write_atomic(out / "solution.csv", pmp.solution_to_csv(sol, sc))
-    _write_atomic(out / "diagnostics.json",
-                  _json_text(pmp.solution_diagnostics(sol, sc)))
+    _write_solution(out, sol, sc)
     if not ok:
         print(f"verification gap: objective {obj_gap:.3%}, "
               f"pm {pm_gap_frac:.3%} of Pbar, oracle KKT residual "
@@ -217,10 +225,7 @@ def _scenario_from_solution(args, cfg) -> tuple[pmp.PmpSolution, pmp.Scenario]:
     t = cols["t_h"]
     dt = float(t[1] - t[0])
     load = profiles.SampledProfile(dt, cols["pl_kw"][:-1])
-    fleet = cmod.fleet_from_config(cfg, count_override=args.fleet_count)
-    sc = pmp.make_scenario(load, fleet, g=cfg.get("g_override"),
-                           d=cfg.get("d", 1.0),
-                           alpha_schedule=(diag["alpha_used"],))
+    sc = _config_scenario(cfg, args, load, (diag["alpha_used"],))
     violation = pmp.box_violation(cols["pm_kw"], sc.cost.pbar_kw)
     sol = pmp.PmpSolution(
         x_traj=cols["x_kw"], lambda_traj=cols["lambda"],
@@ -271,11 +276,9 @@ def cmd_econ(args) -> int:
             ramp_saved_usd_day=stats_ramp_saved,
             profit=econ.ProfitModel(a=args.profit_a, b=args.profit_b))
         series = econ.project_net_profit(machine, trend, args.project, stats)
-        lines = ["year,net_usd_day,mining_usd_day,ramping_saved_usd_day"]
-        for i, year in enumerate(series.years):
-            lines.append(f"{year},{repr(series.net[i])},{repr(series.mining[i])},"
-                         f"{repr(series.ramping_saved[i])}")
-        _write_atomic(out / "projection.csv", "\n".join(lines) + "\n")
+        _write_atomic(out / "projection.csv", profiles.format_table(
+            "year,net_usd_day,mining_usd_day,ramping_saved_usd_day",
+            zip(series.years, series.net, series.mining, series.ramping_saved)))
 
     if report is None and args.project is None:
         raise ValidationError("nothing to do: pass --solution, --project, "
@@ -287,12 +290,11 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     load, pv, net = profiles.synth_duck_curve(
         args.base, args.evening_peak, args.pv_peak, dt=args.dt)
-    buf = io.StringIO()
-    profiles.write_csv(buf, load=load, pv=pv)
-    _write_atomic(out / "duck_profiles.csv", buf.getvalue())
-    buf = io.StringIO()
-    profiles.write_csv(buf, load=net)
-    _write_atomic(out / "duck_net.csv", buf.getvalue())
+    for name, columns in (("duck_profiles.csv", {"load": load, "pv": pv}),
+                          ("duck_net.csv", {"load": net})):
+        buf = io.StringIO()
+        profiles.write_csv(buf, **columns)
+        _write_atomic(out / name, buf.getvalue())
     return EXIT_OK
 
 

@@ -42,15 +42,15 @@ class MachineSpec:
     k_const: float
 
     def __post_init__(self):
-        if self.demand_w <= 0:
+        if not self.demand_w > 0:
             raise ValidationError(f"demand_w must be > 0, got {self.demand_w}")
-        if self.income_usd_day < 0:
+        if not self.income_usd_day >= 0:
             raise ValidationError("income_usd_day must be >= 0")
-        if self.price_usd < 0:
+        if not self.price_usd >= 0:
             raise ValidationError("price_usd must be >= 0")
-        if self.lifespan_years <= 0:
+        if not self.lifespan_years > 0:
             raise ValidationError("lifespan_years must be > 0")
-        if self.k_const <= 0:
+        if not self.k_const > 0:
             raise ValidationError("k_const must be > 0")
 
     @property
@@ -66,7 +66,7 @@ class FleetSpec:
     count: int
 
     def __post_init__(self):
-        if self.count < 1 or self.count != int(self.count):
+        if not (self.count >= 1 and float(self.count).is_integer()):
             raise ValidationError(f"count must be a positive integer, got {self.count}")
 
     @property
@@ -93,18 +93,18 @@ class CostModel:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.g <= 0:
-            raise ValidationError(f"g must be > 0, got {self.g}")
-        if self.d <= 0:
-            raise ValidationError(f"d must be > 0, got {self.d}")
-        if self.alpha < 0:
+        if not 0 < self.g < np.inf:
+            raise ValidationError(f"g must be finite and > 0, got {self.g}")
+        if not 0 < self.d < np.inf:
+            raise ValidationError(f"d must be finite and > 0, got {self.d}")
+        if not self.alpha >= 0:
             raise ValidationError(f"alpha must be >= 0, got {self.alpha}")
-        if self.pbar_kw <= 0:
-            raise ValidationError(f"pbar_kw must be > 0, got {self.pbar_kw}")
+        if not 0 < self.pbar_kw < np.inf:
+            raise ValidationError(f"pbar_kw must be finite and > 0, got {self.pbar_kw}")
         if isinstance(self.cm, SampledProfile):
             return  # profile construction already guarantees non-negativity
-        if self.cm < 0:
-            raise ValidationError(f"cm must be >= 0, got {self.cm}")
+        if not 0 <= self.cm < np.inf:
+            raise ValidationError(f"cm must be finite and >= 0, got {self.cm}")
 
     @property
     def cm_is_constant(self) -> bool:

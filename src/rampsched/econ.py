@@ -16,7 +16,7 @@ import numpy as np
 from .costmodel import MachineSpec
 from .errors import ReportOnUnconvergedError, ValidationError
 from .pmp import PmpSolution, Scenario, evaluate, objective
-from .profiles import source_text
+from .profiles import read_table, table_floats
 
 DAYS_PER_YEAR = 365.0
 
@@ -36,7 +36,7 @@ class ProfitModel:
     b: float = 0.1    # $/day per price unit
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0:
+        if not (self.a >= 0 and self.b >= 0):
             raise ValidationError("profit model coefficients must be >= 0")
 
 
@@ -287,16 +287,7 @@ def format_report_table(reports) -> str:
 
 def read_trend_csv(source) -> list[tuple[float, float]]:
     """Read `share_pct,value` rows (header required)."""
-    lines = [ln for ln in source_text(source).splitlines() if ln.strip()]
-    if not lines or lines[0].split(",")[0].strip() != "share_pct":
+    header, rows = read_table(source)
+    if len(header) != 2 or header[0] != "share_pct":
         raise ValidationError("trend CSV must start with a 'share_pct,value' header")
-    points = []
-    for no, ln in enumerate(lines[1:], start=2):
-        cells = ln.split(",")
-        if len(cells) != 2:
-            raise ValidationError(f"line {no}: expected 2 fields")
-        try:
-            points.append((float(cells[0]), float(cells[1])))
-        except ValueError as exc:
-            raise ValidationError(f"line {no}: non-numeric cell") from exc
-    return points
+    return [tuple(row) for row in table_floats(header, rows, header).tolist()]

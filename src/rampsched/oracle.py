@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RampSchedError, ValidationError
-from .pmp import (Scenario, _cm_nodes, _cyclic_thomas, _forward_ramp,
-                  format_solution_csv, objective)
-from .profiles import periodic_ext
+from .pmp import (SOLUTION_CSV_HEADER, Scenario, _cm_nodes, _cyclic_thomas,
+                  _forward_ramp, objective)
+from .profiles import format_table, periodic_ext
 
 # Step cap per grid node.  From the default start the active sets grow
 # about one node per step (n/4 + 1 steps on the corpus's longest arc),
@@ -163,6 +163,6 @@ def oracle_to_csv(sol: DiscreteSolution, sc: Scenario) -> str:
     pm_ext = periodic_ext(sol.pm)
     u_ext = periodic_ext(_forward_ramp(sc.load.values + sol.pm, dt))
     lam_ext = -2.0 * sc.cost.d * u_ext
-    return format_solution_csv(np.arange(sc.load.count + 1) * dt,
-                               pl_ext + pm_ext, lam_ext, u_ext, pm_ext, pm_ext,
-                               pl_ext)
+    return format_table(SOLUTION_CSV_HEADER, np.column_stack((
+        np.arange(sc.load.count + 1) * dt, pl_ext + pm_ext, lam_ext, u_ext,
+        pm_ext, pm_ext, pl_ext)).tolist())

@@ -43,7 +43,8 @@ import numpy as np
 from . import costmodel as cmod
 from .costmodel import CostModel, FleetSpec, compute_cm, compute_g
 from .errors import DivergenceError, ValidationError
-from .profiles import SampledProfile, periodic_ext, source_text
+from .profiles import (SampledProfile, format_table, periodic_ext, read_table,
+                       table_floats)
 
 logger = logging.getLogger("rampsched.pmp")
 
@@ -530,23 +531,12 @@ def solution_diagnostics(sol: PmpSolution, sc: Scenario) -> dict:
     }
 
 
-def format_solution_csv(*columns: np.ndarray) -> str:
-    """CSV text under SOLUTION_CSV_HEADER from its seven node columns.
-
-    Values are written with repr, so reading them back is exact.
-    """
-    rows = np.column_stack(columns).tolist()
-    lines = [SOLUTION_CSV_HEADER]
-    lines.extend(",".join(map(repr, row)) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def solution_to_csv(sol: PmpSolution, sc: Scenario) -> str:
     """Render the solution as CSV text (one row per grid node, t=T included)."""
-    return format_solution_csv(
+    return format_table(SOLUTION_CSV_HEADER, np.column_stack((
         np.arange(sc.load.count + 1) * sc.load.dt, sol.x_traj,
         sol.lambda_traj, sol.u_traj, sol.pm_traj, sol.pm_clipped,
-        periodic_ext(sc.load.values))
+        periodic_ext(sc.load.values))).tolist())
 
 
 def read_solution_csv(source) -> dict[str, np.ndarray]:
@@ -555,25 +545,13 @@ def read_solution_csv(source) -> dict[str, np.ndarray]:
     Raises:
         ValidationError: naming the line, for an empty file, a wrong
             header, a row whose field count differs from the header, a
-            non-numeric cell, or fewer than 2 rows.
+            cell that is not a finite number, or fewer than 2 rows.
     """
-    lines = [(no, ln) for no, ln in
-             enumerate(source_text(source).splitlines(), start=1) if ln.strip()]
-    if not lines or lines[0][1] != SOLUTION_CSV_HEADER:
-        raise ValidationError(f"line {lines[0][0] if lines else 1}: expected "
-                              f"the header {SOLUTION_CSV_HEADER!r}")
-    header = SOLUTION_CSV_HEADER.split(",")
-    rows = []
-    for no, ln in lines[1:]:
-        try:
-            rows.append([float(c) for c in ln.split(",")])
-        except ValueError as exc:
-            raise ValidationError(f"line {no}: non-numeric cell: {exc}") from exc
-        if len(rows[-1]) != len(header):
-            raise ValidationError(
-                f"line {no}: expected {len(header)} fields, got {len(rows[-1])}")
+    header, rows = read_table(source)
+    if header != SOLUTION_CSV_HEADER.split(","):
+        raise ValidationError(f"line 1: expected the header {SOLUTION_CSV_HEADER!r}")
+    data = table_floats(header, rows, header)
     if len(rows) < 2:
-        raise ValidationError(f"line {lines[-1][0]}: solution CSV needs at "
-                              f"least 2 rows, got {len(rows)}")
-    data = np.array(rows)
+        raise ValidationError(f"line {rows[-1][0] if rows else 1}: solution CSV "
+                              f"needs at least 2 rows, got {len(rows)}")
     return {name: data[:, j] for j, name in enumerate(header)}

@@ -14,7 +14,6 @@ interpolation is cheap and never overshoots.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -130,6 +129,52 @@ def source_text(source) -> str:
     return source.read()
 
 
+def read_table(source) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The stripped header cells (line 1) and the non-blank data rows of CSV
+    text, each row a (file line number, cells) pair of the header's width."""
+    lines = source_text(source).splitlines()
+    if not lines:
+        raise ValidationError("line 1: expected the header, got an empty file")
+    header = [h.strip() for h in lines[0].split(",")]
+    rows = [(no, line.split(",")) for no, line in enumerate(lines[1:], start=2)
+            if line.strip()]
+    for no, cells in rows:
+        if len(cells) != len(header):
+            raise ValidationError(
+                f"line {no}: expected {len(header)} fields, got {len(cells)}")
+    return header, rows
+
+
+def table_floats(header: list[str], rows, columns) -> np.ndarray:
+    """The named columns of `read_table` rows as one (rows, columns) float
+    array; a cell that is not a finite number raises, naming line and column."""
+    idx = [header.index(name) for name in columns]
+    try:
+        data = np.array([cells[j] for _, cells in rows for j in idx], dtype=float)
+        finite = bool(np.isfinite(data).all())
+    except ValueError:
+        finite = False
+    if not finite:  # a second pass names the first bad cell
+        for no, cells in rows:
+            for j in idx:
+                try:
+                    kind = "" if math.isfinite(float(cells[j])) else "non-finite"
+                except ValueError:
+                    kind = "non-numeric"
+                if kind:
+                    raise ValidationError(f"line {no}: {kind} cell "
+                                          f"{cells[j]!r} in column {header[j]!r}")
+    return data.reshape(len(rows), len(idx))
+
+
+def format_table(header: str, rows) -> str:
+    """CSV text of a header line and rows whose cells are written with
+    repr, so reading them back is exact."""
+    lines = [header]
+    lines.extend(",".join(map(repr, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def load_csv(source, scale: float = 1.0) -> dict[str, SampledProfile]:
     """Read uniformly spaced profiles from a CSV file, text stream, or bytes.
 
@@ -155,12 +200,7 @@ def load_csv(source, scale: float = 1.0) -> dict[str, SampledProfile]:
     """
     if scale <= 0.0 or not math.isfinite(scale):
         raise ValidationError(f"scale must be finite and > 0, got {scale}")
-    stream = io.StringIO(source_text(source))
-    header_line = stream.readline()
-    if not header_line:
-        raise ValidationError("line 1: empty file, expected a header row")
-    header = [h.strip() for h in header_line.rstrip("\r\n").split(",")]
-
+    header, rows = read_table(source)
     for name in header:
         if name != "timestamp" and name not in _POWER_COLUMNS:
             raise ValidationError(f"line 1: unknown column {name!r}, expected "
@@ -169,62 +209,37 @@ def load_csv(source, scale: float = 1.0) -> dict[str, SampledProfile]:
             raise ValidationError(f"line 1: repeated column {name!r}")
     if "timestamp" not in header:
         raise ValidationError("line 1: no timestamp column")
-    value_roles = [(j, _POWER_COLUMNS[name]) for j, name in enumerate(header)
-                   if name != "timestamp"]
-    if not value_roles:
+    power = [name for name in header if name != "timestamp"]
+    if not power:
         raise ValidationError("line 1: no power column")
+
+    values = table_floats(header, rows, power)
+    if np.any(values < 0.0):
+        i, j = np.argwhere(values < 0.0)[0]
+        raise ValidationError(f"line {rows[i][0]}: negative value {values[i, j]} "
+                              f"in column {power[j]!r}")
     ts_idx = header.index("timestamp")
-
-    times: list[float] = []
-    columns: dict[str, list[float]] = {role: [] for _, role in value_roles}
-    line_no = 1
-    for raw in stream:
-        line_no += 1
-        line = raw.rstrip("\r\n")
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ValidationError(
-                f"line {line_no}: expected {len(header)} fields, got {len(cells)}")
-        times.append(_parse_timestamp(cells[ts_idx], line_no))
-        for col, role in value_roles:
-            cell = cells[col].strip()
-            if not cell:
-                raise ValidationError(f"line {line_no}: missing value in {role!r}")
-            try:
-                value = float(cell)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"line {line_no}: non-numeric value {cell!r} in {role!r}") from exc
-            if not math.isfinite(value):
-                raise ValidationError(f"line {line_no}: non-finite value in {role!r}")
-            if value < 0.0:
-                raise ValidationError(
-                    f"line {line_no}: negative value {value} in {role!r}")
-            columns[role].append(value)
-
-    if len(times) < _MIN_SAMPLES:
+    ts = np.array([_parse_timestamp(cells[ts_idx], no) for no, cells in rows])
+    if len(rows) < _MIN_SAMPLES:
         raise ValidationError(
-            f"need at least {_MIN_SAMPLES} data rows, got {len(times)}")
+            f"need at least {_MIN_SAMPLES} data rows, got {len(rows)}")
 
-    ts = np.asarray(times)
     gaps = np.diff(ts)
     if np.any(gaps <= 0.0):
         bad = int(np.argmax(gaps <= 0.0))
         raise ValidationError(
-            f"line {bad + 3}: timestamps not strictly increasing")
+            f"line {rows[bad + 1][0]}: timestamps not strictly increasing")
     median_gap = float(np.median(gaps))
     off = np.abs(gaps - median_gap) > _SPACING_JITTER * median_gap
     if np.any(off):
         bad = int(np.argmax(off))
         raise ValidationError(
-            f"line {bad + 3}: gap {gaps[bad]:.6g}s deviates more than "
+            f"line {rows[bad + 1][0]}: gap {gaps[bad]:.6g}s deviates more than "
             f"{_SPACING_JITTER:.0%} from median {median_gap:.6g}s")
 
     dt_hours = median_gap / 3600.0
-    return {role: SampledProfile(dt_hours, np.asarray(vals) * scale)
-            for role, vals in columns.items()}
+    return {_POWER_COLUMNS[name]: SampledProfile(dt_hours, values[:, j] * scale)
+            for j, name in enumerate(power)}
 
 
 def write_csv(dest, load: SampledProfile | None = None,
@@ -258,8 +273,7 @@ def write_csv(dest, load: SampledProfile | None = None,
     text = "\n".join(lines) + "\n"
 
     if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        Path(dest).write_text(text, encoding="utf-8", newline="")
     else:
         dest.write(text)
 

@@ -341,6 +341,8 @@ HEADER = SOLUTION_CSV_HEADER + "\n"
      "line 3: non-numeric cell"),
     ("solution.csv", HEADER + "0,1,2,3,4,5,6\n",
      "line 2: solution CSV needs at least 2 rows, got 1"),
+    ("solution.csv", HEADER + "0,1,2,3,4,5,6\n\n0.25,1,2,3,nan,5,6\n",
+     "line 4: non-finite cell 'nan' in column 'pm_kw'"),
     ("diagnostics.json", "{}", "missing key 'converged'"),
     ("diagnostics.json", "{\"converged\": tru", "not valid JSON"),
     ("diagnostics.json", "[]", "expected a JSON object"),
@@ -352,7 +354,7 @@ HEADER = SOLUTION_CSV_HEADER + "\n"
         {"converged": "false", "periodic_residual": 0.0,
          "stationarity_residual": 0.0, "newton_iters": 0,
          "alpha_used": 1.0}), "expected true or false, got 'false'"),
-], ids=["empty-csv", "short-row", "non-numeric-cell", "one-row",
+], ids=["empty-csv", "short-row", "non-numeric-cell", "one-row", "nan-cell",
         "empty-object", "bad-json", "not-object", "bad-value", "string-bool"])
 def test_econ_rejects_malformed_solution(tmp_path, machine_cfg, plant_net_csv,
                                          capsys, name, text, message):
@@ -382,6 +384,19 @@ def test_econ_projection_flat_with_zero_slopes(tmp_path, machine_cfg):
     nets = [float(r.split(",")[1]) for r in rows]
     assert len(nets) == 6
     assert len(set(nets)) == 1
+
+
+def test_econ_projection_rejects_non_finite_price(tmp_path, machine_cfg,
+                                                  capsys):
+    trend = tmp_path / "price.csv"
+    trend.write_text("share_pct,value\n10,40\n20,nan\n30,50\n")
+    out = tmp_path / "proj"
+    code = main(["econ", "--machine", machine_cfg, "--project", "3",
+                 "--price-trend", str(trend), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: line 3: non-finite cell 'nan' in column 'value'")
+    assert not (out / "projection.csv").exists()
 
 
 def test_econ_projection_requires_trend(tmp_path, machine_cfg):
@@ -443,3 +458,66 @@ def test_help_exits_zero(capsys):
         main(["solve", "--help"])
     assert exc.value.code == 0
     assert "--alpha-schedule" in capsys.readouterr().out
+
+
+
+def test_cli_outputs_pinned(tmp_path, machine_cfg, capsys):
+    """sha256 of every file and of stdout of each command on the
+    criterion-10 fixture: the CLI's outputs stay byte-identical."""
+    scenario = ["--load", str(tmp_path / "synth" / "duck_net.csv"),
+                "--machine", machine_cfg]
+    runs = {
+        "synth": ["synth", "--base", "8000", "--evening-peak", "3000",
+                  "--pv-peak", "9000"],
+        "solve": ["solve", *scenario],
+        "solve_json": ["solve", *scenario, "--format", "json"],
+        "econ": ["econ", "--machine", machine_cfg, "--solution",
+                 str(tmp_path / "solve"), "--format", "table"],
+        "oracle": ["oracle-check", *scenario, "--n", "48"],
+    }
+    digests = {}
+    for tag, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / tag)]) == 0
+        out = capsys.readouterr().out.encode()
+        digests[f"{tag}/stdout"] = hashlib.sha256(out).hexdigest()
+        for path in sorted((tmp_path / tag).iterdir()):
+            digests[f"{tag}/{path.name}"] = hashlib.sha256(
+                path.read_bytes()).hexdigest()
+    assert digests == {
+        "synth/stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "synth/duck_net.csv":
+            "0de1da99694dad10ebd7ffb1fda31772f29471a1bbfba31fb21d5345dc171a48",
+        "synth/duck_profiles.csv":
+            "a15d804cfc686062348c1f4dda0b7c45263e6ce3cadbbda2c8bd74eb3c2a55ef",
+        "solve/stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "solve/diagnostics.json":
+            "36b6328f13feaa027e0423645edc49fb8a6931beeda528fadb136ce1dda3c9e9",
+        "solve/solution.csv":
+            "9c0af127f66ca60d6f7ca47ffba28ee9fda55e05f6514577f1ca7a25d0dba552",
+        "solve_json/stdout":
+            "36b6328f13feaa027e0423645edc49fb8a6931beeda528fadb136ce1dda3c9e9",
+        "solve_json/diagnostics.json":
+            "36b6328f13feaa027e0423645edc49fb8a6931beeda528fadb136ce1dda3c9e9",
+        "solve_json/solution.csv":
+            "9c0af127f66ca60d6f7ca47ffba28ee9fda55e05f6514577f1ca7a25d0dba552",
+        "econ/stdout":
+            "2e5e2850a52fbf5917f2a41a6eca2aea127a8861bf6beaea242a2dddab9246cc",
+        "econ/econ_report.json":
+            "55297f1037095a1150467156b72324d43a4191e302dac2692de1db5eb3298e2c",
+        "econ/econ_report.txt":
+            "2e5e2850a52fbf5917f2a41a6eca2aea127a8861bf6beaea242a2dddab9246cc",
+        "oracle/stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "oracle/comparison.json":
+            "894a87000c1fb9f02f81ff56c49f0142e4bf25c9874a3820a2eff15b595a1a51",
+        "oracle/diagnostics.json":
+            "40d66390c5b95165ec06dc744f54c577b873d6198deee98cd6d1b36a1314e8dc",
+        "oracle/oracle_diagnostics.json":
+            "9aabc72eb1e6042bfb07f034a46173ec4936a4f07ade25699a5c42a3e06575a3",
+        "oracle/oracle_solution.csv":
+            "d1a72bae86ce64ee1d62efa3a92ae5f495dcae6e8e3f3543735d04fc81cec2c3",
+        "oracle/solution.csv":
+            "ec515771a97e192db02ce2765b9aa6d9bf3d451f14ff5c0fc27b3ce61b43180e",
+    }

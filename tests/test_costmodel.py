@@ -1,11 +1,13 @@
 """Cost primitives, the box penalty, machine conversions, config parsing."""
 
+import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
 
-from rampsched import (CostModel, FleetSpec, MACHINE_PRESETS,
+from rampsched import (CostModel, FleetSpec, MACHINE_PRESETS, ProfitModel,
                        SampledProfile, ValidationError, compute_cm, compute_g,
                        control_from_costate, gen_cost, load_config, penalty_xi,
                        penalty_xi_prime, ramp_cost, write_csv)
@@ -161,6 +163,19 @@ def test_costmodel_invariants():
         CostModel(g=1.0, d=1.0, alpha=-1.0, pbar_kw=1.0, cm=0.1)
     with pytest.raises(ValidationError):
         CostModel(g=1.0, d=1.0, alpha=1.0, pbar_kw=1.0, cm=-0.1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: model(g=math.nan), lambda: model(d=math.nan),
+    lambda: model(pbar=math.inf), lambda: model(cm=math.nan),
+    lambda: dataclasses.replace(M1, demand_w=math.nan),
+    lambda: ProfitModel(a=math.nan), lambda: FleetSpec(M1, math.nan),
+    lambda: FleetSpec(M1, math.inf),
+], ids=["g-nan", "d-nan", "pbar-inf", "cm-nan", "demand-nan", "profit-a-nan",
+        "count-nan", "count-inf"])
+def test_constructors_refuse_non_finite(build):
+    with pytest.raises(ValidationError):
+        build()
 
 
 def test_time_varying_cm_lookup():

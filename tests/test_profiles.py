@@ -9,6 +9,8 @@ import pytest
 
 from rampsched import (SampledProfile, ValidationError, load_csv,
                        resample_periodic, synth_duck_curve, write_csv)
+from rampsched.econ import read_trend_csv
+from rampsched.pmp import SOLUTION_CSV_HEADER, read_solution_csv
 
 
 def _csv_text(times, cols):
@@ -120,6 +122,35 @@ def test_load_csv_non_finite_timestamp_names_line(stamp):
 def test_load_csv_missing_value_rejected_not_imputed():
     text = "timestamp,load_kw\n0,1.0\n900,\n1800,2.0\n2700,3.0\n"
     with pytest.raises(ValidationError, match="line 3"):
+        load_csv(text.encode())
+
+
+# Each reader's file: header, two data rows, two blank lines, then the
+# row holding {bad} on file line 6, and a last row.
+_READER_FILES = {
+    "load_csv": (load_csv, "load_kw", "timestamp,load_kw\n0,1\n900,1\n\n\n"
+                 "1800,{bad}\n2700,1\n3600,1\n"),
+    "read_solution_csv": (read_solution_csv, "pm_kw", SOLUTION_CSV_HEADER
+                          + "\n0,1,2,3,4,5,6\n1,1,2,3,4,5,6\n\n\n"
+                          "2,1,2,3,{bad},5,6\n3,1,2,3,4,5,6\n"),
+    "read_trend_csv": (read_trend_csv, "value", "share_pct,value\n10,40\n"
+                       "20,45\n\n\n30,{bad}\n40,55\n"),
+}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "oops", ""])
+@pytest.mark.parametrize("reader", sorted(_READER_FILES))
+def test_reader_names_line_and_column_of_bad_cell(reader, bad):
+    read, column, text = _READER_FILES[reader]
+    with pytest.raises(ValidationError,
+                       match=f"^line 6: .* cell '{bad}' in column '{column}'$"):
+        read(text.format(bad=bad).encode())
+
+
+def test_load_csv_repeated_stamp_after_blank_lines_names_its_line():
+    text = "timestamp,load_kw\n0,1\n900,1\n\n\n1800,1\n1800,1\n2700,1\n"
+    with pytest.raises(ValidationError,
+                       match="line 7: timestamps not strictly increasing"):
         load_csv(text.encode())
 
 
