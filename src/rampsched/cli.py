@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import json
 import logging
@@ -47,16 +48,22 @@ def _configure_logging() -> None:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_outputs(out: Path, files: dict[str, str]) -> None:
+    """Create the output directory once, then write each file atomically."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        _write_atomic(out / name, text)
 
 
 def _json_text(doc: dict) -> str:
@@ -117,20 +124,18 @@ def _build_scenario(args) -> pmp.Scenario:
                             pmp.Tolerances(tol_bc=args.tol_bc))
 
 
-def _write_solution(out: Path, sol: pmp.PmpSolution, sc: pmp.Scenario) -> dict:
-    diagnostics = pmp.solution_diagnostics(sol, sc)
-    _write_atomic(out / "solution.csv", pmp.solution_to_csv(sol, sc))
-    _write_atomic(out / "diagnostics.json", _json_text(diagnostics))
-    return diagnostics
+def _solution_files(sol: pmp.PmpSolution, sc: pmp.Scenario) -> dict[str, str]:
+    return {"solution.csv": pmp.solution_to_csv(sol, sc),
+            "diagnostics.json": _json_text(pmp.solution_diagnostics(sol, sc))}
 
 
 def cmd_solve(args) -> int:
-    out = Path(args.out)
     sc = _build_scenario(args)
     sol = pmp.solve(sc)
-    diagnostics = _write_solution(out, sol, sc)
+    files = _solution_files(sol, sc)
+    _write_outputs(Path(args.out), files)
     if args.format == "json":
-        print(_json_text(diagnostics), end="")
+        print(files["diagnostics.json"], end="")
     if not sol.converged:
         print(f"not converged: {pmp.failure_reason(sol, sc)}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
@@ -142,7 +147,6 @@ def cmd_solve(args) -> int:
 def cmd_oracle_check(args) -> int:
     if args.n is not None and args.n < 4:
         raise ValidationError(f"--n must be >= 4, got {args.n}")
-    out = Path(args.out)
     sc = _build_scenario(args)
     sol = pmp.solve(sc)
     try:
@@ -175,10 +179,11 @@ def cmd_oracle_check(args) -> int:
                        "pm_gap_fraction_of_pbar": args.pm_tol},
         "within_tolerance": ok,
     }
-    _write_atomic(out / "comparison.json", _json_text(doc))
-    _write_atomic(out / "oracle_solution.csv", oracle.oracle_to_csv(ref, sc))
-    _write_atomic(out / "oracle_diagnostics.json", _json_text(ref_diagnostics))
-    _write_solution(out, sol, sc)
+    _write_outputs(Path(args.out), {
+        "comparison.json": _json_text(doc),
+        "oracle_solution.csv": oracle.oracle_to_csv(ref, sc),
+        "oracle_diagnostics.json": _json_text(ref_diagnostics),
+        **_solution_files(sol, sc)})
     if not ok:
         print(f"verification gap: objective {obj_gap:.3%}, "
               f"pm {pm_gap_frac:.3%} of Pbar, oracle KKT residual "
@@ -244,22 +249,18 @@ def cmd_econ(args) -> int:
 
     cfg = cmod.load_config(args.machine)
     machine = cmod.machine_from_config(cfg)
-    out = Path(args.out)
 
     report = None
     stats_ramp_saved = 0.0
+    files = {}
     if args.solution is not None:
         sol, sc = _scenario_from_solution(args, cfg)
         report = econ.daily_report(sol, sc, machine, attribution=args.attribution)
         stats_ramp_saved = report.ramping_saved
-        _write_atomic(out / "econ_report.json",
-                      _json_text(econ.report_as_dict(report)))
-        _write_atomic(out / "econ_report.txt",
-                      econ.format_report_table([report]))
-        if args.format == "table":
-            print(econ.format_report_table([report]), end="")
-        else:
-            print(_json_text(econ.report_as_dict(report)), end="")
+        files["econ_report.json"] = _json_text(econ.report_as_dict(report))
+        files["econ_report.txt"] = econ.format_report_table([report])
+        print(files["econ_report.txt" if args.format == "table"
+                    else "econ_report.json"], end="")
 
     if args.project is not None:
         if args.price_trend is None:
@@ -276,25 +277,27 @@ def cmd_econ(args) -> int:
             ramp_saved_usd_day=stats_ramp_saved,
             profit=econ.ProfitModel(a=args.profit_a, b=args.profit_b))
         series = econ.project_net_profit(machine, trend, args.project, stats)
-        _write_atomic(out / "projection.csv", profiles.format_table(
+        files["projection.csv"] = profiles.format_table(
             "year,net_usd_day,mining_usd_day,ramping_saved_usd_day",
-            zip(series.years, series.net, series.mining, series.ramping_saved)))
+            zip(series.years, series.net, series.mining, series.ramping_saved))
 
-    if report is None and args.project is None:
+    if not files:
         raise ValidationError("nothing to do: pass --solution, --project, "
                               "or --breakeven")
+    _write_outputs(Path(args.out), files)
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
-    out = Path(args.out)
     load, pv, net = profiles.synth_duck_curve(
         args.base, args.evening_peak, args.pv_peak, dt=args.dt)
+    files = {}
     for name, columns in (("duck_profiles.csv", {"load": load, "pv": pv}),
                           ("duck_net.csv", {"load": net})):
         buf = io.StringIO()
         profiles.write_csv(buf, **columns)
-        _write_atomic(out / name, buf.getvalue())
+        files[name] = buf.getvalue()
+    _write_outputs(Path(args.out), files)
     return EXIT_OK
 
 
@@ -311,7 +314,11 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-bc", type=_finite_float, default=pmp.DEFAULT_TOL_BC)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    call: `main` may serve many requests, and each then pays only for
+    `parse_args`.  Callers must not add to it."""
     parser = argparse.ArgumentParser(
         prog="rampsched",
         description="Miner-dispatch schedules that flatten generation ramps")

@@ -17,7 +17,7 @@ with that reading can bypass it via an explicit g override.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -42,6 +42,10 @@ class MachineSpec:
     k_const: float
 
     def __post_init__(self):
+        for f in fields(self)[1:]:  # every field after the name is a number
+            value = getattr(self, f.name)
+            if not np.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite, got {value}")
         if not self.demand_w > 0:
             raise ValidationError(f"demand_w must be > 0, got {self.demand_w}")
         if not self.income_usd_day >= 0:
@@ -97,8 +101,8 @@ class CostModel:
             raise ValidationError(f"g must be finite and > 0, got {self.g}")
         if not 0 < self.d < np.inf:
             raise ValidationError(f"d must be finite and > 0, got {self.d}")
-        if not self.alpha >= 0:
-            raise ValidationError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 <= self.alpha < np.inf:
+            raise ValidationError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not 0 < self.pbar_kw < np.inf:
             raise ValidationError(f"pbar_kw must be finite and > 0, got {self.pbar_kw}")
         if isinstance(self.cm, SampledProfile):

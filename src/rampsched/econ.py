@@ -36,8 +36,9 @@ class ProfitModel:
     b: float = 0.1    # $/day per price unit
 
     def __post_init__(self):
-        if not (self.a >= 0 and self.b >= 0):
-            raise ValidationError("profit model coefficients must be >= 0")
+        if not (0 <= self.a < math.inf and 0 <= self.b < math.inf):
+            raise ValidationError("profit model coefficients must be finite "
+                                  "and >= 0")
 
 
 @dataclass(frozen=True)

@@ -73,8 +73,8 @@ class Tolerances:
     tol_bc: float = DEFAULT_TOL_BC
 
     def __post_init__(self):
-        if not self.tol_bc > 0:
-            raise ValidationError("tol_bc must be positive")
+        if not 0 < self.tol_bc < math.inf:
+            raise ValidationError(f"tol_bc must be finite and > 0, got {self.tol_bc}")
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,9 @@ class Scenario:
             raise ValidationError("alpha_schedule must not be empty")
         if not all(b > a for a, b in zip(sched, sched[1:])):
             raise ValidationError("alpha_schedule must be strictly increasing")
+        if not all(0 <= a < math.inf for a in sched):
+            raise ValidationError(
+                f"alpha_schedule entries must be finite and >= 0, got {sched}")
         if not math.isclose(sched[-1], self.cost.alpha, rel_tol=1e-12):
             raise ValidationError(
                 f"last alpha_schedule entry {sched[-1]} must equal "
@@ -545,7 +548,9 @@ def read_solution_csv(source) -> dict[str, np.ndarray]:
     Raises:
         ValidationError: naming the line, for an empty file, a wrong
             header, a row whose field count differs from the header, a
-            cell that is not a finite number, or fewer than 2 rows.
+            cell that is not a finite number, fewer than 2 rows, or a
+            ``t_h`` off the grid 0, dt, 2·dt, ... (dt = t_h[1] > 0, to
+            1e-9 of the period).
     """
     header, rows = read_table(source)
     if header != SOLUTION_CSV_HEADER.split(","):
@@ -554,4 +559,13 @@ def read_solution_csv(source) -> dict[str, np.ndarray]:
     if len(rows) < 2:
         raise ValidationError(f"line {rows[-1][0] if rows else 1}: solution CSV "
                               f"needs at least 2 rows, got {len(rows)}")
+    t = data[:, 0]
+    grid = float(t[1]) * np.arange(len(t))
+    off = np.abs(t - grid) > 1e-9 * grid[-1]
+    off[:2] = t[0] != 0.0, not t[1] > 0.0
+    if off.any():
+        i = int(np.argmax(off))
+        raise ValidationError(
+            f"line {rows[i][0]}: t_h {float(t[i])!r} is off the uniform grid "
+            f"0, dt, 2*dt, ... with dt = t_h[1] = {float(t[1])!r} > 0")
     return {name: data[:, j] for j, name in enumerate(header)}

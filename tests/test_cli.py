@@ -6,7 +6,7 @@ import json
 import pytest
 
 from rampsched import oracle
-from rampsched.cli import main
+from rampsched.cli import build_parser, main
 from rampsched.pmp import SOLUTION_CSV_HEADER
 
 MACHINE_CFG = """\
@@ -372,6 +372,25 @@ def test_econ_rejects_malformed_solution(tmp_path, machine_cfg, plant_net_csv,
     assert not out.exists()
 
 
+def test_econ_rejects_solution_times_off_the_grid(tmp_path, machine_cfg,
+                                                  plant_net_csv, capsys):
+    run = tmp_path / "run"
+    assert main(["solve", "--load", plant_net_csv, "--machine", machine_cfg,
+                 "--out", str(run)]) == 0
+    csv = run / "solution.csv"
+    header, *rows = csv.read_text().splitlines()
+    for k in range(2, len(rows)):  # every time after data row 2, times 7
+        t, rest = rows[k].split(",", 1)
+        rows[k] = f"{7.0 * float(t)!r},{rest}"
+    csv.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "econ"
+    assert main(["econ", "--machine", machine_cfg, "--solution", str(run),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 4: t_h 3.5 is off the uniform grid")
+    assert not out.exists()
+
+
 def test_econ_projection_flat_with_zero_slopes(tmp_path, machine_cfg):
     trend = tmp_path / "price.csv"
     trend.write_text("share_pct,value\n10,40\n20,40\n30,40\n")
@@ -451,6 +470,29 @@ def test_bad_number_is_input_error(tmp_path, machine_cfg, plant_net_csv,
     errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
     assert len(errors) == 1 and value in errors[0]
     assert not out.exists()
+
+
+def test_one_process_serves_many_requests(tmp_path, machine_cfg,
+                                          plant_net_csv, capsys):
+    """The parser is built once; a usage error and other commands between
+    two identical oracle-checks leave their outputs byte-identical."""
+    assert build_parser() is build_parser()
+    scenario = ["--load", plant_net_csv, "--machine", machine_cfg]
+    requests = [
+        (["oracle-check", *scenario, "--n", "48", "--out", str(tmp_path / "a")], 0),
+        (["solve", *scenario, "--no-such-flag"], 1),
+        (["solve", *scenario, "--out", str(tmp_path / "run")], 0),
+        (["econ", "--machine", machine_cfg, "--solution", str(tmp_path / "run"),
+          "--out", str(tmp_path / "econ")], 0),
+        (["oracle-check", *scenario, "--n", "48", "--out", str(tmp_path / "b")], 0),
+    ]
+    for argv, code in requests:
+        assert main(argv) == code, argv
+    capsys.readouterr()
+    for name in ("comparison.json", "oracle_solution.csv", "solution.csv",
+                 "diagnostics.json"):
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes()), name
 
 
 def test_help_exits_zero(capsys):

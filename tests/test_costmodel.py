@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from rampsched import (CostModel, FleetSpec, MACHINE_PRESETS, ProfitModel,
-                       SampledProfile, ValidationError, compute_cm, compute_g,
-                       control_from_costate, gen_cost, load_config, penalty_xi,
+                       SampledProfile, Scenario, Tolerances, ValidationError,
+                       compute_cm, compute_g, control_from_costate, gen_cost,
+                       load_config, make_scenario, penalty_xi,
                        penalty_xi_prime, ramp_cost, write_csv)
 from rampsched.cli import (_build_scenario, _scenario_from_solution,
                            build_parser, main)
@@ -165,14 +166,26 @@ def test_costmodel_invariants():
         CostModel(g=1.0, d=1.0, alpha=1.0, pbar_kw=1.0, cm=-0.1)
 
 
+FLAT_DAY = SampledProfile(0.25, np.full(96, 100.0))
+
+
 @pytest.mark.parametrize("build", [
     lambda: model(g=math.nan), lambda: model(d=math.nan),
     lambda: model(pbar=math.inf), lambda: model(cm=math.nan),
     lambda: dataclasses.replace(M1, demand_w=math.nan),
     lambda: ProfitModel(a=math.nan), lambda: FleetSpec(M1, math.nan),
     lambda: FleetSpec(M1, math.inf),
+    lambda: dataclasses.replace(M1, demand_w=math.inf),
+    lambda: dataclasses.replace(M1, hashrate_ths=math.inf),
+    lambda: ProfitModel(b=math.inf), lambda: model(alpha=math.inf),
+    lambda: Tolerances(tol_bc=math.inf),
+    lambda: make_scenario(FLAT_DAY, FleetSpec(M1, 20), g=1e-3,
+                          alpha_schedule=(math.inf,)),
+    lambda: Scenario(load=FLAT_DAY, cost=model(pbar=20 * M1.demand_kw),
+                     fleet=FleetSpec(M1, 20), alpha_schedule=(-math.inf, 1.0)),
 ], ids=["g-nan", "d-nan", "pbar-inf", "cm-nan", "demand-nan", "profit-a-nan",
-        "count-nan", "count-inf"])
+        "count-nan", "count-inf", "demand-inf", "hashrate-inf", "profit-b-inf",
+        "alpha-inf", "tol-bc-inf", "schedule-inf", "schedule-minus-inf"])
 def test_constructors_refuse_non_finite(build):
     with pytest.raises(ValidationError):
         build()

@@ -14,10 +14,10 @@ from rampsched import (DivergenceError, FleetSpec, SampledProfile,
                        pmp, pmp_rhs, solve, stationary_point)
 from rampsched.costmodel import gen_cost, penalty_xi, ramp_cost
 from rampsched.oracle import discretize_objective, solve_active_set
-from rampsched.pmp import (PmpState, Scenario, Tolerances, _cyclic_thomas,
-                           _node_data, _rk4_step, _rk4_step_derivative,
-                           read_solution_csv, resolvable_alpha,
-                           solution_to_csv)
+from rampsched.pmp import (SOLUTION_CSV_HEADER, PmpState, Scenario, Tolerances,
+                           _cyclic_thomas, _node_data, _rk4_step,
+                           _rk4_step_derivative, read_solution_csv,
+                           resolvable_alpha, solution_to_csv)
 
 FLEET20 = FleetSpec(M1, 20)
 
@@ -543,11 +543,22 @@ def test_cm_profile_must_share_grid():
 
 # ------------------------------------------------------------- export
 
+@pytest.mark.parametrize("times,line", [
+    ((0.5, 0.75, 1.0), 2), ((0.0, 0.0, 0.0), 3), ((0.0, -0.25, -0.5), 3),
+    ((0.0, 0.25, 0.5000001), 4),
+], ids=["nonzero-start", "zero-dt", "negative-dt", "off-grid"])
+def test_solution_csv_times_must_be_uniform_from_zero(times, line):
+    rows = "".join(f"{t!r},1,2,3,4,5,6\n" for t in times)
+    with pytest.raises(ValidationError, match=f"^line {line}: t_h "):
+        read_solution_csv((SOLUTION_CSV_HEADER + "\n" + rows).encode())
+
+
 def test_solution_csv_roundtrip(solved96, corpus96):
     sc = corpus96["peak_touch"]
     sol = solved96["peak_touch"]
     text = solution_to_csv(sol, sc)
     cols = read_solution_csv(__import__("io").StringIO(text))
+    assert np.array_equal(cols["t_h"], np.arange(97) * 0.25)
     assert np.array_equal(cols["x_kw"], sol.x_traj)
     assert np.array_equal(cols["lambda"], sol.lambda_traj)
     assert np.array_equal(cols["pm_clipped_kw"], sol.pm_clipped)
