@@ -147,6 +147,9 @@ def cmd_solve(args) -> int:
 def cmd_oracle_check(args) -> int:
     if args.n is not None and args.n < 4:
         raise ValidationError(f"--n must be >= 4, got {args.n}")
+    for flag, tol in (("--obj-tol", args.obj_tol), ("--pm-tol", args.pm_tol)):
+        if tol < 0.0:
+            raise ValidationError(f"{flag} must be >= 0, got {tol}")
     sc = _build_scenario(args)
     sol = pmp.solve(sc)
     try:

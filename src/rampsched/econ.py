@@ -164,8 +164,8 @@ def project_net_profit(machine: MachineSpec, trend: TrendModel, years: int,
                        schedule_stats: ScheduleStats) -> ProjectionSeries:
     """Project daily net profit per machine over a horizon of years.
 
-    Per year y (1-based): the renewable share grows linearly and is
-    capped at 100%; the electricity price follows the fitted line; the
+    Per year y (1-based): the renewable share moves linearly and is held
+    within [0, 100] %; the electricity price follows the fitted line; the
     mining component follows the linear profit model; ramping savings
     scale with the quadratic ramp trend relative to the starting share;
     the amortized purchase price is subtracted.  No re-solve per year:
@@ -181,7 +181,7 @@ def project_net_profit(machine: MachineSpec, trend: TrendModel, years: int,
     year_list, nets, minings, savings = [], [], [], []
     first_loss = None
     for y in range(1, years + 1):
-        share = min(stats.share0_pct + y * trend.share_per_year, 100.0)
+        share = min(max(stats.share0_pct + y * trend.share_per_year, 0.0), 100.0)
         price = trend.price_intercept + trend.price_slope * share
         mining = profit_vs_price(price, stats.profit)
         if trend.ramp_coeff is not None and stats.share0_pct > 0.0:

@@ -57,14 +57,18 @@ def discretize_objective(sc: Scenario, pm: np.ndarray) -> float:
     return bd.generation_usd + bd.ramping_usd - bd.revenue_usd
 
 
-def _gradient_density(sc: Scenario, pm: np.ndarray) -> np.ndarray:
-    """Gradient of J/dt with respect to pm (exact, from the quadratic form)."""
-    dt = sc.load.dt
-    pg = sc.load.values + pm
-    wrap = np.concatenate([pg[-1:], pg, pg[:1]])  # [:-2] previous, [2:] next
-    curvature = 2.0 * pg - wrap[:-2] - wrap[2:]
-    return (2.0 * sc.cost.g * pg - _cm_nodes(sc)
-            + (2.0 * sc.cost.d / (dt * dt)) * curvature)
+def _gradient_density(sc: Scenario):
+    """Gradient of J/dt with respect to pm (exact, from the quadratic form),
+    as a function of pm; the scenario's constants are bound once."""
+    pl, cm, g2 = sc.load.values, _cm_nodes(sc), 2.0 * sc.cost.g
+    k = 2.0 * sc.cost.d / (sc.load.dt * sc.load.dt)
+
+    def gradient(pm: np.ndarray) -> np.ndarray:
+        pg = pl + pm
+        wrap = np.concatenate([pg[-1:], pg, pg[:1]])  # [:-2] previous, [2:] next
+        curvature = 2.0 * pg - wrap[:-2] - wrap[2:]
+        return g2 * pg - cm + k * curvature
+    return gradient
 
 
 def _projected_residual(pm: np.ndarray, grad: np.ndarray, pbar: float) -> float:
@@ -106,14 +110,15 @@ def solve_active_set(sc: Scenario) -> DiscreteSolution:
     pbar = sc.cost.pbar_kw
     k = 2.0 * sc.cost.d / (sc.load.dt * sc.load.dt)
     c = 2.0 * sc.cost.g + 2.0 * k
+    gradient = _gradient_density(sc)
     pm = default_start(sc)
-    y = _gradient_density(sc, pm)
+    y = gradient(pm)
     seen: set[bytes] = set()
     prev = b""
     while True:
         trial = pm - y / c
-        state = np.where(trial <= 0.0, -1, np.where(trial >= pbar, 1, 0))
-        key = state.astype(np.int8).tobytes()
+        lo, hi = trial <= 0.0, trial >= pbar  # disjoint, as pbar > 0
+        key = (hi.view(np.int8) - lo.view(np.int8)).tobytes()
         if key == prev:
             break
         if key in seen:
@@ -124,21 +129,21 @@ def solve_active_set(sc: Scenario) -> DiscreteSolution:
                 f"active set not settled after {len(seen)} steps")
         seen.add(key)
         prev = key
-        free = state == 0
-        pm = np.where(state > 0, pbar, 0.0)
+        free = ~(lo | hi)
+        pm = np.where(hi, pbar, 0.0)
         wrap = np.concatenate([free[-1:], free, free[:1]])
         lower = np.where(free & wrap[:-2], -k, 0.0)
         upper = np.where(free & wrap[2:], -k, 0.0)
-        rhs = np.where(free, -_gradient_density(sc, pm), 0.0)
+        rhs = np.where(free, -gradient(pm), 0.0)
         pm += _cyclic_thomas(lower.tolist(), np.where(free, c, 1.0).tolist(),
                              upper.tolist(), rhs.tolist())
-        y = _gradient_density(sc, pm)
+        y = gradient(pm)
         y[free] = 0.0
 
     pm = np.clip(pm, 0.0, pbar)
     return DiscreteSolution(
         pm=pm, objective=discretize_objective(sc, pm), iterations=len(seen),
-        grad_norm=_projected_residual(pm, _gradient_density(sc, pm), pbar))
+        grad_norm=_projected_residual(pm, gradient(pm), pbar))
 
 
 def oracle_diagnostics(sol: DiscreteSolution, sc: Scenario) -> dict:

@@ -32,6 +32,7 @@ results can be handed between threads freely.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -108,6 +109,11 @@ class Scenario:
                 f"cost.pbar_kw {self.cost.pbar_kw} disagrees with fleet bound "
                 f"{self.fleet.pbar_kw}")
         object.__setattr__(self, "alpha_schedule", sched)
+
+    @functools.cached_property
+    def baseline(self) -> CostBreakdown:
+        """`objective` of no mining (p_m = 0), computed once per scenario."""
+        return objective(self, np.zeros(self.load.count))
 
 
 @dataclass(frozen=True)
@@ -196,38 +202,47 @@ def _node_data(sc: Scenario) -> np.ndarray:
                      for row in (v[:-1], 0.5 * (v[:-1] + v[1:]), v[1:])])
 
 
-def _rk4_step(z: np.ndarray, nodes: np.ndarray, sc: Scenario
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """One classical RK4 step from the stacked states z = (x, lam), shape
-    (2, m) or (2,), on the profile data `nodes` (`_node_data`'s columns).
-    Returns the end states and the four stage points' excess draw over the
-    box [0, Pbar] (0 inside), shape (4, m) or (4,): xi' = 2 alpha * excess."""
+def _rk4_stepper(nodes: np.ndarray, dt: float, d: float, g: float,
+                 alpha: float, pbar: float):
+    """step(z): one classical RK4 step from the stacked states z = (x, lam),
+    shape (2, m), on the profile data `nodes` (m of `_node_data`'s columns).
+    It returns the end states and the four stage points' excess draw over
+    the box [0, Pbar] (0 inside), one (4, m) buffer: xi' = 2 alpha * excess."""
     pl0, plh, pl1, cm0, cmh, cm1 = nodes
-    dt = sc.load.dt
     # rate * (lam, x) is the right-hand side less c_m - xi'
-    rate = np.array([-1.0 / (2.0 * sc.cost.d), -2.0 * sc.cost.g]
-                    ).reshape((2,) + (1,) * (z.ndim - 1))
-    a2 = 2.0 * sc.cost.alpha
-    pbar = sc.cost.pbar_kw
-    excess = np.empty((4,) + z.shape[1:])
+    rate = np.array([[-1.0 / (2.0 * d)], [-2.0 * g]])
+    a2 = 2.0 * alpha
+    h2, h6 = 0.5 * dt, dt / 6.0
+    excess = np.empty((4, nodes.shape[1]))
+    ex0, ex1, ex2, ex3 = excess
 
-    def slope(zs, s, pl, cm):
+    def slope(zs, ex, pl, cm):
         pm = zs[0] - pl
-        ex = excess[s] = pm - np.minimum(np.maximum(pm, 0.0), pbar)
+        np.subtract(pm, np.minimum(np.maximum(pm, 0.0), pbar), out=ex)
         k = rate * zs[::-1]
-        kl = k[1:]  # a view also when z is one node
+        kl = k[1:]
         kl += cm
         kl -= a2 * ex
         return k
 
-    k1 = slope(z, 0, pl0, cm0)
-    k2 = slope(z + 0.5 * dt * k1, 1, plh, cmh)
-    k3 = slope(z + 0.5 * dt * k2, 2, plh, cmh)
-    k4 = slope(z + dt * k3, 3, pl1, cm1)
-    return z + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4), excess
+    def step(z):
+        k1 = slope(z, ex0, pl0, cm0)
+        k2 = slope(z + h2 * k1, ex1, plh, cmh)
+        k3 = slope(z + h2 * k2, ex2, plh, cmh)
+        k4 = slope(z + dt * k3, ex3, pl1, cm1)
+        return z + h6 * (k1 + 2.0 * (k2 + k3) + k4), excess
+    return step
 
 
-def _rk4_step_derivative(excess: np.ndarray, sc: Scenario) -> tuple:
+def _rk4_step(z: np.ndarray, nodes: np.ndarray, sc: Scenario
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """One `_rk4_stepper` step from z, shape (2, m), at the scenario's weight."""
+    m = sc.cost
+    return _rk4_stepper(nodes, sc.load.dt, m.d, m.g, m.alpha, m.pbar_kw)(z)
+
+
+def _rk4_step_derivative(excess: np.ndarray, dt: float, d: float, g: float,
+                         alpha: float) -> tuple:
     """Blocks (A, B, C, D) of each node's RK4 step derivative d z_{i+1} / d z_i.
 
     At stage s the right-hand side has the Jacobian
@@ -237,10 +252,9 @@ def _rk4_step_derivative(excess: np.ndarray, sc: Scenario) -> tuple:
     I + dt/6 (K_0 + 2 K_1 + 2 K_2 + K_3) with K_s = A_s (I + c_s K_{s-1}),
     c = (0, dt/2, dt/2, dt).
     """
-    dt = sc.load.dt
-    a = -1.0 / (2.0 * sc.cost.d)
-    b_in = -2.0 * sc.cost.g
-    b_out = b_in - 2.0 * sc.cost.alpha
+    a = -1.0 / (2.0 * d)
+    b_in = -2.0 * g
+    b_out = b_in - 2.0 * alpha
     k0 = k1 = k2 = k3 = 0.0
     s0 = s1 = s2 = s3 = 0.0
     for ex, (c, w) in zip(excess, ((0.0, 1.0), (0.5 * dt, 2.0),
@@ -254,14 +268,18 @@ def _rk4_step_derivative(excess: np.ndarray, sc: Scenario) -> tuple:
     return 1.0 + h * s0, h * s1, h * s2, 1.0 + h * s3
 
 
-def _condensed_table(sc: Scenario) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _condensed_table(dt: float, d: float, g: float, alpha: float) -> np.ndarray:
     """Rows -(AD - BC)/B, -1/B, D/B, A/B, D, 1/B, A of the step derivative
-    (A, B, C, D) for each of the 16 patterns of stages outside the box."""
-    a, b, c, d = _rk4_step_derivative(
-        (np.arange(16) >> np.arange(4)[:, None]) & 1, sc)
+    (A, B, C, D) for each of the 16 patterns of stages outside the box,
+    built once per cost model and process as a read-only array."""
+    a, b, c, dd = _rk4_step_derivative(
+        (np.arange(16) >> np.arange(4)[:, None]) & 1, dt, d, g, alpha)
     inv_b = 1.0 / b
-    return np.array([-((a * d - b * c) * inv_b), -inv_b, d * inv_b,
-                     a * inv_b, d, inv_b, a])
+    table = np.array([-((a * dd - b * c) * inv_b), -inv_b, dd * inv_b,
+                      a * inv_b, dd, inv_b, a])
+    table.setflags(write=False)
+    return table
 
 
 def _cyclic_thomas(lo: list, di: list, up: list, r: list) -> np.ndarray:
@@ -291,11 +309,11 @@ def _cyclic_thomas(lo: list, di: list, up: list, r: list) -> np.ndarray:
     return np.array(y) - f * np.array(z)
 
 
-def _newton_step(table: np.ndarray, pattern: np.ndarray, f: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _newton_step(table: np.ndarray, pattern: np.ndarray, f: np.ndarray,
+                 wrap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Newton update (dx, dlam) of the node states from the defects f =
-    (fx, fl) of the steps n - 1, 0, ..., n - 1 and the steps' penalty
-    patterns, which index `_condensed_table`.  Step i's rows read
+    (fx, fl) of the steps wrap = (n - 1, 0, ..., n - 1) and the steps'
+    penalty patterns, which index `_condensed_table`.  Step i's rows read
     A_i dx_i + B_i dl_i - dx_{i+1} = -fx_i and
     C_i dx_i + D_i dl_i - dl_{i+1} = -fl_i.  The first gives
     dl_i = (dx_{i+1} - A_i dx_i - fx_i) / B_i; substituted into the
@@ -303,8 +321,7 @@ def _newton_step(table: np.ndarray, pattern: np.ndarray, f: np.ndarray
     step k - 1's costate row.
     """
     n = pattern.size
-    lower, upper, d_b, a_b, d, inv_b, a = table.take(
-        pattern[np.arange(-1, n)], axis=1)
+    lower, upper, d_b, a_b, d, inv_b, a = table.take(pattern[wrap], axis=1)
     fx, fl = f
     rhs = (d * fx * inv_b - fl)[:n] - fx[1:] * inv_b[1:]
     dx = _cyclic_thomas(lower[:n].tolist(), (d_b[:n] + a_b[1:]).tolist(),
@@ -312,14 +329,14 @@ def _newton_step(table: np.ndarray, pattern: np.ndarray, f: np.ndarray
     return dx, (periodic_ext(dx)[1:] - a[1:] * dx - fx[1:]) * inv_b[1:]
 
 
-def _newton(sc: Scenario, start: PmpState) -> tuple:
-    """Full-step semismooth Newton on the node defects from `start` at
-    every node.
+def _newton(sc: Scenario, alpha: float, start: PmpState) -> tuple:
+    """Full-step semismooth Newton on the node defects at penalty weight
+    alpha, from `start` at every node.
 
     The node states are one (2, n + 1) array whose last column mirrors
     the first, so the next node's state is a view.  A step's condensed
-    system depends only on which of its stages lie outside the box: the
-    first iteration tabulates the 16 patterns, every iteration gathers.
+    system depends only on which of its stages lie outside the box:
+    every iteration gathers from `_condensed_table`'s 16 patterns.
 
     Stops when the defect max |F_i| (wrap step included) is within
     tol_bc or after _MAX_NEWTON_ITERS linear solves.  Returns (z, defect,
@@ -331,19 +348,22 @@ def _newton(sc: Scenario, start: PmpState) -> tuple:
             first such step.
     """
     n = sc.load.count
-    nodes = _node_data(sc)
+    dt, d, g = sc.load.dt, sc.cost.d, sc.cost.g
+    step = _rk4_stepper(_node_data(sc), dt, d, g, alpha, sc.cost.pbar_kw)
+    wrap = np.arange(-1, n)
     z = np.array([[float(start.x)], [float(start.lam)]]).repeat(n + 1, axis=1)
     f = np.empty((2, n + 1))
     tol = sc.tolerances.tol_bc
+    debug = logger.isEnabledFor(logging.DEBUG)
 
     def defects():
-        zn, excess = _rk4_step(z, nodes, sc)
+        zn, excess = step(z)
         np.subtract(zn[:, :n], z[:, 1:], out=f[:, 1:])
         f[:, 0] = f[:, n]
         defect = np.abs(f).max()
         if not math.isfinite(defect):  # step i ends at t_{i+1}
             bad = np.flatnonzero(~np.isfinite(f[:, 1:]).all(axis=0))[0]
-            t_fail = float((bad + 1) * sc.load.dt)
+            t_fail = float((bad + 1) * dt)
             raise DivergenceError(
                 f"non-finite state at t = {t_fail:.6g} h", t_hours=t_fail,
                 initial_state=(float(start.x), float(start.lam)))
@@ -352,22 +372,22 @@ def _newton(sc: Scenario, start: PmpState) -> tuple:
 
     iters = 0
     with np.errstate(all="ignore"):
+        table = _condensed_table(float(dt), float(d), float(g), float(alpha))
         pattern, defect, stages = defects()
         while defect > tol and iters < _MAX_NEWTON_ITERS:
-            t0 = time.perf_counter()
-            if not iters:
-                table = _condensed_table(sc)
-            dx, dl = _newton_step(table, pattern, f)
+            t0 = time.perf_counter() if debug else 0.0
+            dx, dl = _newton_step(table, pattern, f, wrap)
             z[0, :n] += dx
             z[1, :n] += dl
             z[:, n] = z[:, 0]
             pattern, defect, stages = defects()
             iters += 1
-            ms = 1e3 * (time.perf_counter() - t0)
-            logger.debug("newton iter %d: defect %.3g, %d penalty stages, "
-                         "%.3f ms", iters, defect, stages, ms,
-                         extra={"iter": iters, "defect": float(defect),
-                                "penalty_stages": stages, "ms": ms})
+            if debug:
+                ms = 1e3 * (time.perf_counter() - t0)
+                logger.debug("newton iter %d: defect %.3g, %d penalty stages, "
+                             "%.3f ms", iters, defect, stages, ms,
+                             extra={"iter": iters, "defect": float(defect),
+                                    "penalty_stages": stages, "ms": ms})
     return z, float(defect), stages, iters
 
 
@@ -434,10 +454,8 @@ def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
     limit = resolvable_alpha(sc)
     alpha = max((a for a in sc.alpha_schedule if a < limit),
                 default=sc.alpha_schedule[0])
-    stage = replace(sc, cost=replace(sc.cost, alpha=alpha),
-                    alpha_schedule=(alpha,))
     try:
-        z, defect, stages, iters = _newton(stage, start)
+        z, defect, stages, iters = _newton(sc, alpha, start)
     except DivergenceError as exc:
         if alpha < limit:
             raise
@@ -461,7 +479,7 @@ def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
         periodic_residual=defect, newton_iters=iters, alpha_used=alpha,
         rk4_passes=iters + 1, box_violation_kw=violation,
         box_violation_frac=violation / pbar)
-    if not converged:
+    if not converged and logger.isEnabledFor(logging.WARNING):
         logger.warning("not converged: %s", failure_reason(sol, sc))
     return sol
 
@@ -509,8 +527,7 @@ def evaluate(sol: PmpSolution, sc: Scenario) -> CostBreakdown:
     """
     if not sol.converged:
         logger.warning("evaluating a non-converged solution")
-    baseline = objective(sc, np.zeros(sc.load.count))
-    return replace(objective(sc, sol.pm_traj[:-1]), baseline=baseline)
+    return replace(objective(sc, sol.pm_traj[:-1]), baseline=sc.baseline)
 
 
 def breakdown_as_dict(bd: CostBreakdown) -> dict:

@@ -229,7 +229,8 @@ def load_csv(source, scale: float = 1.0) -> dict[str, SampledProfile]:
         bad = int(np.argmax(gaps <= 0.0))
         raise ValidationError(
             f"line {rows[bad + 1][0]}: timestamps not strictly increasing")
-    median_gap = float(np.median(gaps))
+    ordered = np.sort(gaps)  # np.median would import numpy.ma
+    median_gap = float(ordered[(gaps.size - 1) // 2] + ordered[gaps.size // 2]) / 2.0
     off = np.abs(gaps - median_gap) > _SPACING_JITTER * median_gap
     if np.any(off):
         bad = int(np.argmax(off))

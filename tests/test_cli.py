@@ -212,6 +212,17 @@ def test_oracle_check_rejects_too_few_nodes(tmp_path, machine_cfg,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--obj-tol", "--pm-tol"])
+def test_oracle_check_rejects_negative_tolerance(tmp_path, machine_cfg,
+                                                 plant_net_csv, capsys, flag):
+    out = tmp_path / "c"
+    code = main(["oracle-check", "--load", plant_net_csv, "--machine",
+                 machine_cfg, "--n", "48", flag, "-1", "--out", str(out)])
+    assert code == 1
+    assert f"error: {flag} must be >= 0, got -1.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_divergence_reports_initial_state(tmp_path, capsys):
     load = tmp_path / "flat.csv"
     load.write_text("timestamp,load_kw\n"
@@ -403,6 +414,20 @@ def test_econ_projection_flat_with_zero_slopes(tmp_path, machine_cfg):
     nets = [float(r.split(",")[1]) for r in rows]
     assert len(nets) == 6
     assert len(set(nets)) == 1
+
+
+def test_econ_projection_share_stays_at_or_above_zero(tmp_path, machine_cfg):
+    trend = tmp_path / "price.csv"
+    trend.write_text("share_pct,value\n10,40\n20,46\n30,51\n")
+    out = tmp_path / "proj"
+    code = main(["econ", "--machine", machine_cfg, "--project", "4",
+                 "--price-trend", str(trend), "--share0", "10",
+                 "--share-per-year", "-6", "--out", str(out)])
+    assert code == 0
+    rows = (out / "projection.csv").read_text().splitlines()[1:]
+    mining = [float(r.split(",")[2]) for r in rows]
+    # shares 4, 0, 0, 0: the price, and so mining, stop moving at 0 %
+    assert mining[0] != mining[1] == mining[2] == mining[3]
 
 
 def test_econ_projection_rejects_non_finite_price(tmp_path, machine_cfg,

@@ -220,6 +220,15 @@ def test_projection_share_capped_at_hundred():
     assert series.mining[-1] == series.mining[-2]
 
 
+def test_projection_share_floored_at_zero():
+    trend = _flat_trend(share_per_year=-6.0, price_slope=1.0)
+    stats = ScheduleStats(share0_pct=10.0, ramp_saved_usd_day=1.0)
+    series = project_net_profit(M1, trend, 4, stats)
+    # shares 4, 0, 0, 0: the quadratic ramp saving falls to 0 and stays
+    assert series.ramping_saved == pytest.approx((0.16, 0.0, 0.0, 0.0))
+    assert series.mining[1] == series.mining[2] == series.mining[3]
+
+
 def test_projection_requires_price_fit():
     with pytest.raises(ValidationError):
         project_net_profit(M1, TrendModel(ramp_coeff=0.1), 3,

@@ -90,7 +90,7 @@ def test_gradient_matches_finite_differences():
         sc = corpus[name]
         rng = np.random.default_rng(5)
         pm = rng.uniform(0.0, sc.cost.pbar_kw, sc.load.count)
-        grad = _gradient_density(sc, pm)
+        grad = _gradient_density(sc)(pm)
         h = 1e-5 * sc.cost.pbar_kw
         for i in range(0, sc.load.count, 7):
             e = np.zeros_like(pm)
@@ -156,7 +156,7 @@ def test_kkt_residual_at_convergence():
         ref = solve_active_set(sc)
         tol = 1e-8 * sc.cost.pbar_kw
         assert ref.grad_norm <= tol, name
-        grad = _gradient_density(sc, ref.pm)
+        grad = _gradient_density(sc)(ref.pm)
         lo = ref.pm <= 0.0
         hi = ref.pm >= sc.cost.pbar_kw
         free = ~(lo | hi)

@@ -15,7 +15,8 @@ from rampsched import (DivergenceError, FleetSpec, SampledProfile,
 from rampsched.costmodel import gen_cost, penalty_xi, ramp_cost
 from rampsched.oracle import discretize_objective, solve_active_set
 from rampsched.pmp import (SOLUTION_CSV_HEADER, PmpState, Scenario, Tolerances,
-                           _cyclic_thomas, _node_data, _rk4_step,
+                           _condensed_table, _cyclic_thomas, _node_data,
+                           _rk4_step,
                            _rk4_step_derivative, read_solution_csv,
                            resolvable_alpha, solution_to_csv)
 
@@ -259,7 +260,8 @@ def test_step_jacobian_matches_central_differences(solved96, corpus96):
         z = np.array([sol.x_traj, sol.lambda_traj])
         _, excess = _rk4_step(z, nodes, sc)
         assert any(np.any(ex) for ex in excess), name  # the penalty acts
-        exact = _rk4_step_derivative(excess, sc)
+        exact = _rk4_step_derivative(excess, sc.load.dt, sc.cost.d,
+                                     sc.cost.g, sc.cost.alpha)
         for j in range(2):
             h = 1e-7 * (1.0 + np.abs(z[j]))
             plus, minus = z.copy(), z.copy()
@@ -272,6 +274,36 @@ def test_step_jacobian_matches_central_differences(solved96, corpus96):
                 blk = exact[2 * i + j]
                 assert np.max(np.abs(blk - fd)) \
                     <= 1e-5 * np.max(np.abs(blk)), (name, i, j)
+
+
+def test_condensed_table_is_read_only_and_keyed_on_the_cost_model():
+    key = (0.25, 1.0, CM1 / 300.0, 100.0)
+    table = _condensed_table(*key)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+    assert _condensed_table(*key) is table
+    for i in range(4):  # dt, d, g, alpha
+        other = _condensed_table(*key[:i], 1.5 * key[i], *key[i + 1:])
+        assert other is not table and not np.array_equal(other, table), i
+
+
+def test_fleet_count_shares_one_condensed_table(monkeypatch):
+    sc = plant_duck_undersized(96)
+    bigger = make_scenario(sc.load, FleetSpec(M1, sc.fleet.count + 1), d=1.0)
+    built = []
+    monkeypatch.setattr(pmp, "_condensed_table",
+                        lambda *key: built.append(_condensed_table(*key))
+                        or built[-1])
+    assert solve(sc).newton_iters and solve(bigger).newton_iters
+    assert len(built) == 2 and built[0] is built[1]
+
+
+def test_scenario_baseline_is_objective_of_no_mining(corpus96):
+    for name, sc in corpus96.items():
+        fresh = pmp.objective(sc, np.zeros(sc.load.count))
+        assert sc.baseline == fresh, name  # every term, bit for bit
+        assert sc.baseline is sc.baseline, name
 
 
 @pytest.mark.parametrize("n", [4, 5, 96])
