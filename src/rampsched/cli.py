@@ -159,9 +159,7 @@ def cmd_oracle_check(args) -> int:
         return EXIT_VERIFICATION
     ref_diagnostics = oracle.oracle_diagnostics(ref, sc)
 
-    j_pmp = pmp.evaluate(sol, sc)
-    # penalty excluded: the discrete program enforces the box exactly
-    j_pmp_cmp = (j_pmp.generation_usd + j_pmp.ramping_usd - j_pmp.revenue_usd)
+    j_pmp_cmp = oracle.discretize_objective(sc, sol.pm_traj[:-1])
     obj_gap = abs(j_pmp_cmp - ref.objective) / (1.0 + abs(ref.objective))
     pm_gap = float(np.max(np.abs(sol.pm_clipped[:-1] - ref.pm)))
     pm_gap_frac = pm_gap / sc.cost.pbar_kw
@@ -195,51 +193,28 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK
 
 
-def _json_bool(value) -> bool:
-    if not isinstance(value, bool):  # bool("false") would be True
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
-# diagnostics.json keys that restore PmpSolution fields of the same name
-_DIAGNOSTICS_FIELDS = {"converged": _json_bool, "periodic_residual": float,
-                       "newton_iters": int, "alpha_used": float,
-                       "rk4_passes": int}
-
-
-def _read_diagnostics(path: Path) -> dict:
-    """The solution fields of a diagnostics.json, converted to their types."""
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: expected a JSON object")
-    doc.setdefault("rk4_passes", 0)  # older files lack it
-    try:
-        return {key: kind(doc[key]) for key, kind in _DIAGNOSTICS_FIELDS.items()}
-    except KeyError as exc:
-        raise ValidationError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: bad value: {exc}") from exc
-
-
 def _scenario_from_solution(args, cfg) -> tuple[pmp.PmpSolution, pmp.Scenario]:
     sol_dir = Path(args.solution)
     csv_path = sol_dir / "solution.csv" if sol_dir.is_dir() else sol_dir
     cols = pmp.read_solution_csv(csv_path)
-    diag = _read_diagnostics(csv_path.parent / "diagnostics.json")
+    diag = pmp.read_diagnostics(csv_path.parent / "diagnostics.json")
 
     t = cols["t_h"]
     dt = float(t[1] - t[0])
     load = profiles.SampledProfile(dt, cols["pl_kw"][:-1])
     sc = _config_scenario(cfg, args, load, (diag["alpha_used"],))
-    violation = pmp.box_violation(cols["pm_kw"], sc.cost.pbar_kw)
+    pbar, clipped = sc.cost.pbar_kw, cols["pm_clipped_kw"]
+    if pmp.box_violation(clipped, pbar) > 1e-9 * pbar:
+        raise ValidationError(
+            f"{csv_path}: pm_clipped_kw spans {clipped.min():.6g} to "
+            f"{clipped.max():.6g} kW, outside [0, {pbar:.6g}] kW for "
+            f"{sc.fleet.count} machines")
+    violation = pmp.box_violation(cols["pm_kw"], pbar)
     sol = pmp.PmpSolution(
         x_traj=cols["x_kw"], lambda_traj=cols["lambda"],
         u_traj=cols["u_kw_per_h"], pm_traj=cols["pm_kw"],
         pm_clipped=cols["pm_clipped_kw"], box_violation_kw=violation,
-        box_violation_frac=violation / sc.cost.pbar_kw, **diag)
+        box_violation_frac=violation / pbar, **diag)
     return sol, sc
 
 
@@ -249,11 +224,12 @@ def cmd_econ(args) -> int:
             raise ValidationError("--breakeven requires --daily-profit")
         print(f"{econ.breakeven_max_machine_price(args.daily_profit):.10g}")
         return EXIT_OK
+    if args.machine is None:
+        raise ValidationError("--machine is required")
 
     cfg = cmod.load_config(args.machine)
     machine = cmod.machine_from_config(cfg)
 
-    report = None
     stats_ramp_saved = 0.0
     files = {}
     if args.solution is not None:
@@ -268,6 +244,9 @@ def cmd_econ(args) -> int:
     if args.project is not None:
         if args.price_trend is None:
             raise ValidationError("--project requires --price-trend data")
+        if args.ramp_trend is not None and args.solution is None:
+            raise ValidationError("--ramp-trend requires --solution: it scales "
+                                  "the schedule's ramping saving")
         ramp_fit = econ.TrendModel()
         if args.ramp_trend is not None:
             ramp_fit = econ.fit_ramp_trend(econ.read_trend_csv(args.ramp_trend))
@@ -381,9 +360,6 @@ def main(argv=None) -> int:
         if exc.code == 2:
             return EXIT_INPUT
         raise
-    if args.command == "econ" and not args.breakeven and args.machine is None:
-        print("error: --machine is required", file=sys.stderr)
-        return EXIT_INPUT
     try:
         return args.func(args)
     except FileNotFoundError as exc:

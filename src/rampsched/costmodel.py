@@ -133,11 +133,15 @@ def ramp_cost(u, m: CostModel):
     return m.d * np.square(u)
 
 
+def box_excess(pm, pbar: float, out=None):
+    """Excess draw over the box [0, Pbar], pm - clip(pm, 0, Pbar): pm
+    below the box, pm - Pbar above it and 0 on it (both kinks included)."""
+    return np.subtract(pm, np.minimum(np.maximum(pm, 0.0), pbar), out=out)
+
+
 def penalty_xi(pm, m: CostModel):
     """Soft box penalty: 0 on [0, Pbar], quadratic outside."""
-    below = np.minimum(pm, 0.0)
-    above = np.maximum(np.subtract(pm, m.pbar_kw), 0.0)
-    return m.alpha * (below * below + above * above)
+    return m.alpha * np.square(box_excess(pm, m.pbar_kw))
 
 
 def penalty_xi_prime(pm, m: CostModel):
@@ -187,8 +191,10 @@ _REQUIRED_MACHINE_KEYS = ("demand_w", "income_usd_day", "elec_cost", "k")
 
 
 def load_config(source) -> dict:
-    """Parse a flat ``key = value`` config file (UTF-8, '#' comments)."""
+    """Parse a flat ``key = value`` config file (UTF-8, '#' comments);
+    each key at most once."""
     cfg: dict = {}
+    first_line: dict = {}
     for line_no, raw in enumerate(source_text(source).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -201,6 +207,10 @@ def load_config(source) -> dict:
         value = value.strip()
         if key not in _CONFIG_KEYS:
             raise ValidationError(f"line {line_no}: unknown key {key!r}")
+        if key in first_line:
+            raise ValidationError(f"line {line_no}: repeated key {key!r}, "
+                                  f"first set on line {first_line[key]}")
+        first_line[key] = line_no
         if key == "name":
             cfg[key] = value
         elif key == "count":

@@ -9,7 +9,7 @@ day unless a field name says otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,10 +73,8 @@ class EconReport:
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
-        fields = (self.msrp_per_day, self.operating_cost, self.gross_mining,
-                  self.net_profit, self.ramping_saved, self.ramping_saved_fleet,
-                  self.breakeven_machine_price)
-        if not all(math.isfinite(v) for v in fields):
+        numbers = fields(self)[1:-1]  # every field between name and flags
+        if not all(math.isfinite(getattr(self, f.name)) for f in numbers):
             raise ValidationError("report fields must be finite")
         composed = self.gross_mining - self.operating_cost - self.msrp_per_day
         if abs(self.net_profit - composed) > 1e-9 * (1.0 + abs(composed)):
@@ -249,17 +247,7 @@ def daily_report(sol: PmpSolution, sc: Scenario, machine: MachineSpec,
 
 
 def report_as_dict(report: EconReport) -> dict:
-    return {
-        "machine_name": report.machine_name,
-        "msrp_per_day": report.msrp_per_day,
-        "operating_cost": report.operating_cost,
-        "gross_mining": report.gross_mining,
-        "net_profit": report.net_profit,
-        "ramping_saved": report.ramping_saved,
-        "ramping_saved_fleet": report.ramping_saved_fleet,
-        "breakeven_machine_price": report.breakeven_machine_price,
-        "flags": list(report.flags),
-    }
+    return {**vars(report), "flags": list(report.flags)}
 
 
 _TABLE_COLUMNS = (

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RampSchedError, ValidationError
-from .pmp import (SOLUTION_CSV_HEADER, Scenario, _cm_nodes, _cyclic_thomas,
-                  _forward_ramp, objective)
-from .profiles import format_table, periodic_ext
+from .pmp import (Scenario, _cm_nodes, _cyclic_thomas, _forward_ramp,
+                  _schedule_csv, objective)
+from .profiles import periodic_ext
 
 # Step cap per grid node.  From the default start the active sets grow
 # about one node per step (n/4 + 1 steps on the corpus's longest arc),
@@ -163,11 +163,8 @@ def oracle_to_csv(sol: DiscreteSolution, sc: Scenario) -> str:
     The ramp column is the periodic forward difference of pg and the
     costate column is the value implied by the optimal control law.
     """
-    dt = sc.load.dt
-    pl_ext = periodic_ext(sc.load.values)
+    pg = sc.load.values + sol.pm
+    u_ext = periodic_ext(_forward_ramp(pg, sc.load.dt))
     pm_ext = periodic_ext(sol.pm)
-    u_ext = periodic_ext(_forward_ramp(sc.load.values + sol.pm, dt))
-    lam_ext = -2.0 * sc.cost.d * u_ext
-    return format_table(SOLUTION_CSV_HEADER, np.column_stack((
-        np.arange(sc.load.count + 1) * dt, pl_ext + pm_ext, lam_ext, u_ext,
-        pm_ext, pm_ext, pl_ext)).tolist())
+    return _schedule_csv(sc, periodic_ext(pg), -2.0 * sc.cost.d * u_ext,
+                         u_ext, pm_ext, pm_ext)

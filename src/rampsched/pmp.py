@@ -33,10 +33,12 @@ results can be handed between threads freely.
 from __future__ import annotations
 
 import functools
+import json
 import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -215,10 +217,10 @@ def _rk4_stepper(nodes: np.ndarray, dt: float, d: float, g: float,
     h2, h6 = 0.5 * dt, dt / 6.0
     excess = np.empty((4, nodes.shape[1]))
     ex0, ex1, ex2, ex3 = excess
+    box_excess = cmod.box_excess
 
     def slope(zs, ex, pl, cm):
-        pm = zs[0] - pl
-        np.subtract(pm, np.minimum(np.maximum(pm, 0.0), pbar), out=ex)
+        box_excess(zs[0] - pl, pbar, ex)
         k = rate * zs[::-1]
         kl = k[1:]
         kl += cm
@@ -393,7 +395,7 @@ def _newton(sc: Scenario, alpha: float, start: PmpState) -> tuple:
 
 def box_violation(pm: np.ndarray, pbar: float) -> float:
     """Largest excursion of the draw pm outside [0, Pbar], in kW."""
-    return max(0.0, float(-pm.min()), float(pm.max()) - pbar)
+    return float(np.abs(cmod.box_excess(pm, pbar)).max())
 
 
 def initial_guess(sc: Scenario) -> PmpState:
@@ -469,7 +471,7 @@ def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
             alpha = sc.cost.alpha
 
     xs, ls = z
-    u = -ls / (2.0 * sc.cost.d) + 0.0  # +0.0 folds -0.0 into 0.0
+    u = cmod.control_from_costate(ls, sc.cost) + 0.0  # folds -0.0 into 0.0
     pm = xs - periodic_ext(sc.load.values)
     pbar = sc.cost.pbar_kw
     violation = box_violation(pm, pbar)
@@ -537,26 +539,54 @@ def breakdown_as_dict(bd: CostBreakdown) -> dict:
     return out
 
 
+def _json_bool(value) -> bool:
+    if not isinstance(value, bool):  # bool("false") would be True
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+# diagnostics.json keys restoring PmpSolution fields, and their types
+_DIAGNOSTICS_FIELDS = {"converged": _json_bool, "periodic_residual": float,
+                       "newton_iters": int, "alpha_used": float,
+                       "rk4_passes": int}
+
+
 def solution_diagnostics(sol: PmpSolution, sc: Scenario) -> dict:
     """Diagnostics document matching the JSON export schema."""
-    return {
-        "converged": sol.converged,
-        "periodic_residual": sol.periodic_residual,
-        "newton_iters": sol.newton_iters,
-        "rk4_passes": sol.rk4_passes,
-        "alpha_used": sol.alpha_used,
-        "box_violation_kw": sol.box_violation_kw,
-        "box_violation_frac": sol.box_violation_frac,
-        "objective_breakdown": breakdown_as_dict(evaluate(sol, sc)),
-    }
+    return {**{key: getattr(sol, key) for key in _DIAGNOSTICS_FIELDS},
+            "box_violation_kw": sol.box_violation_kw,
+            "box_violation_frac": sol.box_violation_frac,
+            "objective_breakdown": breakdown_as_dict(evaluate(sol, sc))}
+
+
+def read_diagnostics(path: Path) -> dict:
+    """The `PmpSolution` fields of a diagnostics.json, typed."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
+    doc.setdefault("rk4_passes", 0)  # older files lack it
+    try:
+        return {key: kind(doc[key]) for key, kind in _DIAGNOSTICS_FIELDS.items()}
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: bad value: {exc}") from exc
+
+
+def _schedule_csv(sc: Scenario, x, lam, u, pm, pm_clipped) -> str:
+    """Solution CSV of the node columns given, t = T included."""
+    return format_table(SOLUTION_CSV_HEADER, np.column_stack((
+        np.arange(sc.load.count + 1) * sc.load.dt, x, lam, u, pm, pm_clipped,
+        periodic_ext(sc.load.values))).tolist())
 
 
 def solution_to_csv(sol: PmpSolution, sc: Scenario) -> str:
     """Render the solution as CSV text (one row per grid node, t=T included)."""
-    return format_table(SOLUTION_CSV_HEADER, np.column_stack((
-        np.arange(sc.load.count + 1) * sc.load.dt, sol.x_traj,
-        sol.lambda_traj, sol.u_traj, sol.pm_traj, sol.pm_clipped,
-        periodic_ext(sc.load.values))).tolist())
+    return _schedule_csv(sc, sol.x_traj, sol.lambda_traj, sol.u_traj,
+                         sol.pm_traj, sol.pm_clipped)
 
 
 def read_solution_csv(source) -> dict[str, np.ndarray]:

@@ -169,9 +169,10 @@ def table_floats(header: list[str], rows, columns) -> np.ndarray:
 
 def format_table(header: str, rows) -> str:
     """CSV text of a header line and rows whose cells are written with
-    repr, so reading them back is exact."""
+    str: a text cell verbatim, a Python float as its repr, so reading
+    it back is exact."""
     lines = [header]
-    lines.extend(",".join(map(repr, row)) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -249,8 +250,8 @@ def write_csv(dest, load: SampledProfile | None = None,
 
     All given profiles must share one grid.  Timestamps are ISO-8601
     starting 2000-01-01 when the spacing is a whole number of seconds,
-    epoch seconds otherwise.  Values are written with ``repr`` so a
-    read-back reproduces them exactly.
+    epoch seconds otherwise.  The text comes from `format_table`, so
+    `load_csv` reads the values back exactly.
     """
     present = [(name, p) for name, p in (("load_kw", load), ("pv_kw", pv))
                if p is not None]
@@ -262,16 +263,12 @@ def write_csv(dest, load: SampledProfile | None = None,
             raise ValidationError("profiles written together must share one grid")
 
     step_s = base.dt * 3600.0
-    iso = abs(step_s - round(step_s)) < 1e-9
-    lines = ["timestamp," + ",".join(name for name, _ in present)]
-    for i in range(base.count):
-        if iso:
-            stamp = _CSV_EPOCH + timedelta(seconds=round(i * step_s))
-            ts = stamp.isoformat()
-        else:
-            ts = repr(i * step_s)
-        lines.append(ts + "," + ",".join(repr(float(p.values[i])) for _, p in present))
-    text = "\n".join(lines) + "\n"
+    stamps = [i * step_s for i in range(base.count)]
+    if abs(step_s - round(step_s)) < 1e-9:
+        stamps = [(_CSV_EPOCH + timedelta(seconds=round(s))).isoformat()
+                  for s in stamps]
+    text = format_table("timestamp," + ",".join(name for name, _ in present),
+                        zip(stamps, *(p.values.tolist() for _, p in present)))
 
     if isinstance(dest, (str, Path)):
         Path(dest).write_text(text, encoding="utf-8", newline="")

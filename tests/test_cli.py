@@ -449,6 +449,39 @@ def test_econ_projection_requires_trend(tmp_path, machine_cfg):
     assert code == 1
 
 
+@pytest.mark.parametrize("extra,message", [
+    (["--machine", "CFG", "--solution", "run", "--fleet-count", "100"],
+     "run/solution.csv: pm_clipped_kw spans 964.286 to 11964.3 kW, outside "
+     "[0, 536] kW for 100 machines"),
+    (["--machine", "CFG", "--project", "3", "--price-trend", "price.csv",
+      "--ramp-trend", "price.csv"],
+     "--ramp-trend requires --solution: it scales the schedule's ramping "
+     "saving"),
+    (["--solution", "run"], "--machine is required")],
+    ids=["fleet-below-draw", "ramp-trend-without-solution", "no-machine"])
+def test_econ_input_error_writes_nothing(tmp_path, machine_cfg, plant_net_csv,
+                                         capsys, monkeypatch, extra, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--load", plant_net_csv, "--machine", machine_cfg,
+                 "--out", "run"]) == 0
+    (tmp_path / "price.csv").write_text("share_pct,value\n10,40\n20,46\n"
+                                        "30,51\n")
+    capsys.readouterr()
+    argv = [machine_cfg if arg == "CFG" else arg for arg in extra]
+    assert main(["econ", *argv, "--out", "out"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_econ_accepts_solution_of_a_smaller_fleet(tmp_path, machine_cfg,
+                                                  plant_net_csv):
+    run = tmp_path / "run"
+    assert main(["solve", "--load", plant_net_csv, "--machine", machine_cfg,
+                 "--out", str(run)]) == 0
+    assert main(["econ", "--machine", machine_cfg, "--solution", str(run),
+                 "--fleet-count", "2854", "--out", str(tmp_path / "e")]) == 0
+
+
 def test_econ_projection_pinned(tmp_path, machine_cfg, plant_net_csv):
     # the quadratic ramp trend scales the saving by (share / share0)^2
     run = tmp_path / "run"

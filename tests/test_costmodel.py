@@ -14,7 +14,9 @@ from rampsched import (CostModel, FleetSpec, MACHINE_PRESETS, ProfitModel,
                        penalty_xi_prime, ramp_cost, write_csv)
 from rampsched.cli import (_build_scenario, _scenario_from_solution,
                            build_parser, main)
-from rampsched.costmodel import fleet_from_config, machine_from_config
+from rampsched.costmodel import (box_excess, fleet_from_config,
+                                 machine_from_config)
+from rampsched.pmp import box_violation
 
 M1 = MACHINE_PRESETS["1"]
 M2 = MACHINE_PRESETS["2"]
@@ -87,6 +89,24 @@ def test_penalty_nonnegative_and_c1_at_kinks():
 
 def test_penalty_scales_with_alpha():
     assert penalty_xi(-2.0, model(alpha=5.0)) == 20.0
+
+
+def test_box_excess_is_zero_on_box_and_signed_outside():
+    pm = np.array([-3.5, -1e-300, 0.0, 1e-300, 4.0, 10.0, 10.0 + 1e-12, 13.25])
+    want = np.array([-3.5, -1e-300, 0.0, 0.0, 0.0, 0.0, pm[6] - 10.0, 3.25])
+    assert np.array_equal(box_excess(pm, 10.0), want)
+    assert box_excess(-2.0, 10.0) == -2.0 and box_excess(13.0, 10.0) == 3.0
+    buf = np.full(pm.size, np.nan)
+    assert box_excess(pm, 10.0, buf) is buf
+    assert np.array_equal(buf, want)
+
+
+def test_box_violation_is_largest_box_excess():
+    rng = np.random.default_rng(7)
+    for lo, hi in ((-5.0, 8.0), (2.0, 15.0), (-5.0, 15.0), (0.0, 10.0)):
+        pm = rng.uniform(lo, hi, 97)
+        assert box_violation(pm, 10.0) == float(np.abs(box_excess(pm, 10.0)).max())
+    assert box_violation(np.array([0.0, 10.0]), 10.0) == 0.0
 
 
 # ------------------------------------------------------------ control law
@@ -266,6 +286,21 @@ def test_config_missing_required_key_errors():
 def test_config_non_numeric_value_errors():
     with pytest.raises(ValidationError, match="'lots' for 'demand_w' is not numeric"):
         load_config(io.StringIO("demand_w = lots\n"))
+
+
+def test_config_repeated_key_names_both_lines(tmp_path, capsys):
+    text = CFG_TEXT + "count = 5\n"
+    with pytest.raises(ValidationError, match="line 13: repeated key 'count', "
+                                              "first set on line 10"):
+        load_config(io.StringIO(text))
+    cfg, load = tmp_path / "machine.cfg", tmp_path / "load.csv"
+    cfg.write_text(text)
+    write_csv(load, load=SampledProfile(1.0, np.full(24, 100.0)))
+    out = tmp_path / "run"
+    assert main(["solve", "--load", str(load), "--machine", str(cfg),
+                 "--out", str(out)]) == 1
+    assert "line 13: repeated key 'count'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key,value", [("d", "nan"), ("k", "inf"),

@@ -16,6 +16,7 @@ from rampsched import (SampledProfile, ValidationError, load_csv,
                        resample_periodic, synth_duck_curve, write_csv)
 from rampsched.econ import read_trend_csv
 from rampsched.pmp import SOLUTION_CSV_HEADER, read_solution_csv
+from rampsched.profiles import format_table
 
 
 def _csv_text(times, cols):
@@ -239,6 +240,34 @@ def test_roundtrip_non_integer_second_spacing():
     back = load_csv(buf.getvalue().encode())["load"]
     assert back.dt == pytest.approx(p.dt, rel=1e-9)
     assert np.max(np.abs(back.values - p.values)) < 1e-9
+
+
+def test_format_table_writes_text_verbatim_and_floats_as_repr():
+    floats = [0.1, 1.0 / 3.0, 1e-300, -2.5e17, 5e-324]
+    text = format_table("stamp,a,b,c,d,e", [("2000-01-01T00:15:00", *floats),
+                                            ("x y", 7, 0.0, -0.0, 1e16, 2.0)])
+    assert text.splitlines() == [
+        "stamp,a,b,c,d,e",
+        "2000-01-01T00:15:00," + ",".join(map(repr, floats)),
+        "x y,7,0.0,-0.0,1e+16,2.0"]
+    assert text.endswith("\n")
+
+
+@pytest.mark.parametrize("dt,first_stamps", [
+    (0.25, ["2000-01-01T00:00:00", "2000-01-01T00:15:00"]),
+    (24.0 / 7.0, ["0.0", repr(24.0 / 7.0 * 3600.0)])])
+def test_write_csv_reads_back_bit_exact(dt, first_stamps):
+    n = round(24.0 / dt)
+    rng = np.random.default_rng(n)
+    load = SampledProfile(dt, rng.uniform(0.0, 1e4, n) / 3.0)
+    pv = SampledProfile(dt, rng.uniform(0.0, 1e-3, n))
+    buf = io.StringIO()
+    write_csv(buf, load=load, pv=pv)
+    lines = buf.getvalue().splitlines()
+    assert [line.split(",")[0] for line in lines[1:3]] == first_stamps
+    got = load_csv(buf.getvalue().encode())
+    assert np.array_equal(got["load"].values, load.values)
+    assert np.array_equal(got["pv"].values, pv.values)
 
 
 def test_roundtrip_multi_column():
