@@ -145,6 +145,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if args.n is not None and args.dt is not None:
+        raise ValidationError("--dt and --n both set the grid: pass one of them")
     if args.n is not None and args.n < 4:
         raise ValidationError(f"--n must be >= 4, got {args.n}")
     for flag, tol in (("--obj-tol", args.obj_tol), ("--pm-tol", args.pm_tol)):
@@ -218,7 +220,22 @@ def _scenario_from_solution(args, cfg) -> tuple[pmp.PmpSolution, pmp.Scenario]:
     return sol, sc
 
 
+# econ flags that only the --project projection reads
+_PROJECTION_FLAGS = ("price_trend", "ramp_trend", "share0", "share_per_year",
+                     "profit_a", "profit_b")
+
+
+def _given(**values) -> dict:
+    """The keyword arguments whose flags were passed (not None)."""
+    return {key: value for key, value in values.items() if value is not None}
+
+
 def cmd_econ(args) -> int:
+    if args.project is None:
+        for name in _PROJECTION_FLAGS:
+            if getattr(args, name) is not None:
+                raise ValidationError(
+                    f"--{name.replace('_', '-')} requires --project")
     if args.breakeven:
         if args.daily_profit is None:
             raise ValidationError("--breakeven requires --daily-profit")
@@ -253,11 +270,11 @@ def cmd_econ(args) -> int:
         trend = dataclasses.replace(
             econ.fit_price_trend(econ.read_trend_csv(args.price_trend)),
             ramp_coeff=ramp_fit.ramp_coeff, ramp_rms=ramp_fit.ramp_rms,
-            share_per_year=args.share_per_year)
+            **_given(share_per_year=args.share_per_year))
         stats = econ.ScheduleStats(
-            share0_pct=args.share0,
+            share0_pct=10.0 if args.share0 is None else args.share0,
             ramp_saved_usd_day=stats_ramp_saved,
-            profit=econ.ProfitModel(a=args.profit_a, b=args.profit_b))
+            profit=econ.ProfitModel(**_given(a=args.profit_a, b=args.profit_b)))
         series = econ.project_net_profit(machine, trend, args.project, stats)
         files["projection.csv"] = profiles.format_table(
             "year,net_usd_day,mining_usd_day,ramping_saved_usd_day",
@@ -317,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
                                             "the discrete-oracle solution")
     _add_scenario_flags(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, default=None, help="resample to N nodes")
+    p.add_argument("--n", type=int, help="resample to N nodes; not with --dt")
     p.add_argument("--obj-tol", type=_finite_float, default=DEFAULT_OBJECTIVE_GAP)
     p.add_argument("--pm-tol", type=_finite_float, default=DEFAULT_PM_GAP_FRACTION)
     p.set_defaults(func=cmd_oracle_check)
@@ -336,10 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--project", type=int, default=None, help="projection years")
     p.add_argument("--price-trend", default=None, help="share_pct,value CSV")
     p.add_argument("--ramp-trend", default=None, help="share_pct,value CSV")
-    p.add_argument("--share0", type=_finite_float, default=10.0)
-    p.add_argument("--share-per-year", type=_finite_float, default=0.0)
-    p.add_argument("--profit-a", type=_finite_float, default=14.0)
-    p.add_argument("--profit-b", type=_finite_float, default=0.1)
+    p.add_argument("--share0", type=_finite_float, help="[%%], default 10")
+    p.add_argument("--share-per-year", type=_finite_float, help="default 0")
+    p.add_argument("--profit-a", type=_finite_float, help="default 14")
+    p.add_argument("--profit-b", type=_finite_float, help="default 0.1")
     p.set_defaults(func=cmd_econ)
 
     p = sub.add_parser("synth", help="write synthetic duck-curve profiles")

@@ -135,8 +135,11 @@ def ramp_cost(u, m: CostModel):
 
 def box_excess(pm, pbar: float, out=None):
     """Excess draw over the box [0, Pbar], pm - clip(pm, 0, Pbar): pm
-    below the box, pm - Pbar above it and 0 on it (both kinks included)."""
-    return np.subtract(pm, np.minimum(np.maximum(pm, 0.0), pbar), out=out)
+    below the box, pm - Pbar above it and 0 on it (both kinks included).
+    `out`, if given, also holds the clipped draw on the way, so it must
+    not share memory with pm."""
+    return np.subtract(pm, np.minimum(np.maximum(pm, 0.0, out=out), pbar, out=out),
+                       out=out)
 
 
 def penalty_xi(pm, m: CostModel):

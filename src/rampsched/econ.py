@@ -15,7 +15,7 @@ import numpy as np
 
 from .costmodel import MachineSpec
 from .errors import ReportOnUnconvergedError, ValidationError
-from .pmp import PmpSolution, Scenario, evaluate, objective
+from .pmp import PmpSolution, Scenario, evaluate, revenue
 from .profiles import read_table, table_floats
 
 DAYS_PER_YEAR = 365.0
@@ -202,7 +202,7 @@ def daily_report(sol: PmpSolution, sc: Scenario, machine: MachineSpec,
                  attribution: str = "marginal") -> EconReport:
     """Assemble the daily per-machine economics of a converged schedule.
 
-    Gross mining revenue is the revenue term of `objective` over one
+    Gross mining revenue is `revenue`, the objective's term, over one
     machine's share of the clipped miner draw (the physical machine
     cannot exceed its rating, so economics always uses the clipped
     trajectory).  Operating cost attributes generation cost to mining
@@ -217,7 +217,7 @@ def daily_report(sol: PmpSolution, sc: Scenario, machine: MachineSpec,
 
     n_machines = sc.fleet.count
     pm_c = sol.pm_clipped[:-1]
-    gross = objective(sc, pm_c).revenue_usd / n_machines
+    gross = revenue(sc, pm_c) / n_machines
     price_factor = 2.0 if attribution == "marginal" else 1.0
     operating = (price_factor * sc.cost.g * sc.load.dt
                  * float(sol.x_traj[:-1] @ pm_c) / n_machines)

@@ -37,7 +37,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence, Union
 
@@ -209,30 +209,45 @@ def _rk4_stepper(nodes: np.ndarray, dt: float, d: float, g: float,
     """step(z): one classical RK4 step from the stacked states z = (x, lam),
     shape (2, m), on the profile data `nodes` (m of `_node_data`'s columns).
     It returns the end states and the four stage points' excess draw over
-    the box [0, Pbar] (0 inside), one (4, m) buffer: xi' = 2 alpha * excess."""
+    the box [0, Pbar] (0 inside), one (4, m) buffer: xi' = 2 alpha * excess.
+    Both results are buffers of the stepper, overwritten by its next call;
+    every ufunc writes into them with `out=`, in the operand order of the
+    plain expressions, so the bits do not depend on the buffering."""
     pl0, plh, pl1, cm0, cmh, cm1 = nodes
     # rate * (lam, x) is the right-hand side less c_m - xi'
     rate = np.array([[-1.0 / (2.0 * d)], [-2.0 * g]])
     a2 = 2.0 * alpha
     h2, h6 = 0.5 * dt, dt / 6.0
-    excess = np.empty((4, nodes.shape[1]))
+    m = nodes.shape[1]
+    excess = np.empty((4, m))
     ex0, ex1, ex2, ex3 = excess
+    k1, k2, k3, k4 = np.empty((4, 2, m))  # the four slopes
+    zs, acc, res = np.empty((3, 2, m))    # stage point, sum of slopes, result
+    pm = np.empty(m)                      # stage draw, then xi'
     box_excess = cmod.box_excess
 
-    def slope(zs, ex, pl, cm):
-        box_excess(zs[0] - pl, pbar, ex)
-        k = rate * zs[::-1]
-        kl = k[1:]
+    def slope(point, k, ex, pl, cm):
+        np.subtract(point[0], pl, out=pm)
+        box_excess(pm, pbar, ex)
+        np.multiply(rate, point[::-1], out=k)
+        kl = k[1]
         kl += cm
-        kl -= a2 * ex
-        return k
+        kl -= np.multiply(a2, ex, out=pm)
+
+    def stage(z, c, k):
+        return np.add(z, np.multiply(c, k, out=zs), out=zs)
 
     def step(z):
-        k1 = slope(z, ex0, pl0, cm0)
-        k2 = slope(z + h2 * k1, ex1, plh, cmh)
-        k3 = slope(z + h2 * k2, ex2, plh, cmh)
-        k4 = slope(z + dt * k3, ex3, pl1, cm1)
-        return z + h6 * (k1 + 2.0 * (k2 + k3) + k4), excess
+        slope(z, k1, ex0, pl0, cm0)
+        slope(stage(z, h2, k1), k2, ex1, plh, cmh)
+        slope(stage(z, h2, k2), k3, ex2, plh, cmh)
+        slope(stage(z, dt, k3), k4, ex3, pl1, cm1)
+        np.add(k2, k3, out=acc)
+        np.multiply(2.0, acc, out=acc)
+        np.add(k1, acc, out=acc)
+        np.add(acc, k4, out=acc)
+        np.multiply(h6, acc, out=acc)
+        return np.add(z, acc, out=res), excess
     return step
 
 
@@ -308,7 +323,7 @@ def _cyclic_thomas(lo: list, di: list, up: list, r: list) -> np.ndarray:
         y_k = y[k] = y[k] - cp[k] * y_k
         z_k = z[k] = z[k] - cp[k] * z_k
     f = (y[0] + beta * y[-1] / gamma) / (1.0 + z[0] + beta * z[-1] / gamma)
-    return np.array(y) - f * np.array(z)
+    return np.array(y, dtype=float) - f * np.array(z, dtype=float)
 
 
 def _newton_step(table: np.ndarray, pattern: np.ndarray, f: np.ndarray,
@@ -328,7 +343,8 @@ def _newton_step(table: np.ndarray, pattern: np.ndarray, f: np.ndarray,
     rhs = (d * fx * inv_b - fl)[:n] - fx[1:] * inv_b[1:]
     dx = _cyclic_thomas(lower[:n].tolist(), (d_b[:n] + a_b[1:]).tolist(),
                         upper[1:].tolist(), rhs.tolist())
-    return dx, (periodic_ext(dx)[1:] - a[1:] * dx - fx[1:]) * inv_b[1:]
+    dx_next = np.concatenate((dx[1:], dx[:1]))
+    return dx, (dx_next - a[1:] * dx - fx[1:]) * inv_b[1:]
 
 
 def _newton(sc: Scenario, alpha: float, start: PmpState) -> tuple:
@@ -338,7 +354,9 @@ def _newton(sc: Scenario, alpha: float, start: PmpState) -> tuple:
     The node states are one (2, n + 1) array whose last column mirrors
     the first, so the next node's state is a view.  A step's condensed
     system depends only on which of its stages lie outside the box:
-    every iteration gathers from `_condensed_table`'s 16 patterns.
+    every iteration gathers from `_condensed_table`'s 16 patterns.  The
+    RK4 pass and the defect bookkeeping write into buffers made once per
+    solve, which no other solve sees.
 
     Stops when the defect max |F_i| (wrap step included) is within
     tol_bc or after _MAX_NEWTON_ITERS linear solves.  Returns (z, defect,
@@ -355,42 +373,49 @@ def _newton(sc: Scenario, alpha: float, start: PmpState) -> tuple:
     wrap = np.arange(-1, n)
     z = np.array([[float(start.x)], [float(start.lam)]]).repeat(n + 1, axis=1)
     f = np.empty((2, n + 1))
+    abs_f = np.empty((2, n + 1))
+    outside = np.empty((4, n), dtype=bool)
+    pattern = np.empty(n, dtype=_STAGE_BITS.dtype)
     tol = sc.tolerances.tol_bc
     debug = logger.isEnabledFor(logging.DEBUG)
 
-    def defects():
+    def defects() -> float:
+        """max |F|; writes F into f, the stages outside the box into
+        `outside` and each step's penalty pattern into `pattern`."""
         zn, excess = step(z)
         np.subtract(zn[:, :n], z[:, 1:], out=f[:, 1:])
         f[:, 0] = f[:, n]
-        defect = np.abs(f).max()
+        defect = np.abs(f, out=abs_f).max()
         if not math.isfinite(defect):  # step i ends at t_{i+1}
             bad = np.flatnonzero(~np.isfinite(f[:, 1:]).all(axis=0))[0]
             t_fail = float((bad + 1) * dt)
             raise DivergenceError(
                 f"non-finite state at t = {t_fail:.6g} h", t_hours=t_fail,
                 initial_state=(float(start.x), float(start.lam)))
-        out = excess[:, :n] != 0.0
-        return np.dot(_STAGE_BITS, out), defect, int(np.count_nonzero(out))
+        np.not_equal(excess[:, :n], 0.0, out=outside)
+        np.dot(_STAGE_BITS, outside, out=pattern)
+        return defect
 
     iters = 0
     with np.errstate(all="ignore"):
         table = _condensed_table(float(dt), float(d), float(g), float(alpha))
-        pattern, defect, stages = defects()
+        defect = defects()
         while defect > tol and iters < _MAX_NEWTON_ITERS:
             t0 = time.perf_counter() if debug else 0.0
             dx, dl = _newton_step(table, pattern, f, wrap)
             z[0, :n] += dx
             z[1, :n] += dl
             z[:, n] = z[:, 0]
-            pattern, defect, stages = defects()
+            defect = defects()
             iters += 1
             if debug:
                 ms = 1e3 * (time.perf_counter() - t0)
+                stages = int(np.count_nonzero(outside))
                 logger.debug("newton iter %d: defect %.3g, %d penalty stages, "
                              "%.3f ms", iters, defect, stages, ms,
                              extra={"iter": iters, "defect": float(defect),
                                     "penalty_stages": stages, "ms": ms})
-    return z, float(defect), stages, iters
+    return z, float(defect), int(np.count_nonzero(outside)), iters
 
 
 def box_violation(pm: np.ndarray, pbar: float) -> float:
@@ -502,8 +527,15 @@ def _forward_ramp(pg: np.ndarray, dt: float) -> np.ndarray:
     return (periodic_ext(pg)[1:] - pg) / dt
 
 
-def objective(sc: Scenario, pm: np.ndarray) -> CostBreakdown:
-    """Objective terms in $ of the draw pm at the n grid nodes.
+def revenue(sc: Scenario, pm: np.ndarray) -> float:
+    """Revenue term of `objective` in $: dt times the node sum of c_m * pm."""
+    return sc.load.dt * float(_cm_nodes(sc) @ pm)
+
+
+def objective(sc: Scenario, pm: np.ndarray,
+              baseline: CostBreakdown | None = None) -> CostBreakdown:
+    """Objective terms in $ of the draw pm at the n grid nodes, with
+    `baseline` attached as given.
 
     Each term is dt times the node sum of its density: generation and
     ramping of pg = p_L + pm (ramp by `_forward_ramp`), revenue c_m * pm
@@ -514,11 +546,12 @@ def objective(sc: Scenario, pm: np.ndarray) -> CostBreakdown:
     pg = sc.load.values + pm
     gen = dt * float(cmod.gen_cost(pg, m).sum())
     ramp = dt * float(cmod.ramp_cost(_forward_ramp(pg, dt), m).sum())
-    revenue = dt * float(_cm_nodes(sc) @ pm)
+    rev = revenue(sc, pm)
     penalty = dt * float(cmod.penalty_xi(pm, m).sum())
     return CostBreakdown(
-        generation_usd=gen, ramping_usd=ramp, revenue_usd=revenue,
-        penalty_usd=penalty, total_usd=gen + ramp - revenue + penalty)
+        generation_usd=gen, ramping_usd=ramp, revenue_usd=rev,
+        penalty_usd=penalty, total_usd=gen + ramp - rev + penalty,
+        baseline=baseline)
 
 
 def evaluate(sol: PmpSolution, sc: Scenario) -> CostBreakdown:
@@ -529,7 +562,7 @@ def evaluate(sol: PmpSolution, sc: Scenario) -> CostBreakdown:
     """
     if not sol.converged:
         logger.warning("evaluating a non-converged solution")
-    return replace(objective(sc, sol.pm_traj[:-1]), baseline=sc.baseline)
+    return objective(sc, sol.pm_traj[:-1], sc.baseline)
 
 
 def breakdown_as_dict(bd: CostBreakdown) -> dict:

@@ -473,6 +473,38 @@ def test_econ_input_error_writes_nothing(tmp_path, machine_cfg, plant_net_csv,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--price-trend", "price.csv"), ("--ramp-trend", "price.csv"),
+    ("--share0", "50"), ("--share-per-year", "2"), ("--profit-a", "3"),
+    ("--profit-b", "0.2")])
+def test_econ_projection_flag_requires_project(tmp_path, machine_cfg,
+                                               plant_net_csv, capsys,
+                                               monkeypatch, flag, value):
+    """A projection flag without --project is an input error, not dropped."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--load", plant_net_csv, "--machine", machine_cfg,
+                 "--out", "run"]) == 0
+    (tmp_path / "price.csv").write_text("share_pct,value\n10,40\n20,46\n")
+    capsys.readouterr()
+    assert main(["econ", "--machine", machine_cfg, "--solution", "run",
+                 flag, value, "--out", "out"]) == 1
+    assert capsys.readouterr().err == f"error: {flag} requires --project\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_oracle_check_rejects_dt_with_n(tmp_path, machine_cfg, plant_net_csv,
+                                        capsys):
+    """--dt and --n both set the grid; --n used to resample the --dt
+    profile a second time."""
+    out = tmp_path / "c"
+    code = main(["oracle-check", "--load", plant_net_csv, "--machine",
+                 machine_cfg, "--n", "48", "--dt", "0.1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: --dt and --n both set the grid: pass one of them\n")
+    assert not out.exists()
+
+
 def test_econ_accepts_solution_of_a_smaller_fleet(tmp_path, machine_cfg,
                                                   plant_net_csv):
     run = tmp_path / "run"

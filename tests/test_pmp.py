@@ -6,7 +6,7 @@ import logging
 import numpy as np
 import pytest
 
-from corpus import (BINDING_NAMES, CM1, M1, build_long_arc,
+from corpus import (BINDING_NAMES, CM1, M1, build_corpus, build_long_arc,
                     plant_duck_undersized)
 
 from rampsched import (DivergenceError, FleetSpec, SampledProfile,
@@ -16,9 +16,9 @@ from rampsched.costmodel import gen_cost, penalty_xi, ramp_cost
 from rampsched.oracle import discretize_objective, solve_active_set
 from rampsched.pmp import (SOLUTION_CSV_HEADER, PmpState, Scenario, Tolerances,
                            _condensed_table, _cyclic_thomas, _node_data,
-                           _rk4_step,
-                           _rk4_step_derivative, read_solution_csv,
-                           resolvable_alpha, solution_to_csv)
+                           _rk4_step, _rk4_step_derivative, _rk4_stepper,
+                           read_solution_csv, resolvable_alpha,
+                           solution_to_csv)
 
 FLEET20 = FleetSpec(M1, 20)
 
@@ -492,6 +492,39 @@ def test_solve_is_deterministic(corpus96):
     assert np.array_equal(a.lambda_traj, b.lambda_traj)
     assert a.periodic_residual == b.periodic_residual
     assert a.newton_iters == b.newton_iters
+
+
+def test_rk4_stepper_results_match_fresh_steps(corpus96, solved96):
+    """The stepper overwrites its result buffers on each call: stepping
+    z1, then z2, then z1 again gives, bit for bit, what a fresh
+    `_rk4_step` gives for each state."""
+    sc, sol = corpus96["peak_touch"], solved96["peak_touch"]
+    nodes, m = _node_data(sc), sc.cost
+    step = _rk4_stepper(nodes, sc.load.dt, m.d, m.g, m.alpha, m.pbar_kw)
+    z1 = np.array([sol.x_traj, sol.lambda_traj])
+    z2 = z1 - [[0.5 * m.pbar_kw], [0.0]]  # more stages below the box
+    states = (z1, z2, z1)
+    got = [[out.copy() for out in step(z)] for z in states]
+    assert np.count_nonzero(got[1][1]) > np.count_nonzero(got[0][1]) > 0
+    for z, (end, excess) in zip(states, got):
+        want_end, want_excess = _rk4_step(z, nodes, sc)
+        assert end.tobytes() == want_end.tobytes()
+        assert excess.tobytes() == want_excess.tobytes()
+
+
+def test_solves_share_no_workspace(corpus96):
+    """A solve of another scenario at another n between two solves of one
+    scenario leaves the second's results byte-identical to the first's."""
+    def run(sc):
+        sol, ref = solve(sc), solve_active_set(sc)
+        return [sol.x_traj.tobytes(), sol.lambda_traj.tobytes(),
+                sol.pm_clipped.tobytes(), ref.pm.tobytes(),
+                repr((sol.periodic_residual, sol.newton_iters, ref.objective,
+                      ref.grad_norm, ref.iterations))]
+    a = corpus96["peak_touch"]
+    first = run(a)
+    run(build_corpus(48)["two_peak_touch"])
+    assert run(a) == first
 
 
 def test_objective_dominates_constant_baselines(solved96, corpus96):
