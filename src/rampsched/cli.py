@@ -223,6 +223,9 @@ def _scenario_from_solution(args, cfg) -> tuple[pmp.PmpSolution, pmp.Scenario]:
 # econ flags that only the --project projection reads
 _PROJECTION_FLAGS = ("price_trend", "ramp_trend", "share0", "share_per_year",
                      "profit_a", "profit_b")
+# econ flags that --breakeven, which reads only --daily-profit, would drop
+_NOT_BREAKEVEN_FLAGS = ("solution", "machine", "fleet_count", "attribution",
+                        "format", "out", "project", *_PROJECTION_FLAGS)
 
 
 def _given(**values) -> dict:
@@ -230,17 +233,24 @@ def _given(**values) -> dict:
     return {key: value for key, value in values.items() if value is not None}
 
 
+def _reject_given(args, names, reason: str) -> None:
+    """Input error naming the first of the flags `names` that was passed."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ValidationError(f"--{name.replace('_', '-')} {reason}")
+
+
 def cmd_econ(args) -> int:
-    if args.project is None:
-        for name in _PROJECTION_FLAGS:
-            if getattr(args, name) is not None:
-                raise ValidationError(
-                    f"--{name.replace('_', '-')} requires --project")
     if args.breakeven:
+        _reject_given(args, _NOT_BREAKEVEN_FLAGS,
+                      "does not apply with --breakeven")
         if args.daily_profit is None:
             raise ValidationError("--breakeven requires --daily-profit")
         print(f"{econ.breakeven_max_machine_price(args.daily_profit):.10g}")
         return EXIT_OK
+    _reject_given(args, ("daily_profit",), "requires --breakeven")
+    if args.project is None:
+        _reject_given(args, _PROJECTION_FLAGS, "requires --project")
     if args.machine is None:
         raise ValidationError("--machine is required")
 
@@ -251,7 +261,8 @@ def cmd_econ(args) -> int:
     files = {}
     if args.solution is not None:
         sol, sc = _scenario_from_solution(args, cfg)
-        report = econ.daily_report(sol, sc, machine, attribution=args.attribution)
+        report = econ.daily_report(sol, sc, machine,
+                                   attribution=args.attribution or "marginal")
         stats_ramp_saved = report.ramping_saved
         files["econ_report.json"] = _json_text(econ.report_as_dict(report))
         files["econ_report.txt"] = econ.format_report_table([report])
@@ -283,7 +294,7 @@ def cmd_econ(args) -> int:
     if not files:
         raise ValidationError("nothing to do: pass --solution, --project, "
                               "or --breakeven")
-    _write_outputs(Path(args.out), files)
+    _write_outputs(Path(args.out or "."), files)
     return EXIT_OK
 
 
@@ -345,10 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="solution directory or solution.csv path")
     p.add_argument("--fleet-count", type=int, default=None)
     p.add_argument("--attribution", choices=("marginal", "average"),
-                   default="marginal")
-    p.add_argument("--out", default=".")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--breakeven", action="store_true")
+                   help="default marginal")
+    p.add_argument("--out", help="default .")
+    p.add_argument("--format", choices=("json", "table"), help="default json")
+    p.add_argument("--breakeven", action="store_true",
+                   help="print the break-even machine price; reads only "
+                        "--daily-profit")
     p.add_argument("--daily-profit", type=_finite_float, default=None)
     p.add_argument("--project", type=int, default=None, help="projection years")
     p.add_argument("--price-trend", default=None, help="share_pct,value CSV")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .costmodel import MachineSpec
 from .errors import ReportOnUnconvergedError, ValidationError
-from .pmp import PmpSolution, Scenario, evaluate, revenue
+from .pmp import PmpSolution, Scenario, ramping, revenue
 from .profiles import read_table, table_floats
 
 DAYS_PER_YEAR = 365.0
@@ -207,7 +207,9 @@ def daily_report(sol: PmpSolution, sc: Scenario, machine: MachineSpec,
     cannot exceed its rating, so economics always uses the clipped
     trajectory).  Operating cost attributes generation cost to mining
     energy at the scheduled operating point: marginal attribution prices
-    it at 2*g*x, average attribution at g*x.
+    it at 2*g*x, average attribution at g*x.  The fleet's ramping saving
+    is the no-mining baseline's `ramping` less the schedule's, as
+    `evaluate` would report it.
     """
     if not sol.converged:
         raise ReportOnUnconvergedError(
@@ -222,8 +224,7 @@ def daily_report(sol: PmpSolution, sc: Scenario, machine: MachineSpec,
     operating = (price_factor * sc.cost.g * sc.load.dt
                  * float(sol.x_traj[:-1] @ pm_c) / n_machines)
 
-    breakdown = evaluate(sol, sc)
-    saved_fleet = breakdown.baseline.ramping_usd - breakdown.ramping_usd
+    saved_fleet = sc.baseline.ramping_usd - ramping(sc, sol.pm_traj[:-1])
     msrp = amortized_daily_msrp(machine.price_usd, machine.lifespan_years)
     net = gross - operating - msrp
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RampSchedError, ValidationError
-from .pmp import (Scenario, _cm_nodes, _cyclic_thomas, _forward_ramp,
-                  _schedule_csv, objective)
+from .pmp import (Scenario, _cyclic_thomas, _day, _forward_ramp, _schedule_csv,
+                  objective)
 from .profiles import periodic_ext
 
 # Step cap per grid node.  From the default start the active sets grow
@@ -60,7 +60,7 @@ def discretize_objective(sc: Scenario, pm: np.ndarray) -> float:
 def _gradient_density(sc: Scenario):
     """Gradient of J/dt with respect to pm (exact, from the quadratic form),
     as a function of pm; the scenario's constants are bound once."""
-    pl, cm, g2 = sc.load.values, _cm_nodes(sc), 2.0 * sc.cost.g
+    pl, cm, g2 = sc.load.values, _day(sc).cm, 2.0 * sc.cost.g
     k = 2.0 * sc.cost.d / (sc.load.dt * sc.load.dt)
 
     def gradient(pm: np.ndarray) -> np.ndarray:
@@ -85,7 +85,7 @@ def default_start(sc: Scenario) -> np.ndarray:
     problem, and for the circulant quadratic here its mean level is
     already the optimal one whenever the box stays inactive.
     """
-    base = _cm_nodes(sc) / (2.0 * sc.cost.g) - sc.load.values
+    base = _day(sc).cm / (2.0 * sc.cost.g) - sc.load.values
     return np.clip(base, 0.0, sc.cost.pbar_kw)
 
 

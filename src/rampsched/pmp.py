@@ -25,9 +25,10 @@ stiffness dt*sqrt((g + alpha)/d) stays below Z_STAR.
 
 Everything here is deterministic: fixed steps, fixed iteration order,
 no adaptive logic, so identical scenarios produce bit-identical results.
-Each solve is single-threaded and self-contained; scenarios and
-solutions are immutable, so distinct solves may run concurrently and
-results can be handed between threads freely.
+Each solve is single-threaded and shares with other solves only
+read-only cached arrays; scenarios and solutions are immutable, so
+distinct solves may run concurrently and results can be handed between
+threads freely.
 """
 
 from __future__ import annotations
@@ -114,8 +115,8 @@ class Scenario:
 
     @functools.cached_property
     def baseline(self) -> CostBreakdown:
-        """`objective` of no mining (p_m = 0), computed once per scenario."""
-        return objective(self, np.zeros(self.load.count))
+        """`objective` of no mining (p_m = 0), shared by the day's scenarios."""
+        return _day(self).baseline
 
 
 @dataclass(frozen=True)
@@ -190,24 +191,51 @@ def pmp_rhs(s: PmpState, t: float, sc: Scenario) -> tuple[float, float]:
     return (float(dx), float(dlam))
 
 
-def _cm_nodes(sc: Scenario) -> np.ndarray:
-    if isinstance(sc.cost.cm, SampledProfile):
-        return np.asarray(sc.cost.cm.values, dtype=float)
-    return np.full(sc.load.count, float(sc.cost.cm))
+class _Day(NamedTuple):
+    """What a day fixes for every fleet size solved on it (`_day`)."""
+
+    # p_L, then c_m, at each step's start, midpoint (linear interpolation)
+    # and end, shape (6, n + 1); column n is step 0
+    nodes: np.ndarray
+    cm: np.ndarray            # c_m at the n grid nodes
+    baseline: CostBreakdown   # `objective` of no mining (p_m = 0)
 
 
-def _node_data(sc: Scenario) -> np.ndarray:
-    """Profile data of every step, shape (6, n + 1): p_L, then c_m, at the
-    step's start, midpoint (linear interpolation) and end; column n is step 0."""
-    ends = [np.concatenate([v, v[:2]]) for v in (sc.load.values, _cm_nodes(sc))]
-    return np.array([row for v in ends
-                     for row in (v[:-1], 0.5 * (v[:-1] + v[1:]), v[1:])])
+def _day(sc: Scenario) -> _Day:
+    """The scenario's day, shared by every scenario with its load, c_m,
+    g and d, as read-only arrays."""
+    m = sc.cost
+    return _build_day(sc.load, m.cm, m.g, m.d)
+
+
+@functools.lru_cache(maxsize=64)
+def _build_day(load: SampledProfile, cm: Union[float, SampledProfile],
+               g: float, d: float) -> _Day:
+    """Build a day's data once per process: a fleet-size study solves and
+    prices one day at many fleet sizes, and none of this reads the fleet.
+
+    The key is exact: `SampledProfile` is frozen and read-only and hashes
+    by identity, and no mining pays exactly 0.0 revenue and penalty at
+    every c_m, Pbar and alpha, so the baseline reads only load, g and d.
+    """
+    if isinstance(cm, SampledProfile):
+        cm_nodes = cm.values
+    else:
+        cm_nodes = np.full(load.count, float(cm))
+        cm_nodes.setflags(write=False)
+    ends = [np.concatenate([v, v[:2]]) for v in (load.values, cm_nodes)]
+    nodes = np.array([row for v in ends
+                      for row in (v[:-1], 0.5 * (v[:-1] + v[1:]), v[1:])])
+    nodes.setflags(write=False)
+    day_cost = CostModel(g=g, pbar_kw=1.0, cm=cm, d=d)  # Pbar, alpha unread
+    return _Day(nodes, cm_nodes, _objective(load, day_cost, cm_nodes,
+                                            np.zeros(load.count)))
 
 
 def _rk4_stepper(nodes: np.ndarray, dt: float, d: float, g: float,
                  alpha: float, pbar: float):
     """step(z): one classical RK4 step from the stacked states z = (x, lam),
-    shape (2, m), on the profile data `nodes` (m of `_node_data`'s columns).
+    shape (2, m), on the profile data `nodes` (m of `_Day.nodes`'s columns).
     It returns the end states and the four stage points' excess draw over
     the box [0, Pbar] (0 inside), one (4, m) buffer: xi' = 2 alpha * excess.
     Both results are buffers of the stepper, overwritten by its next call;
@@ -220,28 +248,30 @@ def _rk4_stepper(nodes: np.ndarray, dt: float, d: float, g: float,
     h2, h6 = 0.5 * dt, dt / 6.0
     m = nodes.shape[1]
     excess = np.empty((4, m))
-    ex0, ex1, ex2, ex3 = excess
     k1, k2, k3, k4 = np.empty((4, 2, m))  # the four slopes
     zs, acc, res = np.empty((3, 2, m))    # stage point, sum of slopes, result
     pm = np.empty(m)                      # stage draw, then xi'
     box_excess = cmod.box_excess
-
-    def slope(point, k, ex, pl, cm):
-        np.subtract(point[0], pl, out=pm)
-        box_excess(pm, pbar, ex)
-        np.multiply(rate, point[::-1], out=k)
-        kl = k[1]
-        kl += cm
-        kl -= np.multiply(a2, ex, out=pm)
-
-    def stage(z, c, k):
-        return np.add(z, np.multiply(c, k, out=zs), out=zs)
+    # per stage: the step c along the previous slope that leads from z to
+    # its point (0: z itself), its slope and that slope's costate row, its
+    # excess row and its profile data
+    stages = [(c, k, k[1], ex, pl, cm) for c, k, ex, pl, cm in zip(
+        (0.0, h2, h2, dt), (k1, k2, k3, k4), excess,
+        (pl0, plh, plh, pl1), (cm0, cmh, cmh, cm1))]
+    zs_x, zs_swapped = zs[0], zs[::-1]
 
     def step(z):
-        slope(z, k1, ex0, pl0, cm0)
-        slope(stage(z, h2, k1), k2, ex1, plh, cmh)
-        slope(stage(z, h2, k2), k3, ex2, plh, cmh)
-        slope(stage(z, dt, k3), k4, ex3, pl1, cm1)
+        x, swapped, k_prev = z[0], z[::-1], None
+        for c, k, kl, ex, pl, cm in stages:
+            if c:
+                np.add(z, np.multiply(c, k_prev, out=zs), out=zs)
+                x, swapped = zs_x, zs_swapped
+            np.subtract(x, pl, out=pm)
+            box_excess(pm, pbar, ex)
+            np.multiply(rate, swapped, out=k)
+            np.add(kl, cm, out=kl)
+            np.subtract(kl, np.multiply(a2, ex, out=pm), out=kl)
+            k_prev = k
         np.add(k2, k3, out=acc)
         np.multiply(2.0, acc, out=acc)
         np.add(k1, acc, out=acc)
@@ -326,19 +356,19 @@ def _cyclic_thomas(lo: list, di: list, up: list, r: list) -> np.ndarray:
     return np.array(y, dtype=float) - f * np.array(z, dtype=float)
 
 
-def _newton_step(table: np.ndarray, pattern: np.ndarray, f: np.ndarray,
-                 wrap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _newton_step(table: np.ndarray, pattern: np.ndarray, f: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Newton update (dx, dlam) of the node states from the defects f =
-    (fx, fl) of the steps wrap = (n - 1, 0, ..., n - 1) and the steps'
-    penalty patterns, which index `_condensed_table`.  Step i's rows read
+    (fx, fl) and the penalty patterns, which index `_condensed_table`, of
+    the steps n - 1, 0, ..., n - 1 (column 0 wraps).  Step i's rows read
     A_i dx_i + B_i dl_i - dx_{i+1} = -fx_i and
     C_i dx_i + D_i dl_i - dl_{i+1} = -fl_i.  The first gives
     dl_i = (dx_{i+1} - A_i dx_i - fx_i) / B_i; substituted into the
     second, it leaves a cyclic tridiagonal system in dx whose row k is
     step k - 1's costate row.
     """
-    n = pattern.size
-    lower, upper, d_b, a_b, d, inv_b, a = table.take(pattern[wrap], axis=1)
+    n = pattern.size - 1
+    lower, upper, d_b, a_b, d, inv_b, a = table.take(pattern, axis=1)
     fx, fl = f
     rhs = (d * fx * inv_b - fl)[:n] - fx[1:] * inv_b[1:]
     dx = _cyclic_thomas(lower[:n].tolist(), (d_b[:n] + a_b[1:]).tolist(),
@@ -369,13 +399,18 @@ def _newton(sc: Scenario, alpha: float, start: PmpState) -> tuple:
     """
     n = sc.load.count
     dt, d, g = sc.load.dt, sc.cost.d, sc.cost.g
-    step = _rk4_stepper(_node_data(sc), dt, d, g, alpha, sc.cost.pbar_kw)
-    wrap = np.arange(-1, n)
+    step = _rk4_stepper(_day(sc).nodes, dt, d, g, alpha, sc.cost.pbar_kw)
     z = np.array([[float(start.x)], [float(start.lam)]]).repeat(n + 1, axis=1)
     f = np.empty((2, n + 1))
     abs_f = np.empty((2, n + 1))
     outside = np.empty((4, n), dtype=bool)
-    pattern = np.empty(n, dtype=_STAGE_BITS.dtype)
+    # f and pattern hold step i in column i + 1 and step n - 1 again in
+    # column 0, the layout `_newton_step` reads
+    pattern = np.empty(n + 1, dtype=_STAGE_BITS.dtype)
+    z_x, z_lam, z_next = z[0, :n], z[1, :n], z[:, 1:]
+    z_first, z_last = z[:, 0], z[:, n]
+    f_steps, f_first, f_last = f[:, 1:], f[:, 0], f[:, n]
+    pattern_steps = pattern[1:]
     tol = sc.tolerances.tol_bc
     debug = logger.isEnabledFor(logging.DEBUG)
 
@@ -383,17 +418,18 @@ def _newton(sc: Scenario, alpha: float, start: PmpState) -> tuple:
         """max |F|; writes F into f, the stages outside the box into
         `outside` and each step's penalty pattern into `pattern`."""
         zn, excess = step(z)
-        np.subtract(zn[:, :n], z[:, 1:], out=f[:, 1:])
-        f[:, 0] = f[:, n]
+        np.subtract(zn[:, :n], z_next, out=f_steps)
+        f_first[:] = f_last
         defect = np.abs(f, out=abs_f).max()
         if not math.isfinite(defect):  # step i ends at t_{i+1}
-            bad = np.flatnonzero(~np.isfinite(f[:, 1:]).all(axis=0))[0]
+            bad = np.flatnonzero(~np.isfinite(f_steps).all(axis=0))[0]
             t_fail = float((bad + 1) * dt)
             raise DivergenceError(
                 f"non-finite state at t = {t_fail:.6g} h", t_hours=t_fail,
                 initial_state=(float(start.x), float(start.lam)))
         np.not_equal(excess[:, :n], 0.0, out=outside)
-        np.dot(_STAGE_BITS, outside, out=pattern)
+        np.dot(_STAGE_BITS, outside, out=pattern_steps)
+        pattern[0] = pattern[n]
         return defect
 
     iters = 0
@@ -402,10 +438,10 @@ def _newton(sc: Scenario, alpha: float, start: PmpState) -> tuple:
         defect = defects()
         while defect > tol and iters < _MAX_NEWTON_ITERS:
             t0 = time.perf_counter() if debug else 0.0
-            dx, dl = _newton_step(table, pattern, f, wrap)
-            z[0, :n] += dx
-            z[1, :n] += dl
-            z[:, n] = z[:, 0]
+            dx, dl = _newton_step(table, pattern, f)
+            z_x += dx
+            z_lam += dl
+            z_last[:] = z_first
             defect = defects()
             iters += 1
             if debug:
@@ -529,7 +565,22 @@ def _forward_ramp(pg: np.ndarray, dt: float) -> np.ndarray:
 
 def revenue(sc: Scenario, pm: np.ndarray) -> float:
     """Revenue term of `objective` in $: dt times the node sum of c_m * pm."""
-    return sc.load.dt * float(_cm_nodes(sc) @ pm)
+    return _revenue(sc.load, _day(sc).cm, pm)
+
+
+def _revenue(load: SampledProfile, cm: np.ndarray, pm: np.ndarray) -> float:
+    return load.dt * float(cm @ pm)
+
+
+def ramping(sc: Scenario, pm: np.ndarray) -> float:
+    """Ramping term of `objective` in $: dt times the node sum of the ramp
+    cost of p_g = p_L + pm (ramp by `_forward_ramp`)."""
+    return _ramping(sc.load, sc.cost, sc.load.values + pm)
+
+
+def _ramping(load: SampledProfile, m: CostModel, pg: np.ndarray) -> float:
+    dt = load.dt
+    return dt * float(cmod.ramp_cost(_forward_ramp(pg, dt), m).sum())
 
 
 def objective(sc: Scenario, pm: np.ndarray,
@@ -538,15 +589,21 @@ def objective(sc: Scenario, pm: np.ndarray,
     `baseline` attached as given.
 
     Each term is dt times the node sum of its density: generation and
-    ramping of pg = p_L + pm (ramp by `_forward_ramp`), revenue c_m * pm
+    ramping (`ramping`) of pg = p_L + pm, revenue c_m * pm (`revenue`)
     and the box penalty.
     """
-    m = sc.cost
-    dt = sc.load.dt
-    pg = sc.load.values + pm
+    return _objective(sc.load, sc.cost, _day(sc).cm, pm, baseline)
+
+
+def _objective(load: SampledProfile, m: CostModel, cm: np.ndarray,
+               pm: np.ndarray, baseline: CostBreakdown | None = None
+               ) -> CostBreakdown:
+    """`objective` on the pieces of a scenario it reads."""
+    dt = load.dt
+    pg = load.values + pm
     gen = dt * float(cmod.gen_cost(pg, m).sum())
-    ramp = dt * float(cmod.ramp_cost(_forward_ramp(pg, dt), m).sum())
-    rev = revenue(sc, pm)
+    ramp = _ramping(load, m, pg)
+    rev = _revenue(load, cm, pm)
     penalty = dt * float(cmod.penalty_xi(pm, m).sum())
     return CostBreakdown(
         generation_usd=gen, ramping_usd=ramp, revenue_usd=rev,

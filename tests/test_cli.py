@@ -492,6 +492,41 @@ def test_econ_projection_flag_requires_project(tmp_path, machine_cfg,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--solution", "run"), ("--machine", "CFG"), ("--fleet-count", "3000"),
+    ("--attribution", "marginal"), ("--format", "json"), ("--out", "out"),
+    ("--project", "3"), ("--price-trend", "price.csv"), ("--share0", "10")])
+def test_econ_breakeven_rejects_inputs_it_drops(tmp_path, machine_cfg,
+                                                capsys, monkeypatch, flag,
+                                                value):
+    """--breakeven reads only --daily-profit: any other econ input, a
+    default value included, is an input error that prints and writes
+    nothing."""
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    value = machine_cfg if value == "CFG" else value
+    assert main(["econ", "--breakeven", "--daily-profit", "3", flag,
+                 value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} does not apply with --breakeven\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_econ_daily_profit_requires_breakeven(tmp_path, machine_cfg,
+                                              plant_net_csv, capsys,
+                                              monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--load", plant_net_csv, "--machine", machine_cfg,
+                 "--out", "run"]) == 0
+    capsys.readouterr()
+    assert main(["econ", "--machine", machine_cfg, "--solution", "run",
+                 "--daily-profit", "3", "--out", "dp"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --daily-profit requires --breakeven\n")
+    assert not (tmp_path / "dp").exists()
+
+
 def test_oracle_check_rejects_dt_with_n(tmp_path, machine_cfg, plant_net_csv,
                                         capsys):
     """--dt and --n both set the grid; --n used to resample the --dt

@@ -10,15 +10,16 @@ from corpus import (BINDING_NAMES, CM1, M1, build_corpus, build_long_arc,
                     plant_duck_undersized)
 
 from rampsched import (DivergenceError, FleetSpec, SampledProfile,
-                       ValidationError, evaluate, hamiltonian, make_scenario,
-                       pmp, pmp_rhs, solve, stationary_point)
+                       ValidationError, daily_report, evaluate, hamiltonian,
+                       make_scenario, pmp, pmp_rhs, solve, stationary_point)
 from rampsched.costmodel import gen_cost, penalty_xi, ramp_cost
+from rampsched.econ import report_as_dict
 from rampsched.oracle import discretize_objective, solve_active_set
 from rampsched.pmp import (SOLUTION_CSV_HEADER, PmpState, Scenario, Tolerances,
-                           _condensed_table, _cyclic_thomas, _node_data,
+                           _condensed_table, _cyclic_thomas, _day,
                            _rk4_step, _rk4_step_derivative, _rk4_stepper,
-                           read_solution_csv, resolvable_alpha,
-                           solution_to_csv)
+                           breakdown_as_dict, read_solution_csv,
+                           resolvable_alpha, solution_to_csv)
 
 FLEET20 = FleetSpec(M1, 20)
 
@@ -104,7 +105,7 @@ def test_positive_costate_means_decreasing_state():
 
 def _step_all(sc, z):
     """One `_rk4_step` from the states z (shape (2, n)) at every node."""
-    return _rk4_step(z, _node_data(sc)[:, :sc.load.count], sc)[0]
+    return _rk4_step(z, _day(sc).nodes[:, :sc.load.count], sc)[0]
 
 
 def test_integration_holds_equilibrium_exactly():
@@ -256,7 +257,7 @@ def test_step_jacobian_matches_central_differences(solved96, corpus96):
         sc = corpus96[name]
         sol = solved96[name]
         assert sol.alpha_used == sc.alpha_schedule[-1], name
-        nodes = _node_data(sc)
+        nodes = _day(sc).nodes
         z = np.array([sol.x_traj, sol.lambda_traj])
         _, excess = _rk4_step(z, nodes, sc)
         assert any(np.any(ex) for ex in excess), name  # the penalty acts
@@ -499,7 +500,7 @@ def test_rk4_stepper_results_match_fresh_steps(corpus96, solved96):
     z1, then z2, then z1 again gives, bit for bit, what a fresh
     `_rk4_step` gives for each state."""
     sc, sol = corpus96["peak_touch"], solved96["peak_touch"]
-    nodes, m = _node_data(sc), sc.cost
+    nodes, m = _day(sc).nodes, sc.cost
     step = _rk4_stepper(nodes, sc.load.dt, m.d, m.g, m.alpha, m.pbar_kw)
     z1 = np.array([sol.x_traj, sol.lambda_traj])
     z2 = z1 - [[0.5 * m.pbar_kw], [0.0]]  # more stages below the box
@@ -525,6 +526,39 @@ def test_solves_share_no_workspace(corpus96):
     first = run(a)
     run(build_corpus(48)["two_peak_touch"])
     assert run(a) == first
+
+
+@pytest.mark.parametrize("name", ["peak_touch", "trough_touch", "tv_cm"])
+def test_fleet_ladder_shares_day_data_exactly(corpus96, name):
+    """Scenarios of one load object at many fleet sizes share the day's
+    node data and baseline; each point is byte-identical to a solve on a
+    fresh copy of the load, which shares nothing."""
+    day = corpus96[name]
+    m = day.cost
+
+    def point(load, count):
+        sc = make_scenario(load, FleetSpec(M1, count), g=m.g, d=m.d,
+                           cm=m.cm, alpha_schedule=day.alpha_schedule)
+        sol = solve(sc)
+        assert sol.converged, count
+        return [sol.x_traj.tobytes(), sol.lambda_traj.tobytes(),
+                sol.pm_traj.tobytes(), breakdown_as_dict(evaluate(sol, sc)),
+                report_as_dict(daily_report(sol, sc, M1))]
+
+    counts = [round(f * day.fleet.count) for f in (0.9, 1.0, 1.5, 3.0)]
+    shared = [point(day.load, count) for count in counts]
+    for count, want in zip(counts, shared):
+        fresh = SampledProfile(day.load.dt, day.load.values.copy())
+        assert point(fresh, count) == want, count
+    nodes, cm, _ = _day(day)
+    assert not nodes.flags.writeable and not cm.flags.writeable
+
+
+def test_report_ramping_saving_is_evaluate_saving(solved96, corpus96):
+    for name, sc in corpus96.items():
+        sol = solved96[name]
+        saved = sc.baseline.ramping_usd - evaluate(sol, sc).ramping_usd
+        assert daily_report(sol, sc, M1).ramping_saved_fleet == saved, name
 
 
 def test_objective_dominates_constant_baselines(solved96, corpus96):
