@@ -48,10 +48,14 @@ def _configure_logging() -> None:
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    data = memoryview(text.encode("utf-8"))
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(text.encode("utf-8"))
+        try:
+            while data:  # os.write may write less than it was given
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -289,7 +293,7 @@ def cmd_econ(args) -> int:
         series = econ.project_net_profit(machine, trend, args.project, stats)
         files["projection.csv"] = profiles.format_table(
             "year,net_usd_day,mining_usd_day,ramping_saved_usd_day",
-            zip(series.years, series.net, series.mining, series.ramping_saved))
+            (series.years, series.net, series.mining, series.ramping_saved))
 
     if not files:
         raise ValidationError("nothing to do: pass --solution, --project, "

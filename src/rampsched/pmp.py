@@ -118,6 +118,14 @@ class Scenario:
         """`objective` of no mining (p_m = 0), shared by the day's scenarios."""
         return _day(self).baseline
 
+    @functools.cached_property
+    def _csv_grid_cells(self) -> tuple[list[str], list[str]]:
+        """The t_h and pl_kw cells of a schedule CSV, t = T included,
+        formatted once: oracle-check writes two schedules on one grid."""
+        t = np.arange(self.load.count + 1) * self.load.dt
+        return (list(map(repr, t.tolist())),
+                list(map(repr, periodic_ext(self.load.values).tolist())))
+
 
 @dataclass(frozen=True)
 class PmpSolution:
@@ -667,10 +675,21 @@ def read_diagnostics(path: Path) -> dict:
 
 
 def _schedule_csv(sc: Scenario, x, lam, u, pm, pm_clipped) -> str:
-    """Solution CSV of the node columns given, t = T included."""
-    return format_table(SOLUTION_CSV_HEADER, np.column_stack((
-        np.arange(sc.load.count + 1) * sc.load.dt, x, lam, u, pm, pm_clipped,
-        periodic_ext(sc.load.values))).tolist())
+    """Solution CSV of the node columns given, t = T included.  Each
+    pm_clipped_kw cell whose float has the bits of its pm_kw cell reuses
+    that cell's text; a bit test, so -0.0 is not taken for 0.0."""
+    x, lam, u, pm, clipped = (np.asarray(v, dtype=float)
+                              for v in (x, lam, u, pm, pm_clipped))
+    pm_cells = clipped_cells = list(map(repr, pm.tolist()))
+    differ = np.flatnonzero(pm.view(np.int64) != clipped.view(np.int64))
+    if differ.size:
+        clipped_cells = pm_cells.copy()
+        for i in differ.tolist():
+            clipped_cells[i] = repr(float(clipped[i]))
+    t_cells, pl_cells = sc._csv_grid_cells
+    return format_table(SOLUTION_CSV_HEADER, (
+        t_cells, x.tolist(), lam.tolist(), u.tolist(), pm_cells, clipped_cells,
+        pl_cells))
 
 
 def solution_to_csv(sol: PmpSolution, sc: Scenario) -> str:

@@ -101,32 +101,42 @@ class SampledProfile:
         return SampledProfile(self.dt, values)
 
 
-def _parse_timestamp(cell: str, line_no: int) -> float:
-    """Parse an ISO-8601 or epoch-seconds timestamp cell into seconds."""
-    text = cell.strip()
+def _iso_seconds(text: str, line_no: int) -> float:
+    """Seconds from 2000-01-01 UTC of an ISO-8601 timestamp."""
     try:
-        seconds = float(text)
-    except ValueError:
+        stamp = datetime.fromisoformat(text)
+    except ValueError as exc:
+        raise ValidationError(
+            f"line {line_no}: unparseable timestamp {text!r}") from exc
+    if stamp.tzinfo is not None:
+        stamp = stamp.astimezone(timezone.utc).replace(tzinfo=None)
+    return (stamp - _CSV_EPOCH).total_seconds()
+
+
+def _parse_timestamp(cell: str, line_no: int) -> float:
+    """Parse an ISO-8601 or epoch-seconds timestamp cell into seconds: a
+    cell that float() accepts is epoch seconds."""
+    text = cell.strip()
+    if ":" in text or (text[4:5] == "-" and text[:4].isdigit()):
+        seconds = _iso_seconds(text, line_no)  # float() refuses both
+    else:
         try:
-            stamp = datetime.fromisoformat(text)
-        except ValueError as exc:
-            raise ValidationError(
-                f"line {line_no}: unparseable timestamp {text!r}") from exc
-        if stamp.tzinfo is not None:
-            stamp = stamp.astimezone(timezone.utc).replace(tzinfo=None)
-        seconds = (stamp - _CSV_EPOCH).total_seconds()
+            seconds = float(text)
+        except ValueError:
+            seconds = _iso_seconds(text, line_no)
     if not math.isfinite(seconds):
         raise ValidationError(f"line {line_no}: non-finite timestamp {text!r}")
     return seconds
 
 
 def source_text(source) -> str:
-    """The whole text of a UTF-8 file path, bytes, or open text stream."""
+    """The whole text of a UTF-8 file path, bytes, or open text stream,
+    without the byte-order mark that spreadsheets write first."""
     if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8")
+        return Path(source).read_text(encoding="utf-8-sig")
     if isinstance(source, bytes):
-        return source.decode("utf-8")
-    return source.read()
+        return source.decode("utf-8-sig")
+    return source.read().removeprefix("\ufeff")
 
 
 def read_table(source) -> tuple[list[str], list[tuple[int, list[str]]]]:
@@ -167,13 +177,18 @@ def table_floats(header: list[str], rows, columns) -> np.ndarray:
     return data.reshape(len(rows), len(idx))
 
 
-def format_table(header: str, rows) -> str:
-    """CSV text of a header line and rows whose cells are written with
-    str: a text cell verbatim, a Python float as its repr, so reading
-    it back is exact."""
-    lines = [header]
-    lines.extend(",".join(map(str, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+def format_table(header: str, columns) -> str:
+    """CSV text of a header line and equal-length columns whose cells are
+    written with str: a text cell verbatim, a Python float as its repr, so
+    reading it back is exact.  A column object passed more than once is
+    formatted once."""
+    columns = list(columns)  # holds each column, so its id stays unique
+    cells = {}
+    for col in columns:
+        if id(col) not in cells:
+            cells[id(col)] = list(map(str, col))
+    rows = map(",".join, zip(*(cells[id(col)] for col in columns)))
+    return "\n".join([header, *rows]) + "\n"
 
 
 def load_csv(source, scale: float = 1.0) -> dict[str, SampledProfile]:
@@ -268,7 +283,7 @@ def write_csv(dest, load: SampledProfile | None = None,
         stamps = [(_CSV_EPOCH + timedelta(seconds=round(s))).isoformat()
                   for s in stamps]
     text = format_table("timestamp," + ",".join(name for name, _ in present),
-                        zip(stamps, *(p.values.tolist() for _, p in present)))
+                        [stamps, *(p.values.tolist() for _, p in present)])
 
     if isinstance(dest, (str, Path)):
         Path(dest).write_text(text, encoding="utf-8", newline="")

@@ -1,11 +1,13 @@
 """End-to-end command-line behavior and exit codes."""
 
+import errno
 import hashlib
 import json
+import os
 
 import pytest
 
-from rampsched import oracle
+from rampsched import cli, oracle
 from rampsched.cli import build_parser, main
 from rampsched.pmp import SOLUTION_CSV_HEADER
 
@@ -618,6 +620,35 @@ def test_one_process_serves_many_requests(tmp_path, machine_cfg,
                  "diagnostics.json"):
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("fault", ["lone_surrogate", "os_write_raises"])
+def test_failed_atomic_write_keeps_target_and_leaves_no_temp(tmp_path,
+                                                             monkeypatch, fault):
+    target = tmp_path / "solution.csv"
+    target.write_bytes(b"old bytes\n")
+    text = "t_h\n0.0\n"
+    if fault == "lone_surrogate":
+        text += "\ud800\n"
+        error = UnicodeEncodeError
+    else:
+        def failing_write(fd, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        monkeypatch.setattr(cli.os, "write", failing_write)
+        error = OSError
+    with pytest.raises(error):
+        cli._write_atomic(target, text)
+    assert [path.name for path in tmp_path.iterdir()] == ["solution.csv"]
+    assert target.read_bytes() == b"old bytes\n"
+
+
+def test_atomic_write_completes_short_writes(tmp_path, monkeypatch):
+    real_write = os.write
+    monkeypatch.setattr(cli.os, "write",
+                        lambda fd, data: real_write(fd, data[:3]))
+    text = "t_h,x_kw\n0.0,-0.0\nµ\n"
+    cli._write_atomic(tmp_path / "a.csv", text)
+    assert (tmp_path / "a.csv").read_bytes() == text.encode()
 
 
 def test_help_exits_zero(capsys):

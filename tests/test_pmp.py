@@ -18,7 +18,7 @@ from rampsched.oracle import discretize_objective, solve_active_set
 from rampsched.pmp import (SOLUTION_CSV_HEADER, PmpState, Scenario, Tolerances,
                            _condensed_table, _cyclic_thomas, _day,
                            _rk4_step, _rk4_step_derivative, _rk4_stepper,
-                           breakdown_as_dict, read_solution_csv,
+                           _schedule_csv, breakdown_as_dict, read_solution_csv,
                            resolvable_alpha, solution_to_csv)
 
 FLEET20 = FleetSpec(M1, 20)
@@ -650,6 +650,33 @@ def test_solution_csv_times_must_be_uniform_from_zero(times, line):
     rows = "".join(f"{t!r},1,2,3,4,5,6\n" for t in times)
     with pytest.raises(ValidationError, match=f"^line {line}: t_h "):
         read_solution_csv((SOLUTION_CSV_HEADER + "\n" + rows).encode())
+
+
+@pytest.mark.parametrize("case", ["clipped_zero_sign", "column_twice"])
+def test_schedule_csv_matches_row_repr_reference(case):
+    """The column writer writes what the row formula ",".join(map(repr,
+    row)) writes, on random columns holding -0.0, 5e-324, 1e300 and 1/3."""
+    n = 36
+    rng = np.random.default_rng(17)
+    special = np.array([-0.0, 0.0, 5e-324, 1e300, -1e300, 1.0 / 3.0])
+    cols = rng.standard_normal((4, n + 1)) * 10.0 ** rng.integers(-300, 300,
+                                                                  (4, n + 1))
+    cols[:, ::5] = rng.choice(special, (4, len(range(0, n + 1, 5))))
+    x, lam, u, pm = cols
+    pm[1:5] = 0.0, -0.0, 0.0, -0.0
+    if case == "clipped_zero_sign":
+        clipped = pm.copy()
+        clipped[1:5] = -0.0, 0.0, 0.0, -0.0  # bits differ at 1 and 2 only
+        args = (x, lam, u, pm, clipped)
+    else:
+        args = (x, lam, x, pm, pm)  # oracle_to_csv passes pm twice
+    load = SampledProfile(24.0 / n, rng.uniform(0.0, 1e4, n))
+    sc = make_scenario(load, FLEET20, g=1e-3, d=1.0, alpha_schedule=(1.0,))
+    rows = np.column_stack((np.arange(n + 1) * load.dt, *args,
+                            np.append(load.values, load.values[0]))).tolist()
+    expected = "\n".join([SOLUTION_CSV_HEADER,
+                          *(",".join(map(repr, row)) for row in rows)]) + "\n"
+    assert _schedule_csv(sc, *args) == expected
 
 
 def test_solution_csv_roundtrip(solved96, corpus96):

@@ -1,8 +1,10 @@
 """Profile construction, CSV round-trips, resampling, and synthesis."""
 
+import codecs
 import gc
 import io
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -14,9 +16,10 @@ import pytest
 import rampsched
 from rampsched import (SampledProfile, ValidationError, load_csv,
                        resample_periodic, synth_duck_curve, write_csv)
+from rampsched.costmodel import load_config
 from rampsched.econ import read_trend_csv
 from rampsched.pmp import SOLUTION_CSV_HEADER, read_solution_csv
-from rampsched.profiles import format_table
+from rampsched.profiles import _parse_timestamp, format_table
 
 
 def _csv_text(times, cols):
@@ -148,6 +151,30 @@ def test_load_csv_non_finite_timestamp_names_line(stamp):
         load_csv(text.encode())
 
 
+@pytest.mark.parametrize("cell,seconds", [
+    ("2000-01-01T00:15:00", 900.0),
+    ("2000-01-01 00:15:00", 900.0),
+    (" 2000-01-02 ", 86400.0),
+    ("2000-01-01T02:15:00+02:00", 900.0),
+    ("2000-01-01T00:15:00.25", 900.25),
+    ("900", 900.0), ("900.5", 900.5), ("9e2", 900.0), ("1.5e-3", 1.5e-3),
+    ("123e-5", 123e-5), ("-900", -900.0),
+    ("20000101", 20000101.0),  # also an ISO basic date: float() comes first
+    ("INFINITY", "non-finite"), ("nan", "non-finite"),
+    ("abc", "unparseable"), ("2000-13-01", "unparseable"),
+    ("12:00", "unparseable"),
+])
+def test_timestamp_cell_semantics(cell, seconds):
+    """ISO-8601 cells are seconds from 2000-01-01 UTC; a cell float()
+    accepts is epoch seconds; errors name the line."""
+    if isinstance(seconds, str):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"line 7: {seconds} timestamp {cell.strip()!r}")):
+            _parse_timestamp(cell, 7)
+    else:
+        assert _parse_timestamp(cell, 7) == seconds
+
+
 def test_load_csv_missing_value_rejected_not_imputed():
     text = "timestamp,load_kw\n0,1.0\n900,\n1800,2.0\n2700,3.0\n"
     with pytest.raises(ValidationError, match="line 3"):
@@ -174,6 +201,42 @@ def test_reader_names_line_and_column_of_bad_cell(reader, bad):
     with pytest.raises(ValidationError,
                        match=f"^line 6: .* cell '{bad}' in column '{column}'$"):
         read(text.format(bad=bad).encode())
+
+
+_BOM_FILES = {
+    "load_csv": (load_csv, "timestamp,load_kw\n0,1\n900,2\n1800,3\n2700,4\n"),
+    "load_config": (load_config, "demand_w = 5360\nk = 0.0014\n"),
+    "read_solution_csv": (read_solution_csv, SOLUTION_CSV_HEADER
+                          + "\n0,1,2,3,4,5,6\n1,1,2,3,4,5,6\n"),
+    "read_trend_csv": (read_trend_csv, "share_pct,value\n10,40\n20,45\n"),
+}
+
+
+def _plain(value):
+    """A reader's result as comparable Python values."""
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, SampledProfile):
+        return value.dt, value.values.tolist()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
+@pytest.mark.parametrize("form", ["path", "bytes", "stream"])
+@pytest.mark.parametrize("reader", sorted(_BOM_FILES))
+def test_reader_accepts_utf8_byte_order_mark(tmp_path, reader, form):
+    """A file saved as Excel's "CSV UTF-8" starts with U+FEFF."""
+    read, text = _BOM_FILES[reader]
+    data = codecs.BOM_UTF8 + text.encode()
+    if form == "path":
+        source = tmp_path / "bom.csv"
+        source.write_bytes(data)
+    elif form == "bytes":
+        source = data
+    else:
+        source = io.StringIO(data.decode("utf-8"))
+    assert _plain(read(source)) == _plain(read(text.encode()))
 
 
 def test_load_csv_repeated_stamp_after_blank_lines_names_its_line():
@@ -244,8 +307,8 @@ def test_roundtrip_non_integer_second_spacing():
 
 def test_format_table_writes_text_verbatim_and_floats_as_repr():
     floats = [0.1, 1.0 / 3.0, 1e-300, -2.5e17, 5e-324]
-    text = format_table("stamp,a,b,c,d,e", [("2000-01-01T00:15:00", *floats),
-                                            ("x y", 7, 0.0, -0.0, 1e16, 2.0)])
+    rows = [("2000-01-01T00:15:00", *floats), ("x y", 7, 0.0, -0.0, 1e16, 2.0)]
+    text = format_table("stamp,a,b,c,d,e", list(zip(*rows)))  # by column
     assert text.splitlines() == [
         "stamp,a,b,c,d,e",
         "2000-01-01T00:15:00," + ",".join(map(repr, floats)),
