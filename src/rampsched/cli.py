@@ -396,7 +396,7 @@ def main(argv=None) -> int:
         raise
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing input, a directory, an --out file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DivergenceError as exc:

@@ -26,7 +26,8 @@ stiffness dt*sqrt((g + alpha)/d) stays below Z_STAR.
 Everything here is deterministic: fixed steps, fixed iteration order,
 no adaptive logic, so identical scenarios produce bit-identical results.
 Each solve is single-threaded and shares with other solves only
-read-only cached arrays; scenarios and solutions are immutable, so
+read-only cached arrays and its day's store of one solution that a
+larger box reuses (`solve`); scenarios and solutions are immutable, so
 distinct solves may run concurrently and results can be handed between
 threads freely.
 """
@@ -207,6 +208,10 @@ class _Day(NamedTuple):
     nodes: np.ndarray
     cm: np.ndarray            # c_m at the n grid nodes
     baseline: CostBreakdown   # `objective` of no mining (p_m = 0)
+    # the smallest box whose solve ran no Newton step and left no RK4
+    # stage outside it, {solve key: (Pbar, solution)}; one key at most,
+    # so a day holds one solution however many starts it is solved from
+    held: dict
 
 
 def _day(sc: Scenario) -> _Day:
@@ -225,6 +230,7 @@ def _build_day(load: SampledProfile, cm: Union[float, SampledProfile],
     The key is exact: `SampledProfile` is frozen and read-only and hashes
     by identity, and no mining pays exactly 0.0 revenue and penalty at
     every c_m, Pbar and alpha, so the baseline reads only load, g and d.
+    The day's store of held solutions (`solve`) starts empty.
     """
     if isinstance(cm, SampledProfile):
         cm_nodes = cm.values
@@ -237,7 +243,7 @@ def _build_day(load: SampledProfile, cm: Union[float, SampledProfile],
     nodes.setflags(write=False)
     day_cost = CostModel(g=g, pbar_kw=1.0, cm=cm, d=d)  # Pbar, alpha unread
     return _Day(nodes, cm_nodes, _objective(load, day_cost, cm_nodes,
-                                            np.zeros(load.count)))
+                                            np.zeros(load.count)), {})
 
 
 def _rk4_stepper(nodes: np.ndarray, dt: float, d: float, g: float,
@@ -514,6 +520,17 @@ def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
     and alpha_used set to that weight, and one warning names the
     requested weight, dt and the largest weight dt resolves.
 
+    A solve that ran no Newton step and left no RK4 stage outside its
+    box is held on its day (`_day`), the smallest such box per day.  A
+    later solve of that day with the same Newton weight, final weight,
+    tol_bc and start, and a box at least as large, returns the held
+    solution: inside both boxes the excess is 0.0, so the RK4 pass,
+    the defect, the clipped draw and the violation have the same bits.
+    The key holds each number's repr, which tells -0.0 from 0.0 and an
+    int from a float.  The held solution's newton_iters and rk4_passes
+    are those of the solve that produced it; one debug record names
+    the reuse.
+
     Raises:
         ValidationError: the guess is not finite.
         DivergenceError: a Newton iterate is not finite; at a weight
@@ -525,6 +542,15 @@ def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
     limit = resolvable_alpha(sc)
     alpha = max((a for a in sc.alpha_schedule if a < limit),
                 default=sc.alpha_schedule[0])
+    pbar, held = sc.cost.pbar_kw, _day(sc).held
+    key = repr((alpha, sc.cost.alpha, sc.tolerances.tol_bc, start.x, start.lam))
+    held_pbar, held_sol = held.get(key, (math.inf, None))
+    if held_pbar <= pbar:
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("reused the solve at Pbar %.6g kW for Pbar %.6g kW",
+                         held_pbar, pbar,
+                         extra={"reused_pbar_kw": held_pbar, "pbar_kw": pbar})
+        return held_sol
     try:
         z, defect, stages, iters = _newton(sc, alpha, start)
     except DivergenceError as exc:
@@ -539,17 +565,23 @@ def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
         else:
             alpha = sc.cost.alpha
 
+    z.setflags(write=False)
     xs, ls = z
     u = cmod.control_from_costate(ls, sc.cost) + 0.0  # folds -0.0 into 0.0
     pm = xs - periodic_ext(sc.load.values)
-    pbar = sc.cost.pbar_kw
+    clipped = np.clip(pm, 0.0, pbar)
+    for v in (u, pm, clipped):
+        v.setflags(write=False)
     violation = box_violation(pm, pbar)
     sol = PmpSolution(
         x_traj=xs, lambda_traj=ls, u_traj=u, pm_traj=pm,
-        pm_clipped=np.clip(pm, 0.0, pbar), converged=converged,
+        pm_clipped=clipped, converged=converged,
         periodic_residual=defect, newton_iters=iters, alpha_used=alpha,
         rk4_passes=iters + 1, box_violation_kw=violation,
         box_violation_frac=violation / pbar)
+    if not iters and not stages:
+        held.clear()
+        held[key] = (pbar, sol)
     if not converged and logger.isEnabledFor(logging.WARNING):
         logger.warning("not converged: %s", failure_reason(sol, sc))
     return sol

@@ -11,7 +11,9 @@ machine data unmodified.
 The binding scenarios keep their arcs short and smooth, so their
 violations decay cleanly over each schedule.  `build_long_arc` adds
 scenarios whose bound binds for hours: a plant-scale duck day with an
-undersized fleet and a wide evening bump.
+undersized fleet and a wide evening bump.  `random_days` draws seeded
+days of two families, plant-scale duck days and small-scale trough
+days, to solve over the fleet-size ladder `LADDER`.
 """
 
 from __future__ import annotations
@@ -28,6 +30,12 @@ from rampsched.pmp import Scenario
 M1 = MACHINE_PRESETS["1"]
 M3 = MACHINE_PRESETS["3"]
 CM1 = compute_cm(M1)
+G1 = compute_g(M1)
+
+# Fleet sizes as fractions of `interior_count`, from undersized (the
+# miner bound binds) to oversized, and the trough family's schedule.
+LADDER = (0.85, 0.93, 0.97, 1.0, 1.1, 1.25)
+TROUGH_SCHEDULE = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
 # Scenarios with a constant revenue rate and the revenue-optimal level
 # interior to the reachable band; their exact solution is constant.
@@ -138,16 +146,64 @@ def build_corpus(n: int = 96) -> dict[str, Scenario]:
     return scenarios
 
 
+def interior_count(load: SampledProfile, g: float) -> int:
+    """Smallest fleet of machine 1 whose box holds the constant optimum
+    cm/2g over the load."""
+    return math.ceil((CM1 / (2.0 * g) - load.values.min()) / M1.demand_kw)
+
+
 def plant_duck_undersized(n: int, alpha_schedule=DEFAULT_ALPHA_SCHEDULE
                           ) -> Scenario:
-    """The corpus plant duck day with a fleet at 0.85x the smallest fleet
-    whose box holds the constant optimum cm/2g: the miner bound binds
-    for hours around the midday trough."""
+    """The corpus plant duck day with a fleet at 0.85x `interior_count`:
+    the miner bound binds for hours around the midday trough."""
     _, _, net = synth_duck_curve(8000.0, 3000.0, 9000.0, dt=24.0 / n)
-    level = CM1 / (2.0 * compute_g(M1))
-    interior = math.ceil((level - net.values.min()) / M1.demand_kw)
-    return make_scenario(net, FleetSpec(M1, round(0.85 * interior)),
-                         d=1.0, alpha_schedule=alpha_schedule)
+    fleet = FleetSpec(M1, round(0.85 * interior_count(net, G1)))
+    return make_scenario(net, fleet, d=1.0, alpha_schedule=alpha_schedule)
+
+
+def _strata(rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` points of [0, 1)^3, one in each of `count` equal slices of
+    every axis (a Latin hypercube), in random order."""
+    slices = np.stack([rng.permutation(count) for _ in range(3)], axis=1)
+    return (slices + rng.random((count, 3))) / count
+
+
+def random_days(seed: int, count: int, n: int = 96) -> list[tuple]:
+    """`count` seeded days, half of each family, as (family, load, g, d,
+    alpha_schedule) for `make_scenario`; the family parameters are a
+    Latin hypercube per family.
+
+    plant: a duck day at plant scale, base load 6.5-8.5 MW, evening peak
+    1.5-3 MW and PV 1.05-1.3x the base, so midday net load floors at 0;
+    machine 1's g and the default schedule.  trough: a sine day of mean
+    90-110 kW, amplitude 20-30 kW and peak at 17-21 h whose revenue-
+    optimal level sits at 2.4x the mean, so an undersized fleet touches
+    its upper bound at night."""
+    rng = np.random.default_rng(seed)
+    plant, trough = _strata(rng, count // 2), _strata(rng, count - count // 2)
+    days = []
+    for u in plant:
+        base = 6500.0 + 2000.0 * u[0]
+        load = synth_duck_curve(base, 1500.0 + 1500.0 * u[1],
+                                base * (1.05 + 0.25 * u[2]), dt=24.0 / n)[2]
+        days.append(("plant", load, G1, 1.0, DEFAULT_ALPHA_SCHEDULE))
+    for u in trough:
+        mean = 90.0 + 20.0 * u[0]
+        load = _sin_day(_grid(n), mean, 20.0 + 10.0 * u[1], 17.0 + 4.0 * u[2])
+        days.append(("trough", SampledProfile(24.0 / n, load),
+                     CM1 / (4.8 * mean), 4.0, TROUGH_SCHEDULE))
+    return days
+
+
+def ladder_scenarios(day: tuple, load: SampledProfile | None = None
+                     ) -> list[Scenario]:
+    """A `random_days` day at each `LADDER` fleet size, smallest first,
+    on `load` (default the day's own load object)."""
+    _, day_load, g, d, schedule = day
+    n_star = interior_count(day_load, g)
+    return [make_scenario(day_load if load is None else load,
+                          FleetSpec(M1, max(1, round(f * n_star))), g=g, d=d,
+                          alpha_schedule=schedule) for f in LADDER]
 
 
 def build_long_arc(n: int = 96) -> dict[str, Scenario]:

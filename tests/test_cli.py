@@ -148,6 +148,33 @@ def test_solve_missing_file_is_input_error(tmp_path, machine_cfg):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--load", "{dir}", "--machine", "{cfg}", "--out", "{out}"],
+    ["econ", "--machine", "{dir}", "--solution", "{run}", "--out", "{out}"],
+    ["solve", "--load", "{csv}", "--machine", "{cfg}", "--out", "{file}"],
+], ids=["load_is_dir", "machine_is_dir", "out_is_file"])
+def test_os_error_is_input_error(tmp_path, machine_cfg, plant_net_csv, capsys,
+                                 argv):
+    """An input path that names a directory, or an --out path that names
+    a file, exits 1 with one error line and writes nothing."""
+    run = tmp_path / "run"
+    assert main(["solve", "--load", plant_net_csv, "--machine", machine_cfg,
+                 "--out", str(run)]) == 0
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "a_file").write_text("taken\n")
+    paths = {"dir": tmp_path / "a_dir", "cfg": machine_cfg, "run": run,
+             "out": tmp_path / "out", "csv": plant_net_csv,
+             "file": tmp_path / "a_file"}
+    before = {p: p.read_bytes() if p.is_file() else None
+              for p in tmp_path.rglob("*")}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert {p: p.read_bytes() if p.is_file() else None
+            for p in tmp_path.rglob("*")} == before
+
+
 def test_solve_is_byte_deterministic(tmp_path, machine_cfg, plant_net_csv):
     outs = []
     for tag in ("a", "b"):

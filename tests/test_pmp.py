@@ -1,13 +1,17 @@
 """Optimality-system integration and the multiple-shooting Newton solve."""
 
+import dataclasses
 import hashlib
 import logging
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from corpus import (BINDING_NAMES, CM1, M1, build_corpus, build_long_arc,
-                    plant_duck_undersized)
+from corpus import (BINDING_NAMES, CM1, G1, M1, build_corpus, build_long_arc,
+                    interior_count, ladder_scenarios, plant_duck_undersized,
+                    random_days)
 
 from rampsched import (DivergenceError, FleetSpec, SampledProfile,
                        ValidationError, daily_report, evaluate, hamiltonian,
@@ -18,10 +22,14 @@ from rampsched.oracle import discretize_objective, solve_active_set
 from rampsched.pmp import (SOLUTION_CSV_HEADER, PmpState, Scenario, Tolerances,
                            _condensed_table, _cyclic_thomas, _day,
                            _rk4_step, _rk4_step_derivative, _rk4_stepper,
-                           _schedule_csv, breakdown_as_dict, read_solution_csv,
-                           resolvable_alpha, solution_to_csv)
+                           _schedule_csv, breakdown_as_dict, failure_reason,
+                           read_solution_csv, resolvable_alpha,
+                           solution_to_csv)
 
 FLEET20 = FleetSpec(M1, 20)
+# `random_days` seed and day count, fixed before the test first ran
+RANDOM_DAYS_SEED, RANDOM_DAYS = 1, 40
+SOLUTION_ARRAYS = ("x_traj", "lambda_traj", "u_traj", "pm_traj", "pm_clipped")
 
 
 def const_scenario(level=100.0, xstar=150.0, n=96, d=1.0):
@@ -550,8 +558,150 @@ def test_fleet_ladder_shares_day_data_exactly(corpus96, name):
     for count, want in zip(counts, shared):
         fresh = SampledProfile(day.load.dt, day.load.values.copy())
         assert point(fresh, count) == want, count
-    nodes, cm, _ = _day(day)
+    nodes, cm, _, _ = _day(day)
     assert not nodes.flags.writeable and not cm.flags.writeable
+
+
+def _fresh(load: SampledProfile) -> SampledProfile:
+    """A copy of the load, so its day shares nothing with the load's."""
+    return SampledProfile(load.dt, load.values.copy())
+
+
+def _solution_bytes(sol) -> list:
+    """Every `PmpSolution` field: arrays as bytes, the rest as repr."""
+    return [v.tobytes() if isinstance(v, np.ndarray) else repr(v)
+            for v in (getattr(sol, f.name) for f in dataclasses.fields(sol))]
+
+
+def test_larger_box_reuses_a_solve_that_stayed_inside(corpus96, caplog):
+    """A day's solve that ran no Newton step and left no RK4 stage
+    outside its box answers the same day's solves at a box at least as
+    large, with the same start, weights and tol_bc, with one debug
+    record each; the smallest such box is held."""
+    day = corpus96["plant_duck"]  # its optimum is the constant start
+    load = _fresh(day.load)
+
+    def scenario(count, **kw):
+        kw.setdefault("alpha_schedule", day.alpha_schedule)
+        return make_scenario(load, FleetSpec(M1, count), d=1.0, **kw)
+
+    count = day.fleet.count
+    first = solve(scenario(count))
+    assert first.newton_iters == 0 and first.box_violation_kw == 0.0
+    with caplog.at_level(logging.DEBUG, logger="rampsched.pmp"):
+        assert solve(scenario(count + 10)) is first
+        assert solve(scenario(count)) is first
+    records = [r for r in caplog.records if r.name == "rampsched.pmp"]
+    assert [(r.reused_pbar_kw, r.pbar_kw) for r in records] == [
+        (count * M1.demand_kw, (count + n) * M1.demand_kw) for n in (10, 0)]
+    fresh = make_scenario(_fresh(load), FleetSpec(M1, count + 10), d=1.0,
+                          alpha_schedule=day.alpha_schedule)
+    assert _solution_bytes(solve(fresh)) == _solution_bytes(first)
+
+    binding = solve(scenario(round(0.85 * interior_count(load, G1))))
+    assert binding.newton_iters and solve(scenario(count + 10)) is first
+
+    smaller = solve(scenario(interior_count(load, G1)))  # solved, then held
+    assert smaller is not first and smaller.newton_iters == 0
+    assert solve(scenario(count)) is smaller
+    start = pmp.initial_guess(scenario(count))
+    for kw, guess in (({"tolerances": Tolerances(1e-9)}, None),
+                      ({"alpha_schedule": (1.0, 1e4)}, None),
+                      ({}, PmpState(start.x, -0.0))):
+        held = solve(scenario(interior_count(load, G1)))
+        assert solve(scenario(count, **kw), guess) is not held, kw
+    # -0.0 == 0.0, yet a costate started at -0.0 keeps its sign bit
+    assert solve(scenario(count), PmpState(start.x, -0.0)).lambda_traj \
+        .tobytes() != smaller.lambda_traj.tobytes()
+
+    # at weight 0 the optimum solves any box without a Newton step, but
+    # from a small box its stages stray outside and the clipped draw
+    # reads the box: such a solve is not held
+    def unweighted(day_load, count):
+        sc = make_scenario(day_load, FleetSpec(M1, count), d=1.0,
+                           alpha_schedule=(0.0,))
+        return solve(sc, PmpState(CM1 / (2.0 * G1), 0.0))
+
+    small = unweighted(load, 1000)
+    assert small.newton_iters == 0 and small.box_violation_kw > 0.0
+    assert _solution_bytes(unweighted(load, 1200)) \
+        == _solution_bytes(unweighted(_fresh(load), 1200))
+
+
+def test_threads_sharing_a_day_get_fresh_solve_bytes():
+    """Four threads solve one day's ladder, each in its own order, on a
+    shared load while the interpreter switches threads every
+    microsecond: every point has the bytes of a ladder solved from
+    large to small fleets, which solves every point."""
+    rng = np.random.default_rng(5)
+    for day in random_days(RANDOM_DAYS_SEED, 2):
+        down = ladder_scenarios(day, _fresh(day[1]))[::-1]
+        want = [_solution_bytes(solve(sc)) for sc in down][::-1]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                for _ in range(3):
+                    scs = ladder_scenarios(day, _fresh(day[1]))
+                    futures = [pool.submit(lambda order: [
+                        (i, solve(scs[i])) for i in order],
+                        rng.permutation(len(scs)).tolist()) for _ in range(4)]
+                    for future in futures:
+                        for i, sol in future.result(timeout=60):
+                            assert _solution_bytes(sol) == want[i], i
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def test_solutions_are_read_only(solved96):
+    """`solve`'s arrays refuse writes, so solutions can be shared;
+    `dataclasses.replace` still builds a variant from a copy."""
+    sol = solved96["peak_touch"]
+    for name in SOLUTION_ARRAYS:
+        with pytest.raises(ValueError):
+            getattr(sol, name)[0] = 1.0
+    pm = sol.pm_traj.copy()
+    pm[0] = -1.0
+    pushed = dataclasses.replace(sol, pm_traj=pm)
+    assert pushed.pm_traj[0] == -1.0 and sol.pm_traj[0] != -1.0
+    assert pushed.x_traj is sol.x_traj
+
+
+def test_random_day_ladders_converge_or_name_the_limit():
+    """Seeded random days of both families (`random_days`), each solved
+    over the fleet ladder: every point converges within criterion 3's
+    bounds against the box-exact oracle, or stops with a failure_reason
+    that names the grid limit.  The ladder ascending on the load and
+    the ladder descending on a fresh copy of it give the same bytes for
+    every field: the ascending ladders reuse larger boxes' solves, and
+    the descending one solves every point, as each box is smaller than
+    the one held."""
+    reused = 0
+    for day in random_days(RANDOM_DAYS_SEED, RANDOM_DAYS):
+        scs = ladder_scenarios(day)
+        counts = [sc.fleet.count for sc in scs]
+        assert counts == sorted(set(counts))
+        up = [solve(sc) for sc in scs]
+        down = [solve(sc)
+                for sc in ladder_scenarios(day, _fresh(day[1]))[::-1]]
+        assert len(set(map(id, down))) == len(down)
+        reused += sum(a is b for a, b in zip(up, up[1:]))
+        for sc, sol, sol_down in zip(scs, up, down[::-1]):
+            where = (day[0], sc.fleet.count)
+            assert _solution_bytes(sol) == _solution_bytes(sol_down), where
+            if not sol.converged:
+                assert "the largest alpha that dt" in failure_reason(sol, sc)
+                continue
+            pbar = sc.cost.pbar_kw
+            ref = solve_active_set(sc)
+            assert ref.grad_norm <= 1e-8 * pbar, where
+            bd = evaluate(sol, sc)
+            gap = bd.generation_usd + bd.ramping_usd - bd.revenue_usd \
+                - ref.objective
+            assert abs(gap) <= 0.005 * (1.0 + abs(ref.objective)), where
+            assert np.max(np.abs(sol.pm_clipped[:-1] - ref.pm)) \
+                <= 0.02 * pbar, where
+    assert reused
 
 
 def test_report_ramping_saving_is_evaluate_saving(solved96, corpus96):
