@@ -133,12 +133,12 @@ def ramp_cost(u, m: CostModel):
     return m.d * np.square(u)
 
 
-def box_excess(pm, pbar: float, out=None):
+def box_excess(pm, pbar, out=None, zero=0.0):
     """Excess draw over the box [0, Pbar], pm - clip(pm, 0, Pbar): pm
     below the box, pm - Pbar above it and 0 on it (both kinks included).
     `out`, if given, also holds the clipped draw on the way, so it must
-    not share memory with pm."""
-    return np.subtract(pm, np.minimum(np.maximum(pm, 0.0, out=out), pbar, out=out),
+    not share memory with pm.  The bounds pbar and `zero` may be arrays."""
+    return np.subtract(pm, np.minimum(np.maximum(pm, zero, out=out), pbar, out=out),
                        out=out)
 
 

@@ -25,6 +25,8 @@ stiffness dt*sqrt((g + alpha)/d) stays below Z_STAR.
 
 Everything here is deterministic: fixed steps, fixed iteration order,
 no adaptive logic, so identical scenarios produce bit-identical results.
+Every ufunc of the RK4 pass takes array operands shaped like its output;
+those the grid fixes are cached per (n, dt) (`_rk4_grid`).
 Each solve is single-threaded and shares with other solves only
 read-only cached arrays and its day's store of one solution that a
 larger box reuses (`solve`); scenarios and solutions are immutable, so
@@ -246,6 +248,16 @@ def _build_day(load: SampledProfile, cm: Union[float, SampledProfile],
                                             np.zeros(load.count)), {})
 
 
+@functools.lru_cache(maxsize=64)
+def _rk4_grid(m: int, dt: float) -> tuple:
+    """The RK4 pass's operands its grid fixes, read-only, once per (m, dt)
+    and process: the steps dt/2, dt and weights 2, dt/6, each (2, m), and
+    the box's lower bound 0, shape (m,)."""
+    ops = np.repeat([0.5 * dt, dt, 2.0, dt / 6.0, 0.0], 2 * m).reshape(5, 2, m)
+    ops.setflags(write=False)
+    return (*ops[:4], ops[4, 0])
+
+
 def _rk4_stepper(nodes: np.ndarray, dt: float, d: float, g: float,
                  alpha: float, pbar: float):
     """step(z): one classical RK4 step from the stacked states z = (x, lam),
@@ -254,40 +266,43 @@ def _rk4_stepper(nodes: np.ndarray, dt: float, d: float, g: float,
     the box [0, Pbar] (0 inside), one (4, m) buffer: xi' = 2 alpha * excess.
     Both results are buffers of the stepper, overwritten by its next call;
     every ufunc writes into them with `out=`, in the operand order of the
-    plain expressions, so the bits do not depend on the buffering."""
+    plain expressions, so the bits do not depend on the buffering.  Every
+    operand is an array shaped like its output (`_rk4_grid`'s, or filled
+    per stepper), so no call converts a float or broadcasts a column."""
     pl0, plh, pl1, cm0, cmh, cm1 = nodes
-    # rate * (lam, x) is the right-hand side less c_m - xi'
-    rate = np.array([[-1.0 / (2.0 * d)], [-2.0 * g]])
-    a2 = 2.0 * alpha
-    h2, h6 = 0.5 * dt, dt / 6.0
     m = nodes.shape[1]
+    h2, h1, two, h6, zero = _rk4_grid(m, float(dt))
+    # rate_lam * lam and rate_x * x + c_m - xi' are the right-hand side
+    rate_lam, rate_x, a2, pbar = np.repeat(
+        [-1.0 / (2.0 * d), -2.0 * g, 2.0 * alpha, pbar], m).reshape(4, m)
     excess = np.empty((4, m))
     k1, k2, k3, k4 = np.empty((4, 2, m))  # the four slopes
     zs, acc, res = np.empty((3, 2, m))    # stage point, sum of slopes, result
     pm = np.empty(m)                      # stage draw, then xi'
     box_excess = cmod.box_excess
     # per stage: the step c along the previous slope that leads from z to
-    # its point (0: z itself), its slope and that slope's costate row, its
+    # its point (None: z itself), its slope and that slope's two rows, its
     # excess row and its profile data
-    stages = [(c, k, k[1], ex, pl, cm) for c, k, ex, pl, cm in zip(
-        (0.0, h2, h2, dt), (k1, k2, k3, k4), excess,
+    stages = [(c, k, k[0], k[1], ex, pl, cm) for c, k, ex, pl, cm in zip(
+        (None, h2, h2, h1), (k1, k2, k3, k4), excess,
         (pl0, plh, plh, pl1), (cm0, cmh, cmh, cm1))]
-    zs_x, zs_swapped = zs[0], zs[::-1]
+    zs_rows = zs[0], zs[1]  # one cell: CPython 3.11 never reuses freed 20-tuples
 
     def step(z):
-        x, swapped, k_prev = z[0], z[::-1], None
-        for c, k, kl, ex, pl, cm in stages:
-            if c:
+        x, lam, k_prev = z[0], z[1], None
+        for c, k, kx, kl, ex, pl, cm in stages:
+            if c is not None:
                 np.add(z, np.multiply(c, k_prev, out=zs), out=zs)
-                x, swapped = zs_x, zs_swapped
+                x, lam = zs_rows
             np.subtract(x, pl, out=pm)
-            box_excess(pm, pbar, ex)
-            np.multiply(rate, swapped, out=k)
+            box_excess(pm, pbar, ex, zero)
+            np.multiply(rate_lam, lam, out=kx)
+            np.multiply(rate_x, x, out=kl)
             np.add(kl, cm, out=kl)
             np.subtract(kl, np.multiply(a2, ex, out=pm), out=kl)
             k_prev = k
         np.add(k2, k3, out=acc)
-        np.multiply(2.0, acc, out=acc)
+        np.multiply(two, acc, out=acc)
         np.add(k1, acc, out=acc)
         np.add(acc, k4, out=acc)
         np.multiply(h6, acc, out=acc)
@@ -425,14 +440,14 @@ def _newton(sc: Scenario, alpha: float, start: PmpState) -> tuple:
     z_first, z_last = z[:, 0], z[:, n]
     f_steps, f_first, f_last = f[:, 1:], f[:, 0], f[:, n]
     pattern_steps = pattern[1:]
+    zeros = np.zeros((4, n))
     tol = sc.tolerances.tol_bc
     debug = logger.isEnabledFor(logging.DEBUG)
 
     def defects() -> float:
-        """max |F|; writes F into f, the stages outside the box into
-        `outside` and each step's penalty pattern into `pattern`."""
-        zn, excess = step(z)
-        np.subtract(zn[:, :n], z_next, out=f_steps)
+        """max |F| of the last pass; writes F into f, the stages outside
+        the box into `outside` and each step's penalty pattern into `pattern`."""
+        np.subtract(zn_steps, z_next, out=f_steps)
         f_first[:] = f_last
         defect = np.abs(f, out=abs_f).max()
         if not math.isfinite(defect):  # step i ends at t_{i+1}
@@ -441,7 +456,7 @@ def _newton(sc: Scenario, alpha: float, start: PmpState) -> tuple:
             raise DivergenceError(
                 f"non-finite state at t = {t_fail:.6g} h", t_hours=t_fail,
                 initial_state=(float(start.x), float(start.lam)))
-        np.not_equal(excess[:, :n], 0.0, out=outside)
+        np.not_equal(excess_steps, zeros, out=outside)
         np.dot(_STAGE_BITS, outside, out=pattern_steps)
         pattern[0] = pattern[n]
         return defect
@@ -449,6 +464,8 @@ def _newton(sc: Scenario, alpha: float, start: PmpState) -> tuple:
     iters = 0
     with np.errstate(all="ignore"):
         table = _condensed_table(float(dt), float(d), float(g), float(alpha))
+        zn, excess = step(z)  # every pass writes these two buffers
+        zn_steps, excess_steps = zn[:, :n], excess[:, :n]
         defect = defects()
         while defect > tol and iters < _MAX_NEWTON_ITERS:
             t0 = time.perf_counter() if debug else 0.0
@@ -456,6 +473,7 @@ def _newton(sc: Scenario, alpha: float, start: PmpState) -> tuple:
             z_x += dx
             z_lam += dl
             z_last[:] = z_first
+            step(z)
             defect = defects()
             iters += 1
             if debug:
@@ -731,7 +749,7 @@ def solution_to_csv(sol: PmpSolution, sc: Scenario) -> str:
 
 
 def read_solution_csv(source) -> dict[str, np.ndarray]:
-    """Parse a solution CSV back into column arrays keyed by header name.
+    """Parse a solution CSV into read-only column arrays keyed by name.
 
     Raises:
         ValidationError: naming the line, for an empty file, a wrong
@@ -756,4 +774,5 @@ def read_solution_csv(source) -> dict[str, np.ndarray]:
         raise ValidationError(
             f"line {rows[i][0]}: t_h {float(t[i])!r} is off the uniform grid "
             f"0, dt, 2*dt, ... with dt = t_h[1] = {float(t[1])!r} > 0")
+    data.setflags(write=False)
     return {name: data[:, j] for j, name in enumerate(header)}

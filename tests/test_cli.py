@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from rampsched import cli, oracle
+from rampsched import cli, costmodel, oracle, pmp
 from rampsched.cli import build_parser, main
 from rampsched.pmp import SOLUTION_CSV_HEADER
 
@@ -299,6 +299,22 @@ def test_econ_report_from_solution(tmp_path, machine_cfg, plant_net_csv):
     assert doc["msrp_per_day"] == pytest.approx(10.14, abs=0.01)
     assert doc["gross_mining"] > 0.0
     assert (out / "econ_report.txt").exists()
+
+
+def test_econ_solution_is_read_only(tmp_path, machine_cfg, plant_net_csv):
+    """Every column read back from a solution CSV refuses writes, so the
+    solution `econ --solution` prices is immutable like `solve`'s."""
+    run = tmp_path / "run"
+    assert main(["solve", "--load", plant_net_csv, "--machine", machine_cfg,
+                 "--out", str(run)]) == 0
+    cols = pmp.read_solution_csv(run / "solution.csv")
+    assert list(cols) == SOLUTION_CSV_HEADER.split(",")
+    args = build_parser().parse_args(
+        ["econ", "--machine", machine_cfg, "--solution", str(run)])
+    sol, _ = cli._scenario_from_solution(args, costmodel.load_config(machine_cfg))
+    for col in (*cols.values(), sol.x_traj, sol.lambda_traj, sol.u_traj,
+                sol.pm_traj, sol.pm_clipped):
+        assert not col.flags.writeable
 
 
 def test_solve_reports_rk4_passes(tmp_path, machine_cfg, plant_net_csv):

@@ -16,11 +16,11 @@ from corpus import (BINDING_NAMES, CM1, G1, M1, build_corpus, build_long_arc,
 from rampsched import (DivergenceError, FleetSpec, SampledProfile,
                        ValidationError, daily_report, evaluate, hamiltonian,
                        make_scenario, pmp, pmp_rhs, solve, stationary_point)
-from rampsched.costmodel import gen_cost, penalty_xi, ramp_cost
+from rampsched.costmodel import box_excess, gen_cost, penalty_xi, ramp_cost
 from rampsched.econ import report_as_dict
 from rampsched.oracle import discretize_objective, solve_active_set
 from rampsched.pmp import (SOLUTION_CSV_HEADER, PmpState, Scenario, Tolerances,
-                           _condensed_table, _cyclic_thomas, _day,
+                           _condensed_table, _cyclic_thomas, _day, _rk4_grid,
                            _rk4_step, _rk4_step_derivative, _rk4_stepper,
                            _schedule_csv, breakdown_as_dict, failure_reason,
                            read_solution_csv, resolvable_alpha,
@@ -519,6 +519,97 @@ def test_rk4_stepper_results_match_fresh_steps(corpus96, solved96):
         want_end, want_excess = _rk4_step(z, nodes, sc)
         assert end.tobytes() == want_end.tobytes()
         assert excess.tobytes() == want_excess.tobytes()
+
+
+def _plain_rk4_step(z, nodes, dt, d, g, alpha, pbar):
+    """`_rk4_stepper`'s step as plain expressions: Python-float operands,
+    `box_excess(pm, pbar)` and a rate column broadcast over (lam, x)."""
+    pl0, plh, pl1, cm0, cmh, cm1 = nodes
+    rate = np.array([[-1.0 / (2.0 * d)], [-2.0 * g]])
+    a2, h2, h6 = 2.0 * alpha, 0.5 * dt, dt / 6.0
+    excess = []
+
+    def slope(zs, pl, cm):
+        excess.append(box_excess(zs[0] - pl, pbar))
+        k = rate * zs[::-1]
+        k[1] = k[1] + cm - a2 * excess[-1]
+        return k
+
+    k1 = slope(z, pl0, cm0)
+    k2 = slope(z + h2 * k1, plh, cmh)
+    k3 = slope(z + h2 * k2, plh, cmh)
+    k4 = slope(z + dt * k3, pl1, cm1)
+    return z + h6 * (k1 + 2.0 * (k2 + k3) + k4), np.array(excess)
+
+
+@pytest.mark.parametrize("n", [48, 96, 1440])
+def test_rk4_stepper_has_the_bits_of_the_plain_expressions(n):
+    """Array operands change no bit of the kernel: from the solved corpus
+    states, states with stages exactly on 0 and on Pbar, states far
+    outside the box and -0.0 entries, the stepper's end states and
+    excess equal `_plain_rk4_step`'s byte for byte."""
+    on_pbar = 0
+    for name, sc in build_corpus(n).items():
+        m, dt = sc.cost, sc.load.dt
+        nodes = _day(sc).nodes
+        signed = nodes.copy()
+        signed[:3, ::2] = 0.0  # p_L = 0 where the states below hold -0.0
+        sol = solve(sc)
+        x, lam = sol.x_traj, sol.lambda_traj
+        zero = np.zeros_like(x)
+        states = [(nodes, np.array(z)) for z in (
+            (x, lam),
+            (nodes[0], lam), (nodes[0] + m.pbar_kw, lam),  # stage 1 on 0, Pbar
+            (nodes[1], zero), (nodes[1] + m.pbar_kw, zero),  # stage 2 on 0, Pbar
+            (nodes[2], lam), (nodes[2] + m.pbar_kw, lam),  # near stage 4's
+            (nodes[0] - 1e3 * m.pbar_kw, 1e3 * lam),  # far below, far above
+            (nodes[0] + 1e3 * m.pbar_kw, -1e3 * lam))]
+        states.append((signed, np.where(signed[0] == 0.0, -0.0, (x, lam))))
+        on_pbar += np.count_nonzero((nodes[0] + m.pbar_kw) - nodes[0] == m.pbar_kw)
+        step = _rk4_stepper(nodes, dt, m.d, m.g, m.alpha, m.pbar_kw)
+        step_signed = _rk4_stepper(signed, dt, m.d, m.g, m.alpha, m.pbar_kw)
+        for i, (data, z) in enumerate(states):
+            end, excess = (step if data is nodes else step_signed)(z)
+            want_end, want_excess = _plain_rk4_step(
+                z, data, dt, m.d, m.g, m.alpha, m.pbar_kw)
+            assert end.tobytes() == want_end.tobytes(), (name, i)
+            assert excess.tobytes() == want_excess.tobytes(), (name, i)
+    assert on_pbar > 0
+
+
+def test_rk4_grid_operands_are_read_only_and_keyed_on_the_grid():
+    ops = _rk4_grid(97, 0.25)
+    assert _rk4_grid(97, 0.25) is ops
+    for op in ops:
+        assert not op.flags.writeable
+        with pytest.raises(ValueError):
+            op[..., 0] = 0.0
+    other = _rk4_grid(97, 0.5)
+    assert other is not ops and not np.array_equal(other[0], ops[0])
+    assert [op.shape for op in _rk4_grid(49, 0.5)] == [(2, 49)] * 4 + [(49,)]
+
+
+def test_rk4_stepper_closure_is_not_a_20_tuple():
+    """CPython 3.11 puts a freed 20-tuple on its free list and never takes
+    it back, so a stepper closure of 20 cells would leave one tuple per
+    solve there, up to 2,000 of them (0.37 MB of peak RSS)."""
+    step = _rk4_stepper(np.zeros((6, 5)), 0.25, 1.0, 1.0, 1.0, 1.0)
+    assert len(step.__closure__) != 20
+
+
+def test_grids_of_one_size_share_no_operands(corpus96):
+    """Solves on two grids of n nodes and different dt, in turn, give
+    byte for byte what each gives with no RK4 grid operands cached."""
+    a = corpus96["peak_touch"]
+    b = dataclasses.replace(
+        a, load=SampledProfile(2.0 * a.load.dt, a.load.values))
+
+    def fresh(sc):
+        pmp._rk4_grid.cache_clear()
+        return _solution_bytes(solve(sc))
+
+    want = [fresh(a), fresh(b)]
+    assert [_solution_bytes(solve(sc)) for sc in (a, b, a, b)] == want * 2
 
 
 def test_solves_share_no_workspace(corpus96):
