@@ -128,15 +128,16 @@ def _build_scenario(args) -> pmp.Scenario:
                             pmp.Tolerances(tol_bc=args.tol_bc))
 
 
-def _solution_files(sol: pmp.PmpSolution, sc: pmp.Scenario) -> dict[str, str]:
+def _solution_files(sol: pmp.PmpSolution, sc: pmp.Scenario,
+                    diagnostics: dict) -> dict[str, str]:
     return {"solution.csv": pmp.solution_to_csv(sol, sc),
-            "diagnostics.json": _json_text(pmp.solution_diagnostics(sol, sc))}
+            "diagnostics.json": _json_text(diagnostics)}
 
 
 def cmd_solve(args) -> int:
     sc = _build_scenario(args)
     sol = pmp.solve(sc)
-    files = _solution_files(sol, sc)
+    files = _solution_files(sol, sc, pmp.solution_diagnostics(sol, sc))
     _write_outputs(Path(args.out), files)
     if args.format == "json":
         print(files["diagnostics.json"], end="")
@@ -165,7 +166,11 @@ def cmd_oracle_check(args) -> int:
         return EXIT_VERIFICATION
     ref_diagnostics = oracle.oracle_diagnostics(ref, sc)
 
-    j_pmp_cmp = oracle.discretize_objective(sc, sol.pm_traj[:-1])
+    # `discretize_objective` of the draw, from the one `evaluate`
+    diagnostics = pmp.solution_diagnostics(sol, sc)
+    terms = diagnostics["objective_breakdown"]
+    j_pmp_cmp = (terms["generation_usd"] + terms["ramping_usd"]
+                 - terms["revenue_usd"])
     obj_gap = abs(j_pmp_cmp - ref.objective) / (1.0 + abs(ref.objective))
     pm_gap = float(np.max(np.abs(sol.pm_clipped[:-1] - ref.pm)))
     pm_gap_frac = pm_gap / sc.cost.pbar_kw
@@ -190,7 +195,7 @@ def cmd_oracle_check(args) -> int:
         "comparison.json": _json_text(doc),
         "oracle_solution.csv": oracle.oracle_to_csv(ref, sc),
         "oracle_diagnostics.json": _json_text(ref_diagnostics),
-        **_solution_files(sol, sc)})
+        **_solution_files(sol, sc, diagnostics)})
     if not ok:
         print(f"verification gap: objective {obj_gap:.3%}, "
               f"pm {pm_gap_frac:.3%} of Pbar, oracle KKT residual "

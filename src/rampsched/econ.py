@@ -15,7 +15,7 @@ import numpy as np
 
 from .costmodel import MachineSpec
 from .errors import ReportOnUnconvergedError, ValidationError
-from .pmp import PmpSolution, Scenario, ramping, revenue
+from .pmp import PmpSolution, Scenario, evaluate, revenue
 from .profiles import read_table, table_floats
 
 DAYS_PER_YEAR = 365.0
@@ -208,8 +208,8 @@ def daily_report(sol: PmpSolution, sc: Scenario, machine: MachineSpec,
     trajectory).  Operating cost attributes generation cost to mining
     energy at the scheduled operating point: marginal attribution prices
     it at 2*g*x, average attribution at g*x.  The fleet's ramping saving
-    is the no-mining baseline's `ramping` less the schedule's, as
-    `evaluate` would report it.
+    is the no-mining baseline's ramping term less the schedule's, both
+    from `evaluate`, which prices a solution once per day.
     """
     if not sol.converged:
         raise ReportOnUnconvergedError(
@@ -224,12 +224,13 @@ def daily_report(sol: PmpSolution, sc: Scenario, machine: MachineSpec,
     operating = (price_factor * sc.cost.g * sc.load.dt
                  * float(sol.x_traj[:-1] @ pm_c) / n_machines)
 
-    saved_fleet = sc.baseline.ramping_usd - ramping(sc, sol.pm_traj[:-1])
+    bd = evaluate(sol, sc)
+    saved_fleet = bd.baseline.ramping_usd - bd.ramping_usd
     msrp = amortized_daily_msrp(machine.price_usd, machine.lifespan_years)
     net = gross - operating - msrp
 
     flags = []
-    if np.all(pm_c == 0.0):
+    if not pm_c.any():  # every clipped draw is 0.0 or -0.0
         flags.append("no-mining")
     if saved_fleet <= 0.0:
         flags.append("no-ramping-savings")

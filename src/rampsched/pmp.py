@@ -28,10 +28,12 @@ no adaptive logic, so identical scenarios produce bit-identical results.
 Every ufunc of the RK4 pass takes array operands shaped like its output;
 those the grid fixes are cached per (n, dt) (`_rk4_grid`).
 Each solve is single-threaded and shares with other solves only
-read-only cached arrays and its day's store of one solution that a
-larger box reuses (`solve`); scenarios and solutions are immutable, so
-distinct solves may run concurrently and results can be handed between
-threads freely.
+read-only cached arrays and its day's two one-entry slots: the solution
+a larger box reuses (`solve`) and the last solution priced (`evaluate`).
+Each slot is read and replaced as one tuple, so a thread never sees
+half an entry; scenarios and solutions are immutable, so distinct
+solves may run concurrently and results can be handed between threads
+freely.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence, Union
 
@@ -84,6 +86,9 @@ class Tolerances:
             raise ValidationError(f"tol_bc must be finite and > 0, got {self.tol_bc}")
 
 
+_DEFAULT_TOLERANCES = Tolerances()
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Everything one solve needs: load, cost model, fleet, tolerances."""
@@ -91,7 +96,7 @@ class Scenario:
     load: SampledProfile
     cost: CostModel
     fleet: FleetSpec
-    tolerances: Tolerances = field(default_factory=Tolerances)
+    tolerances: Tolerances = _DEFAULT_TOLERANCES
     alpha_schedule: tuple[float, ...] = DEFAULT_ALPHA_SCHEDULE
 
     def __post_init__(self):
@@ -169,18 +174,18 @@ def make_scenario(load: SampledProfile, fleet: FleetSpec, *,
 
     g defaults to the machine-derived generation coefficient and cm to
     the machine revenue rate; the final schedule entry becomes the cost
-    model's penalty weight.
+    model's penalty weight.  `Scenario` converts and checks the schedule.
     """
-    schedule = tuple(float(a) for a in alpha_schedule)
+    schedule = tuple(alpha_schedule)
     cost = CostModel(
         g=compute_g(fleet.machine) if g is None else g,
         d=d,
-        alpha=schedule[-1],
+        alpha=float(schedule[-1]),
         pbar_kw=fleet.pbar_kw,
         cm=compute_cm(fleet.machine) if cm is None else cm,
     )
     return Scenario(load=load, cost=cost, fleet=fleet,
-                    tolerances=tolerances or Tolerances(),
+                    tolerances=tolerances or _DEFAULT_TOLERANCES,
                     alpha_schedule=schedule)
 
 
@@ -209,11 +214,15 @@ class _Day(NamedTuple):
     # and end, shape (6, n + 1); column n is step 0
     nodes: np.ndarray
     cm: np.ndarray            # c_m at the n grid nodes
+    pl: np.ndarray            # p_L at the n + 1 nodes, t = T included
+    guess: tuple              # `initial_guess`'s c_m(0)/2g, min p_L, max p_L
     baseline: CostBreakdown   # `objective` of no mining (p_m = 0)
-    # the smallest box whose solve ran no Newton step and left no RK4
-    # stage outside it, {solve key: (Pbar, solution)}; one key at most,
-    # so a day holds one solution however many starts it is solved from
-    held: dict
+    # one-entry slots, each replaced whole: the smallest box whose solve
+    # ran no Newton step and left no RK4 stage outside it, [(solve key,
+    # Pbar, solution)] (`solve`), and the last solution priced,
+    # [(solution, repr(alpha), Pbar, breakdown)] (`evaluate`)
+    held: list
+    priced: list
 
 
 def _day(sc: Scenario) -> _Day:
@@ -232,20 +241,25 @@ def _build_day(load: SampledProfile, cm: Union[float, SampledProfile],
     The key is exact: `SampledProfile` is frozen and read-only and hashes
     by identity, and no mining pays exactly 0.0 revenue and penalty at
     every c_m, Pbar and alpha, so the baseline reads only load, g and d.
-    The day's store of held solutions (`solve`) starts empty.
+    The day's slots (`solve`, `evaluate`) start empty.
     """
+    values = load.values
     if isinstance(cm, SampledProfile):
         cm_nodes = cm.values
     else:
         cm_nodes = np.full(load.count, float(cm))
-        cm_nodes.setflags(write=False)
-    ends = [np.concatenate([v, v[:2]]) for v in (load.values, cm_nodes)]
+    ends = [np.concatenate([v, v[:2]]) for v in (values, cm_nodes)]
     nodes = np.array([row for v in ends
                       for row in (v[:-1], 0.5 * (v[:-1] + v[1:]), v[1:])])
-    nodes.setflags(write=False)
+    pl = periodic_ext(values)
+    for v in (cm_nodes, nodes, pl):
+        v.setflags(write=False)
     day_cost = CostModel(g=g, pbar_kw=1.0, cm=cm, d=d)  # Pbar, alpha unread
-    return _Day(nodes, cm_nodes, _objective(load, day_cost, cm_nodes,
-                                            np.zeros(load.count)), {})
+    guess = (day_cost.cm_at(0.0) / (2.0 * g), float(values.min()),
+             float(values.max()))
+    return _Day(nodes, cm_nodes, pl, guess,
+                _objective(load, day_cost, cm_nodes, np.zeros(load.count)),
+                [(None, math.inf, None)], [(None, None, None, None)])
 
 
 @functools.lru_cache(maxsize=64)
@@ -406,9 +420,10 @@ def _newton_step(table: np.ndarray, pattern: np.ndarray, f: np.ndarray
     return dx, (dx_next - a[1:] * dx - fx[1:]) * inv_b[1:]
 
 
-def _newton(sc: Scenario, alpha: float, start: PmpState) -> tuple:
+def _newton(sc: Scenario, alpha: float, start: PmpState,
+            nodes: np.ndarray) -> tuple:
     """Full-step semismooth Newton on the node defects at penalty weight
-    alpha, from `start` at every node.
+    alpha, from `start` at every node, on the day's `nodes`.
 
     The node states are one (2, n + 1) array whose last column mirrors
     the first, so the next node's state is a view.  A step's condensed
@@ -428,8 +443,10 @@ def _newton(sc: Scenario, alpha: float, start: PmpState) -> tuple:
     """
     n = sc.load.count
     dt, d, g = sc.load.dt, sc.cost.d, sc.cost.g
-    step = _rk4_stepper(_day(sc).nodes, dt, d, g, alpha, sc.cost.pbar_kw)
-    z = np.array([[float(start.x)], [float(start.lam)]]).repeat(n + 1, axis=1)
+    step = _rk4_stepper(nodes, dt, d, g, alpha, sc.cost.pbar_kw)
+    z = np.empty((2, n + 1))
+    z[0] = float(start.x)
+    z[1] = float(start.lam)
     f = np.empty((2, n + 1))
     abs_f = np.empty((2, n + 1))
     outside = np.empty((4, n), dtype=bool)
@@ -492,11 +509,10 @@ def box_violation(pm: np.ndarray, pbar: float) -> float:
 
 
 def initial_guess(sc: Scenario) -> PmpState:
-    """Default start: revenue-optimal level bounded into range."""
-    x0 = sc.cost.cm_at(0.0) / (2.0 * sc.cost.g)
-    lo = float(sc.load.values.min())
-    hi = float(sc.load.values.max()) + sc.cost.pbar_kw
-    return PmpState(x=min(max(x0, lo), hi), lam=0.0)
+    """Default start: the revenue-optimal level c_m(0)/2g bounded into
+    [min p_L, max p_L + Pbar]."""
+    x0, lo, hi = _day(sc).guess
+    return PmpState(x=min(max(x0, lo), hi + sc.cost.pbar_kw), lam=0.0)
 
 
 def resolvable_alpha(sc: Scenario) -> float:
@@ -560,17 +576,17 @@ def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
     limit = resolvable_alpha(sc)
     alpha = max((a for a in sc.alpha_schedule if a < limit),
                 default=sc.alpha_schedule[0])
-    pbar, held = sc.cost.pbar_kw, _day(sc).held
+    pbar, day = sc.cost.pbar_kw, _day(sc)
     key = repr((alpha, sc.cost.alpha, sc.tolerances.tol_bc, start.x, start.lam))
-    held_pbar, held_sol = held.get(key, (math.inf, None))
-    if held_pbar <= pbar:
+    held_key, held_pbar, held_sol = day.held[0]
+    if held_key == key and held_pbar <= pbar:
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("reused the solve at Pbar %.6g kW for Pbar %.6g kW",
                          held_pbar, pbar,
                          extra={"reused_pbar_kw": held_pbar, "pbar_kw": pbar})
         return held_sol
     try:
-        z, defect, stages, iters = _newton(sc, alpha, start)
+        z, defect, stages, iters = _newton(sc, alpha, start, day.nodes)
     except DivergenceError as exc:
         if alpha < limit:
             raise
@@ -586,11 +602,12 @@ def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
     z.setflags(write=False)
     xs, ls = z
     u = cmod.control_from_costate(ls, sc.cost) + 0.0  # folds -0.0 into 0.0
-    pm = xs - periodic_ext(sc.load.values)
+    pm = xs - day.pl
     clipped = np.clip(pm, 0.0, pbar)
     for v in (u, pm, clipped):
         v.setflags(write=False)
-    violation = box_violation(pm, pbar)
+    # pm - clipped is `box_excess` up to the sign of its zeros
+    violation = float(np.abs(np.subtract(pm, clipped)).max())
     sol = PmpSolution(
         x_traj=xs, lambda_traj=ls, u_traj=u, pm_traj=pm,
         pm_clipped=clipped, converged=converged,
@@ -598,8 +615,7 @@ def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
         rk4_passes=iters + 1, box_violation_kw=violation,
         box_violation_frac=violation / pbar)
     if not iters and not stages:
-        held.clear()
-        held[key] = (pbar, sol)
+        day.held[0] = (key, pbar, sol)
     if not converged and logger.isEnabledFor(logging.WARNING):
         logger.warning("not converged: %s", failure_reason(sol, sc))
     return sol
@@ -630,12 +646,6 @@ def _revenue(load: SampledProfile, cm: np.ndarray, pm: np.ndarray) -> float:
     return load.dt * float(cm @ pm)
 
 
-def ramping(sc: Scenario, pm: np.ndarray) -> float:
-    """Ramping term of `objective` in $: dt times the node sum of the ramp
-    cost of p_g = p_L + pm (ramp by `_forward_ramp`)."""
-    return _ramping(sc.load, sc.cost, sc.load.values + pm)
-
-
 def _ramping(load: SampledProfile, m: CostModel, pg: np.ndarray) -> float:
     dt = load.dt
     return dt * float(cmod.ramp_cost(_forward_ramp(pg, dt), m).sum())
@@ -647,8 +657,8 @@ def objective(sc: Scenario, pm: np.ndarray,
     `baseline` attached as given.
 
     Each term is dt times the node sum of its density: generation and
-    ramping (`ramping`) of pg = p_L + pm, revenue c_m * pm (`revenue`)
-    and the box penalty.
+    ramping of pg = p_L + pm (ramp by `_forward_ramp`), revenue c_m * pm
+    (`revenue`) and the box penalty.
     """
     return _objective(sc.load, sc.cost, _day(sc).cm, pm, baseline)
 
@@ -674,10 +684,27 @@ def evaluate(sol: PmpSolution, sc: Scenario) -> CostBreakdown:
     (p_m = 0, generation follows the load) attached so callers can
     report savings.  Warns when evaluating a non-converged solution but
     still evaluates it.
+
+    The day (`_day`) keeps the last breakdown it priced.  The same
+    solution at the same alpha (its repr) and Pbar gets it back, and so
+    does a held solution (`solve`) whenever both boxes are at least as
+    large as the held one: no node of its draw leaves that box, so the
+    penalty is alpha times a sum of 0.0 at either Pbar, and every other
+    term reads only the day.
     """
     if not sol.converged:
         logger.warning("evaluating a non-converged solution")
-    return objective(sc, sol.pm_traj[:-1], sc.baseline)
+    day, m = _day(sc), sc.cost
+    alpha, pbar = repr(m.alpha), m.pbar_kw
+    priced_sol, priced_alpha, priced_pbar, bd = day.priced[0]
+    if priced_sol is sol and priced_alpha == alpha:
+        _, held_pbar, held_sol = day.held[0]
+        if priced_pbar == pbar or (held_sol is sol
+                                   and min(priced_pbar, pbar) >= held_pbar):
+            return bd
+    bd = _objective(sc.load, m, day.cm, sol.pm_traj[:-1], day.baseline)
+    day.priced[0] = (sol, alpha, pbar, bd)
+    return bd
 
 
 def breakdown_as_dict(bd: CostBreakdown) -> dict:

@@ -36,6 +36,7 @@ _POWER_COLUMNS = {"load_kw": "load", "pv_kw": "pv"}
 
 _SPACING_JITTER = 0.01     # max fractional deviation of a gap from the median
 _DIVISOR_TOL = 1e-6        # "new_dt divides period_T" tolerance, fractional
+_NODES_PER_HOUR = 3600.0   # a grid holds at most one node per second
 _CSV_EPOCH = datetime(2000, 1, 1)
 _MIN_SAMPLES = 4
 
@@ -291,6 +292,16 @@ def write_csv(dest, load: SampledProfile | None = None,
         dest.write(text)
 
 
+def _check_node_rate(name: str, dt: float, period: float, ratio: float) -> None:
+    """Refuse a spacing that puts more than one node per second into the
+    period (ratio = period / dt nodes) before any grid is allocated."""
+    limit = _NODES_PER_HOUR * period
+    if ratio > limit * (1.0 + _DIVISOR_TOL):
+        raise ValidationError(
+            f"{name}={dt!r} h is finer than one node per second: the "
+            f"{period:g} h period holds at most {limit:.0f} nodes")
+
+
 def periodic_ext(v: np.ndarray) -> np.ndarray:
     """Node values v_0..v_{n-1} extended by v_n = v_0, the value at t = T."""
     return np.concatenate([v, v[:1]])
@@ -305,14 +316,16 @@ def resample_periodic(p: SampledProfile, new_dt: float) -> SampledProfile:
     Args:
         p: input profile.
         new_dt: target spacing in hours; must divide the period to
-            within one part in 1e6.
+            within one part in 1e6, into at most one node per second.
 
     Raises:
-        ValidationError: ``new_dt`` is not a divisor of the period.
+        ValidationError: ``new_dt`` is not a divisor of the period, or
+            is finer than one second.
     """
     if not new_dt > 0.0:
         raise ValidationError(f"new_dt must be positive, got {new_dt}")
     ratio = p.period_T / new_dt
+    _check_node_rate("new_dt", new_dt, p.period_T, ratio)
     n_new = int(round(ratio))
     if n_new < 1 or abs(ratio - n_new) > _DIVISOR_TOL * max(1.0, ratio):
         raise ValidationError(
@@ -348,7 +361,8 @@ def synth_duck_curve(base_kw: float, evening_peak_kw: float, pv_peak_kw: float,
 
     Load is a base level plus a Gaussian evening bump (center 19:00,
     sigma 2 h, periodically wrapped); PV is a half-sine arc between
-    06:00 and 18:00; net load is load minus PV floored at zero.
+    06:00 and 18:00; net load is load minus PV floored at zero.  dt must
+    divide 24 h into 4 to 86 400 samples (at most one per second).
 
     Returns:
         (load, pv, net) profiles over 24 h.
@@ -358,6 +372,7 @@ def synth_duck_curve(base_kw: float, evening_peak_kw: float, pv_peak_kw: float,
         if v < 0.0 or not math.isfinite(v):
             raise ValidationError(f"{name} must be finite and >= 0, got {v}")
     ratio = 24.0 / dt if dt > 0.0 else 0.0  # also refuses NaN
+    _check_node_rate("dt", dt, 24.0, ratio)
     n = int(round(ratio))
     if n < _MIN_SAMPLES or abs(ratio - n) > _DIVISOR_TOL * max(1.0, ratio):
         raise ValidationError(f"dt={dt} must divide 24 h into >= {_MIN_SAMPLES} samples")

@@ -175,6 +175,31 @@ def test_os_error_is_input_error(tmp_path, machine_cfg, plant_net_csv, capsys,
             for p in tmp_path.rglob("*")} == before
 
 
+@pytest.mark.parametrize("argv,spacing", [
+    (["synth", "--base", "8000", "--evening-peak", "3000", "--pv-peak",
+      "9000", "--dt", "1e-300"], "dt=1e-300 h"),
+    (["solve", "--load", "{csv}", "--machine", "{cfg}", "--dt", "1e-300"],
+     "new_dt=1e-300 h"),
+    (["oracle-check", "--load", "{csv}", "--machine", "{cfg}", "--n",
+      "1000000000000000000000000"], "new_dt=2.4e-23 h"),
+    (["oracle-check", "--load", "{csv}", "--machine", "{cfg}", "--n", "86401"],
+     "new_dt=0.0002777745627944121 h"),
+], ids=["synth_dt", "solve_dt", "oracle_n_1e24", "oracle_n_86401"])
+def test_absurd_grid_is_input_error(tmp_path, machine_cfg, plant_net_csv,
+                                    capsys, argv, spacing):
+    """A grid of more than one node per second of the day exits 1 with
+    one error line naming the spacing, before any grid is allocated,
+    and writes nothing."""
+    out = tmp_path / "out"
+    capsys.readouterr()
+    argv = [a.format(csv=plant_net_csv, cfg=machine_cfg) for a in argv]
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {spacing} is finer than one node per second: "
+                   "the 24 h period holds at most 86400 nodes"]
+    assert not out.exists()
+
+
 def test_solve_is_byte_deterministic(tmp_path, machine_cfg, plant_net_csv):
     outs = []
     for tag in ("a", "b"):
@@ -197,6 +222,31 @@ def test_oracle_check_passes_on_plant_scenario(tmp_path, machine_cfg,
     assert doc["objective_gap_rel"] <= 0.005
     assert (out / "oracle_solution.csv").exists()
     assert (out / "oracle_diagnostics.json").exists()
+
+
+def test_oracle_check_prices_its_solution_once(tmp_path, machine_cfg,
+                                               plant_net_csv, monkeypatch):
+    """The solver's draw goes through the objective once, and
+    comparison.json's objective_solver_usd is that breakdown's
+    generation + ramping - revenue, as `discretize_objective` sums it."""
+    priced = []
+    objective = pmp._objective
+
+    def counted(load, m, cm, pm, baseline=None):
+        priced.append(pm.tobytes())
+        return objective(load, m, cm, pm, baseline)
+
+    monkeypatch.setattr(pmp, "_objective", counted)
+    out = tmp_path / "check"
+    assert main(["oracle-check", "--load", plant_net_csv, "--machine",
+                 machine_cfg, "--n", "48", "--out", str(out)]) == 0
+    draw = pmp.read_solution_csv(out / "solution.csv")["pm_kw"][:-1]
+    assert priced.count(draw.tobytes()) == 1
+    terms = json.loads((out / "diagnostics.json").read_text())[
+        "objective_breakdown"]
+    comparison = json.loads((out / "comparison.json").read_text())
+    assert comparison["objective_solver_usd"] == (
+        terms["generation_usd"] + terms["ramping_usd"] - terms["revenue_usd"])
 
 
 def test_oracle_check_gap_exit_code(tmp_path, machine_cfg, plant_net_csv):

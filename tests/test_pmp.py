@@ -29,6 +29,9 @@ from rampsched.pmp import (SOLUTION_CSV_HEADER, PmpState, Scenario, Tolerances,
 FLEET20 = FleetSpec(M1, 20)
 # `random_days` seed and day count, fixed before the test first ran
 RANDOM_DAYS_SEED, RANDOM_DAYS = 1, 40
+# `test_random_day_ladders_pinned`'s digest
+PINNED_RANDOM_LADDERS = \
+    "3c051cfeb48eca384d3f4ec9cf6e04b14b1c886c0485932625e00a597e06d38d"
 SOLUTION_ARRAYS = ("x_traj", "lambda_traj", "u_traj", "pm_traj", "pm_clipped")
 
 
@@ -649,8 +652,11 @@ def test_fleet_ladder_shares_day_data_exactly(corpus96, name):
     for count, want in zip(counts, shared):
         fresh = SampledProfile(day.load.dt, day.load.values.copy())
         assert point(fresh, count) == want, count
-    nodes, cm, _, _ = _day(day)
-    assert not nodes.flags.writeable and not cm.flags.writeable
+    shared = _day(day)
+    for v in (shared.nodes, shared.cm, shared.pl):
+        assert not v.flags.writeable
+    assert shared.pl.tobytes() == np.append(day.load.values,
+                                            day.load.values[0]).tobytes()
 
 
 def _fresh(load: SampledProfile) -> SampledProfile:
@@ -719,15 +725,53 @@ def test_larger_box_reuses_a_solve_that_stayed_inside(corpus96, caplog):
         == _solution_bytes(unweighted(_fresh(load), 1200))
 
 
+def test_evaluate_prices_a_solution_once_per_day(corpus96):
+    """A reused solution's breakdown is the one its first `evaluate`
+    made, and `daily_report` reads its ramping term; a smaller box or
+    another weight is priced afresh with the bits of `objective`."""
+    day = corpus96["plant_duck"]  # its optimum is the constant start
+    load = _fresh(day.load)
+
+    def scenario(count, schedule=day.alpha_schedule):
+        return make_scenario(load, FleetSpec(M1, count), d=1.0,
+                             alpha_schedule=schedule)
+
+    count = day.fleet.count
+    sol = solve(scenario(count))
+    bd = evaluate(sol, scenario(count))
+    larger = scenario(count + 10)
+    assert solve(larger) is sol and evaluate(sol, larger) is bd
+    report = daily_report(sol, larger, M1)
+    assert report.ramping_saved_fleet \
+        == bd.baseline.ramping_usd - bd.ramping_usd
+    tight = round(0.5 * sol.pm_traj.max() / M1.demand_kw)
+    for sc in (scenario(tight), scenario(count + 10, (1.0, 1e3))):
+        got = evaluate(sol, sc)
+        assert got is not bd
+        assert repr(got) \
+            == repr(pmp.objective(sc, sol.pm_traj[:-1], sc.baseline))
+    assert evaluate(sol, scenario(tight)).penalty_usd > 0.0
+
+
+def _solve_and_price(sc) -> list:
+    """`_solution_bytes` of the scenario's solve, then its `evaluate` and,
+    if it converged, its `daily_report`."""
+    sol = solve(sc)
+    report = daily_report(sol, sc, M1) if sol.converged else None
+    return [*_solution_bytes(sol), breakdown_as_dict(evaluate(sol, sc)),
+            report and report_as_dict(report)]
+
+
 def test_threads_sharing_a_day_get_fresh_solve_bytes():
-    """Four threads solve one day's ladder, each in its own order, on a
-    shared load while the interpreter switches threads every
-    microsecond: every point has the bytes of a ladder solved from
-    large to small fleets, which solves every point."""
+    """Four threads solve and price one day's ladder, each in its own
+    order, on a shared load while the interpreter switches threads every
+    microsecond: every point has the bytes and prices of a ladder solved
+    from large to small fleets on a fresh copy of the load, which solves
+    every point."""
     rng = np.random.default_rng(5)
     for day in random_days(RANDOM_DAYS_SEED, 2):
         down = ladder_scenarios(day, _fresh(day[1]))[::-1]
-        want = [_solution_bytes(solve(sc)) for sc in down][::-1]
+        want = [_solve_and_price(sc) for sc in down][::-1]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -735,11 +779,11 @@ def test_threads_sharing_a_day_get_fresh_solve_bytes():
                 for _ in range(3):
                     scs = ladder_scenarios(day, _fresh(day[1]))
                     futures = [pool.submit(lambda order: [
-                        (i, solve(scs[i])) for i in order],
+                        (i, _solve_and_price(scs[i])) for i in order],
                         rng.permutation(len(scs)).tolist()) for _ in range(4)]
                     for future in futures:
-                        for i, sol in future.result(timeout=60):
-                            assert _solution_bytes(sol) == want[i], i
+                        for i, got in future.result(timeout=60):
+                            assert got == want[i], i
         finally:
             sys.setswitchinterval(interval)
 
@@ -793,6 +837,24 @@ def test_random_day_ladders_converge_or_name_the_limit():
             assert np.max(np.abs(sol.pm_clipped[:-1] - ref.pm)) \
                 <= 0.02 * pbar, where
     assert reused
+
+
+def test_random_day_ladders_pinned():
+    """The seeded random days solved and priced over the ascending
+    ladder, as a sizing study runs them, keep their exact bytes: one
+    sha256 over every `PmpSolution` field of every point and the
+    `evaluate` and `daily_report` of every converged point."""
+    h = hashlib.sha256()
+    for day in random_days(RANDOM_DAYS_SEED, RANDOM_DAYS):
+        for sc in ladder_scenarios(day):
+            sol = solve(sc)
+            for field in _solution_bytes(sol):
+                h.update(field if isinstance(field, bytes) else field.encode())
+            if sol.converged:
+                h.update(repr((breakdown_as_dict(evaluate(sol, sc)),
+                               report_as_dict(daily_report(sol, sc, M1))))
+                         .encode())
+    assert h.hexdigest() == PINNED_RANDOM_LADDERS
 
 
 def test_report_ramping_saving_is_evaluate_saving(solved96, corpus96):

@@ -374,6 +374,16 @@ def test_resample_preserves_mean_fuzz():
         assert abs(q.values.mean() - mean) <= 1e-9 * mean
 
 
+@pytest.mark.parametrize("new_dt", [1e-300, 5e-324, 24.0 / 1e24, 24.0 / 86401])
+def test_resample_rejects_more_than_one_node_per_second(new_dt):
+    p = SampledProfile(0.25, np.full(96, 1.0))
+    with pytest.raises(ValidationError,
+                       match=f"new_dt={new_dt!r} h is finer than one node "
+                             "per second: the 24 h period holds at most "
+                             "86400 nodes"):
+        resample_periodic(p, new_dt)
+
+
 def test_resample_rejects_non_divisor():
     p = SampledProfile(0.25, np.full(96, 1.0))
     with pytest.raises(ValidationError, match="does not divide period"):
@@ -416,6 +426,13 @@ def test_synth_is_periodic_at_midnight():
 def test_synth_rejects_negative_magnitude():
     with pytest.raises(ValidationError):
         synth_duck_curve(-1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("dt", [1e-300, 5e-324, 24.0 / 86401])
+def test_synth_rejects_more_than_one_node_per_second(dt):
+    with pytest.raises(ValidationError,
+                       match=f"dt={dt!r} h is finer than one node per second"):
+        synth_duck_curve(1.0, 1.0, 1.0, dt=dt)
 
 
 def test_synth_rejects_bad_dt():
