@@ -160,7 +160,7 @@ def cmd_oracle_check(args) -> int:
     sc = _build_scenario(args)
     sol = pmp.solve(sc)
     try:
-        ref = oracle.solve_active_set(sc)
+        ref = oracle.solve_active_set(sc, start=sol.pm_clipped[:-1])
     except RampSchedError as exc:
         print(f"verification failed: oracle error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION

@@ -14,7 +14,11 @@ tridiagonal M-matrix H = 2g*I + (2d/dt^2)*L, L the cyclic Laplacian.
 The primal-dual active-set method (semismooth Newton; Hintermueller,
 Ito & Kunisch, SIAM J. Optim. 13(3), 2002) solves this program exactly
 in finitely many steps, which makes it ground truth for the shooting
-solver.  The objective reported is J itself.
+solver.  The objective reported is J itself.  Its result, though not
+its path, is independent of the solver: a start draw (`oracle-check`
+passes the solver's clipped draw) changes only how many steps it takes
+to reach the final active sets, and the result depends on those sets
+alone.
 """
 
 from __future__ import annotations
@@ -28,9 +32,10 @@ from .pmp import (Scenario, _cyclic_thomas, _day, _forward_ramp, _schedule_csv,
                   objective)
 from .profiles import periodic_ext
 
-# Step cap per grid node.  From the default start the active sets grow
-# about one node per step (n/4 + 1 steps on the corpus's longest arc),
-# so 2n leaves room beyond the n + 1 steps of monotone growth.
+# Step cap per grid node.  From the default start the pinned set of an
+# arc shrinks by about one node at each end per step (n/4 + 1 steps on
+# the corpus's longest arc), so 2n leaves room beyond the n + 1 steps
+# of monotone change.
 _MAX_STEPS_PER_NODE = 2
 _TOL_GRAD_FRACTION = 1e-8
 
@@ -89,20 +94,28 @@ def default_start(sc: Scenario) -> np.ndarray:
     return np.clip(base, 0.0, sc.cost.pbar_kw)
 
 
-def solve_active_set(sc: Scenario) -> DiscreteSolution:
+def solve_active_set(sc: Scenario,
+                     start: np.ndarray | None = None) -> DiscreteSolution:
     """Minimize the discrete objective over the box by primal-dual active set.
 
-    From `default_start`, each step predicts the active sets from
-    trial = pm - y/c, with y the gradient of J/dt (zero on free nodes)
-    and c = H_ii: nodes with trial <= 0 are pinned to 0, nodes with
-    trial >= Pbar to Pbar, and the free nodes take the exact minimizer
-    given the pinned ones, H_FF pm_F = -(q_F + H_FA pm_A) with q the
-    gradient at pm = 0, solved by `_cyclic_thomas` with identity rows at
-    the pinned nodes (strictly diagonally dominant for any sets).  The
+    From `start` (n finite values, clipped into [0, Pbar]; by default
+    `default_start`, which owes nothing to the solver), each step
+    predicts the active sets from trial = pm - y/c, with y the gradient
+    of J/dt (zero on free nodes) and c = H_ii: nodes with trial <= 0
+    are pinned to 0, nodes with trial >= Pbar to Pbar, and the free
+    nodes take the exact minimizer given the pinned ones,
+    H_FF pm_F = -(q_F + H_FA pm_A) with q the gradient at pm = 0, solved
+    by `_cyclic_thomas` with identity rows at the pinned nodes (strictly
+    diagonally dominant for any sets).  The
     solve ends when a step repeats the previous step's sets;
-    `iterations` counts the linear solves.
+    `iterations` counts the linear solves.  The returned pm is the
+    pinned values plus the free-block solve, so it, `objective` and
+    `grad_norm` depend only on the final sets: the result, not its path,
+    is independent of the start.  A start near the optimum, such as the
+    solver's clipped draw, reaches the sets in fewer steps.
 
     Raises:
+        ValidationError: `start` does not hold n finite values.
         RampSchedError: an earlier set pattern came back (cycling) or
             the step count reached 2n without the sets settling.
     """
@@ -111,7 +124,16 @@ def solve_active_set(sc: Scenario) -> DiscreteSolution:
     k = 2.0 * sc.cost.d / (sc.load.dt * sc.load.dt)
     c = 2.0 * sc.cost.g + 2.0 * k
     gradient = _gradient_density(sc)
-    pm = default_start(sc)
+    if start is None:
+        pm = default_start(sc)
+    else:
+        pm = np.asarray(start, dtype=float)
+        if pm.shape != (n,):
+            raise ValidationError(
+                f"start has shape {pm.shape}, load grid has {n} nodes")
+        if not np.isfinite(pm).all():
+            raise ValidationError("start must be finite")
+        pm = np.clip(pm, 0.0, pbar)
     y = gradient(pm)
     seen: set[bytes] = set()
     prev = b""
@@ -147,7 +169,11 @@ def solve_active_set(sc: Scenario) -> DiscreteSolution:
 
 
 def oracle_diagnostics(sol: DiscreteSolution, sc: Scenario) -> dict:
-    """Diagnostics document mirroring the solver's JSON export."""
+    """Diagnostics document mirroring the solver's JSON export.
+
+    `iterations` counts the steps from the start the solve was given
+    (`oracle-check` gives the solver's clipped draw); the other values
+    do not depend on the start."""
     tol = _TOL_GRAD_FRACTION * sc.cost.pbar_kw
     return {
         "converged": bool(sol.grad_norm <= tol),

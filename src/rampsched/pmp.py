@@ -180,7 +180,8 @@ def make_scenario(load: SampledProfile, fleet: FleetSpec, *,
     cost = CostModel(
         g=compute_g(fleet.machine) if g is None else g,
         d=d,
-        alpha=float(schedule[-1]),
+        # an empty schedule is left for Scenario to refuse
+        alpha=float(schedule[-1]) if schedule else 0.0,
         pbar_kw=fleet.pbar_kw,
         cm=compute_cm(fleet.machine) if cm is None else cm,
     )

@@ -7,7 +7,9 @@ import os
 
 import pytest
 
-from rampsched import cli, costmodel, oracle, pmp
+from corpus import CM1, build_corpus
+
+from rampsched import cli, costmodel, oracle, pmp, write_csv
 from rampsched.cli import build_parser, main
 from rampsched.pmp import SOLUTION_CSV_HEADER
 
@@ -279,6 +281,27 @@ def test_oracle_check_exit_code_when_oracle_fails(
     assert code == 3
     err = capsys.readouterr().err
     assert "oracle error: active set not settled after 0 steps" in err
+
+
+def test_oracle_check_warm_start_keeps_cold_verifier_bits(tmp_path):
+    """On a binding input, oracle-check's verifier starts from the
+    solver's draw: fewer steps, the cold start's solution byte for byte."""
+    sc = build_corpus(48)["trough_touch"]
+    load, cfg = tmp_path / "load.csv", tmp_path / "machine.cfg"
+    write_csv(load, load=sc.load)
+    cfg.write_text(MACHINE_CFG.replace("count = 2853", "count = 30")
+                   .replace("d = 1", f"d = 4\ng_override = {CM1 / 480.0!r}"))
+    out = tmp_path / "check"
+    assert main(["oracle-check", "--load", str(load), "--machine", str(cfg),
+                 "--alpha-schedule", ",".join(map(repr, sc.alpha_schedule)),
+                 "--out", str(out)]) == 0
+    cold = oracle.solve_active_set(sc)
+    assert (out / "oracle_solution.csv").read_bytes() \
+        == oracle.oracle_to_csv(cold, sc).encode()
+    doc = json.loads((out / "comparison.json").read_text())
+    assert 1 <= doc["oracle_iterations"] < cold.iterations
+    assert doc["oracle_grad_norm"] == cold.grad_norm
+    assert doc["objective_oracle_usd"] == cold.objective
 
 
 def test_oracle_check_rejects_too_few_nodes(tmp_path, machine_cfg,

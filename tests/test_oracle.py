@@ -5,7 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from corpus import BINDING_NAMES, CM1, M1, build_corpus
+from corpus import (BINDING_NAMES, CM1, M1, build_corpus, build_long_arc,
+                    ladder_scenarios, random_days)
 
 from rampsched import (FleetSpec, RampSchedError, SampledProfile,
                        ValidationError, evaluate, make_scenario, solve)
@@ -154,6 +155,81 @@ def test_binding_corpus_at_1440_nodes_pinned(binding1440):
         "2eefcf57dbee0e94cf77211ef7742b3d12cfcb00e629c2a03c66ede8916384fd",
         "b7b5afed2cab641ff6396bd732371c8b48d7f684f1d30928969a5d77d687a58d",
         "67c8b87b3ec3bdec1bbbd14e062659e1519aafd62069e9c1a214abda4885466c"]
+
+
+def assert_same_result(warm, cold, label):
+    assert warm.pm.tobytes() == cold.pm.tobytes(), label
+    assert (warm.objective, warm.grad_norm) \
+        == (cold.objective, cold.grad_norm), label
+
+
+@pytest.fixture(scope="module")
+def binding1440_warm(binding1440):
+    corpus, _ = binding1440
+    return [solve_active_set(corpus[name],
+                             start=solve(corpus[name]).pm_clipped[:-1])
+            for name in BINDING_NAMES]
+
+
+def test_binding_corpus_at_1440_nodes_warm_start(binding1440,
+                                                 binding1440_warm):
+    """From the solver's clipped draw the verifier returns the cold
+    start's pm bit for bit (so the pinned hashes hold) in a tenth of
+    its steps."""
+    _, refs = binding1440
+    assert tuple(w.iterations for w in binding1440_warm) == (6, 8, 8, 26)
+    for name, cold, warm in zip(BINDING_NAMES, refs, binding1440_warm):
+        assert_same_result(warm, cold, name)
+
+
+def _warm_start_scenarios():
+    for n in (48, 96, 192):
+        yield from build_corpus(n).values()
+    for n in (48, 96):
+        yield from build_long_arc(n).values()
+    for day in random_days(1, 40):
+        yield from ladder_scenarios(day)
+
+
+def test_warm_start_returns_cold_start_bits():
+    """The result depends only on the final active sets, so a start from
+    the solver's clipped draw, stopped solves included, changes the step
+    count alone, and never raises it."""
+    cold_steps = warm_steps = stopped = 0
+    for i, sc in enumerate(_warm_start_scenarios()):
+        sol = solve(sc)
+        stopped += not sol.converged
+        cold = solve_active_set(sc)
+        warm = solve_active_set(sc, start=sol.pm_clipped[:-1])
+        assert_same_result(warm, cold, i)
+        assert warm.iterations <= cold.iterations, i
+        cold_steps += cold.iterations
+        warm_steps += warm.iterations
+    assert stopped > 0
+    assert warm_steps < cold_steps
+
+
+def test_start_is_checked():
+    sc = build_corpus(48)["partial_margin"]
+    n = sc.load.count
+    for start in (np.zeros(n - 1), np.zeros((n, 1))):
+        with pytest.raises(ValidationError, match="start has shape"):
+            solve_active_set(sc, start=start)
+    for bad in (float("nan"), float("inf")):
+        start = default_start(sc)
+        start[3] = bad
+        with pytest.raises(ValidationError, match="start must be finite"):
+            solve_active_set(sc, start=start)
+
+
+def test_start_outside_box_is_clipped():
+    corpus = build_corpus(96)
+    for name in BINDING_NAMES:
+        sc = corpus[name]
+        raw = solve(sc).pm_traj[:-1]
+        assert raw.min() < 0.0 or raw.max() > sc.cost.pbar_kw, name
+        assert_same_result(solve_active_set(sc, start=raw),
+                           solve_active_set(sc), name)
 
 
 def test_active_set_makes_no_dense_solve(monkeypatch):

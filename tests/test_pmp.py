@@ -922,6 +922,13 @@ def test_alpha_schedule_must_increase():
             make_scenario(load, FLEET20, g=1e-3, alpha_schedule=schedule)
 
 
+def test_empty_alpha_schedule_is_an_input_error():
+    load = SampledProfile(0.25, np.full(96, 100.0))
+    for schedule in ((), []):
+        with pytest.raises(ValidationError, match="must not be empty"):
+            make_scenario(load, FLEET20, g=1e-3, alpha_schedule=schedule)
+
+
 def test_tol_bc_must_be_positive():
     for tol in (0.0, -1.0, float("nan")):
         with pytest.raises(ValidationError, match="tol_bc"):
