@@ -374,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--daily-profit", type=_finite_float, default=None)
     p.add_argument("--project", type=int, default=None, help="projection years")
     p.add_argument("--price-trend", default=None, help="share_pct,value CSV")
-    p.add_argument("--ramp-trend", default=None, help="share_pct,value CSV")
+    p.add_argument("--ramp-trend", default=None, help="share_pct,value CSV; "
+                   "scales the saving by (share/share0)^2, whatever its values")
     p.add_argument("--share0", type=_finite_float, help="[%%], default 10")
     p.add_argument("--share-per-year", type=_finite_float, help="default 0")
     p.add_argument("--profit-a", type=_finite_float, help="default 14")

@@ -23,7 +23,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ValidationError
-from .profiles import SampledProfile, source_text
+from .profiles import SampledProfile, names_path, source_text
 
 HOURS_PER_DAY = 24.0
 
@@ -193,6 +193,7 @@ _CONFIG_KEYS = {
 _REQUIRED_MACHINE_KEYS = ("demand_w", "income_usd_day", "elec_cost", "k")
 
 
+@names_path
 def load_config(source) -> dict:
     """Parse a flat ``key = value`` config file (UTF-8, '#' comments);
     each key at most once."""

@@ -16,7 +16,7 @@ import numpy as np
 from .costmodel import MachineSpec
 from .errors import ReportOnUnconvergedError, ValidationError
 from .pmp import PmpSolution, Scenario, evaluate, revenue
-from .profiles import read_table, table_floats
+from .profiles import names_path, read_table, table_floats
 
 DAYS_PER_YEAR = 365.0
 
@@ -164,8 +164,8 @@ def project_net_profit(machine: MachineSpec, trend: TrendModel, years: int,
 
     Per year y (1-based): the renewable share moves linearly and is held
     within [0, 100] %; the electricity price follows the fitted line; the
-    mining component follows the linear profit model; ramping savings
-    scale with the quadratic ramp trend relative to the starting share;
+    mining component follows the linear profit model; with a ramp trend,
+    the ramping saving scales by (share / share0)^2, where its fit cancels;
     the amortized purchase price is subtracted.  No re-solve per year:
     the projection extrapolates trends only.
     """
@@ -276,6 +276,7 @@ def format_report_table(reports) -> str:
     return "\n".join(out) + "\n"
 
 
+@names_path
 def read_trend_csv(source) -> list[tuple[float, float]]:
     """Read `share_pct,value` rows (header required)."""
     header, rows = read_table(source)

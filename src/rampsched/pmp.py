@@ -52,8 +52,8 @@ import numpy as np
 from . import costmodel as cmod
 from .costmodel import CostModel, FleetSpec, compute_cm, compute_g
 from .errors import DivergenceError, ValidationError
-from .profiles import (SampledProfile, format_table, periodic_ext, read_table,
-                       table_floats)
+from .profiles import (SampledProfile, format_table, names_path, periodic_ext,
+                       read_table, table_floats)
 
 logger = logging.getLogger("rampsched.pmp")
 
@@ -215,8 +215,6 @@ class _Day(NamedTuple):
     # and end, shape (6, n + 1); column n is step 0
     nodes: np.ndarray
     cm: np.ndarray            # c_m at the n grid nodes
-    pl: np.ndarray            # p_L at the n + 1 nodes, t = T included
-    guess: tuple              # `initial_guess`'s c_m(0)/2g, min p_L, max p_L
     baseline: CostBreakdown   # `objective` of no mining (p_m = 0)
     # one-entry slots, each replaced whole: the smallest box whose solve
     # ran no Newton step and left no RK4 stage outside it, [(solve key,
@@ -244,21 +242,17 @@ def _build_day(load: SampledProfile, cm: Union[float, SampledProfile],
     every c_m, Pbar and alpha, so the baseline reads only load, g and d.
     The day's slots (`solve`, `evaluate`) start empty.
     """
-    values = load.values
     if isinstance(cm, SampledProfile):
         cm_nodes = cm.values
     else:
         cm_nodes = np.full(load.count, float(cm))
-    ends = [np.concatenate([v, v[:2]]) for v in (values, cm_nodes)]
+    ends = [np.concatenate([v, v[:2]]) for v in (load.values, cm_nodes)]
     nodes = np.array([row for v in ends
                       for row in (v[:-1], 0.5 * (v[:-1] + v[1:]), v[1:])])
-    pl = periodic_ext(values)
-    for v in (cm_nodes, nodes, pl):
+    for v in (cm_nodes, nodes):
         v.setflags(write=False)
     day_cost = CostModel(g=g, pbar_kw=1.0, cm=cm, d=d)  # Pbar, alpha unread
-    guess = (day_cost.cm_at(0.0) / (2.0 * g), float(values.min()),
-             float(values.max()))
-    return _Day(nodes, cm_nodes, pl, guess,
+    return _Day(nodes, cm_nodes,
                 _objective(load, day_cost, cm_nodes, np.zeros(load.count)),
                 [(None, math.inf, None)], [(None, None, None, None)])
 
@@ -512,8 +506,10 @@ def box_violation(pm: np.ndarray, pbar: float) -> float:
 def initial_guess(sc: Scenario) -> PmpState:
     """Default start: the revenue-optimal level c_m(0)/2g bounded into
     [min p_L, max p_L + Pbar]."""
-    x0, lo, hi = _day(sc).guess
-    return PmpState(x=min(max(x0, lo), hi + sc.cost.pbar_kw), lam=0.0)
+    x0 = sc.cost.cm_at(0.0) / (2.0 * sc.cost.g)
+    lo = float(sc.load.values.min())
+    hi = float(sc.load.values.max()) + sc.cost.pbar_kw
+    return PmpState(x=min(max(x0, lo), hi), lam=0.0)
 
 
 def resolvable_alpha(sc: Scenario) -> float:
@@ -603,12 +599,11 @@ def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
     z.setflags(write=False)
     xs, ls = z
     u = cmod.control_from_costate(ls, sc.cost) + 0.0  # folds -0.0 into 0.0
-    pm = xs - day.pl
+    pm = xs - periodic_ext(sc.load.values)
     clipped = np.clip(pm, 0.0, pbar)
     for v in (u, pm, clipped):
         v.setflags(write=False)
-    # pm - clipped is `box_excess` up to the sign of its zeros
-    violation = float(np.abs(np.subtract(pm, clipped)).max())
+    violation = box_violation(pm, pbar)
     sol = PmpSolution(
         x_traj=xs, lambda_traj=ls, u_traj=u, pm_traj=pm,
         pm_clipped=clipped, converged=converged,
@@ -753,21 +748,11 @@ def read_diagnostics(path: Path) -> dict:
 
 
 def _schedule_csv(sc: Scenario, x, lam, u, pm, pm_clipped) -> str:
-    """Solution CSV of the node columns given, t = T included.  Each
-    pm_clipped_kw cell whose float has the bits of its pm_kw cell reuses
-    that cell's text; a bit test, so -0.0 is not taken for 0.0."""
-    x, lam, u, pm, clipped = (np.asarray(v, dtype=float)
-                              for v in (x, lam, u, pm, pm_clipped))
-    pm_cells = clipped_cells = list(map(repr, pm.tolist()))
-    differ = np.flatnonzero(pm.view(np.int64) != clipped.view(np.int64))
-    if differ.size:
-        clipped_cells = pm_cells.copy()
-        for i in differ.tolist():
-            clipped_cells[i] = repr(float(clipped[i]))
+    """Solution CSV of the node columns given, t = T included."""
     t_cells, pl_cells = sc._csv_grid_cells
     return format_table(SOLUTION_CSV_HEADER, (
-        t_cells, x.tolist(), lam.tolist(), u.tolist(), pm_cells, clipped_cells,
-        pl_cells))
+        t_cells, *(np.asarray(v, dtype=float).tolist()
+                   for v in (x, lam, u, pm, pm_clipped)), pl_cells))
 
 
 def solution_to_csv(sol: PmpSolution, sc: Scenario) -> str:
@@ -776,6 +761,7 @@ def solution_to_csv(sol: PmpSolution, sc: Scenario) -> str:
                          sol.pm_traj, sol.pm_clipped)
 
 
+@names_path
 def read_solution_csv(source) -> dict[str, np.ndarray]:
     """Parse a solution CSV into read-only column arrays keyed by name.
 

@@ -14,6 +14,7 @@ interpolation is cheap and never overshoots.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -140,6 +141,20 @@ def source_text(source) -> str:
     return source.read().removeprefix("\ufeff")
 
 
+def names_path(read):
+    """Decorate a reader whose first argument is a path, bytes or stream:
+    a `ValidationError` it raises reading a path starts with `{path}: `."""
+    @functools.wraps(read)
+    def reader(source, *args, **kwargs):
+        try:
+            return read(source, *args, **kwargs)
+        except ValidationError as exc:
+            if not isinstance(source, (str, Path)):
+                raise
+            raise ValidationError(f"{source}: {exc}") from exc
+    return reader
+
+
 def read_table(source) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """The stripped header cells (line 1) and the non-blank data rows of CSV
     text, each row a (file line number, cells) pair of the header's width."""
@@ -181,17 +196,12 @@ def table_floats(header: list[str], rows, columns) -> np.ndarray:
 def format_table(header: str, columns) -> str:
     """CSV text of a header line and equal-length columns whose cells are
     written with str: a text cell verbatim, a Python float as its repr, so
-    reading it back is exact.  A column object passed more than once is
-    formatted once."""
-    columns = list(columns)  # holds each column, so its id stays unique
-    cells = {}
-    for col in columns:
-        if id(col) not in cells:
-            cells[id(col)] = list(map(str, col))
-    rows = map(",".join, zip(*(cells[id(col)] for col in columns)))
+    reading it back is exact."""
+    rows = map(",".join, zip(*(map(str, col) for col in columns)))
     return "\n".join([header, *rows]) + "\n"
 
 
+@names_path
 def load_csv(source, scale: float = 1.0) -> dict[str, SampledProfile]:
     """Read uniformly spaced profiles from a CSV file, text stream, or bytes.
 

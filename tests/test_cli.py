@@ -87,7 +87,32 @@ def test_solve_malformed_csv_names_line(tmp_path, machine_cfg, capsys):
     code = main(["solve", "--load", str(bad), "--machine", machine_cfg,
                  "--out", str(tmp_path / "o")])
     assert code == 1
-    assert "line 3" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 3: non-numeric cell 'oops' in column 'load_kw'\n")
+
+
+@pytest.mark.parametrize("bad_input", ["load", "machine", "solution"])
+def test_input_error_names_the_bad_file(tmp_path, machine_cfg, plant_net_csv,
+                                        capsys, bad_input):
+    """With two file inputs, an error reading one starts with its path."""
+    cfg, net, run = machine_cfg, plant_net_csv, tmp_path / "run"
+    diagnostics = str(run / "diagnostics.json")
+    assert main(["solve", "--load", net, "--machine", cfg,
+                 "--out", str(run)]) == 0
+    capsys.readouterr()
+    argv, bad, message = {
+        "load": (["solve", "--load", cfg, "--machine", cfg], cfg,
+                 "line 1: unknown column 'name = antminer-s21'"),
+        "machine": (["solve", "--load", net, "--machine", net], net,
+                    "line 1: expected 'key = value', got 'timestamp,load_kw'"),
+        "solution": (["econ", "--machine", cfg, "--solution", diagnostics],
+                     diagnostics, "line 2: expected 1 fields, got 2"),
+    }[bad_input]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {message}")
+    assert err.count("\n") == 1 and not out.exists()
 
 
 @pytest.mark.parametrize("line,key,old,value", [(10, "d", "1", "nan"),
@@ -101,8 +126,8 @@ def test_solve_non_finite_config_value_is_input_error(
                  "--out", str(tmp_path / "o")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: line {line}: value '{value}' for '{key}' "
-                          "is not finite")
+    assert err.startswith(f"error: {cfg}: line {line}: value '{value}' for "
+                          f"'{key}' is not finite")
 
 
 def test_solve_non_finite_timestamp_is_input_error(tmp_path, machine_cfg,
@@ -113,7 +138,7 @@ def test_solve_non_finite_timestamp_is_input_error(tmp_path, machine_cfg,
                  "--out", str(tmp_path / "o")])
     assert code == 1
     assert capsys.readouterr().err.startswith(
-        "error: line 4: non-finite timestamp 'nan'")
+        f"error: {bad}: line 4: non-finite timestamp 'nan'")
 
 
 def test_econ_non_finite_price_is_input_error(tmp_path, machine_cfg,
@@ -128,7 +153,7 @@ def test_econ_non_finite_price_is_input_error(tmp_path, machine_cfg,
                  "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err.startswith(
-        "error: line 6: value 'nan' for 'price_usd' is not finite")
+        f"error: {cfg}: line 6: value 'nan' for 'price_usd' is not finite")
     assert not out.exists()
 
 
@@ -516,7 +541,8 @@ def test_econ_rejects_solution_times_off_the_grid(tmp_path, machine_cfg,
     assert main(["econ", "--machine", machine_cfg, "--solution", str(run),
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: line 4: t_h 3.5 is off the uniform grid")
+    assert err.startswith(
+        f"error: {csv}: line 4: t_h 3.5 is off the uniform grid")
     assert not out.exists()
 
 
@@ -557,7 +583,7 @@ def test_econ_projection_rejects_non_finite_price(tmp_path, machine_cfg,
                  "--price-trend", str(trend), "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err.startswith(
-        "error: line 3: non-finite cell 'nan' in column 'value'")
+        f"error: {trend}: line 3: non-finite cell 'nan' in column 'value'")
     assert not (out / "projection.csv").exists()
 
 

@@ -653,10 +653,8 @@ def test_fleet_ladder_shares_day_data_exactly(corpus96, name):
         fresh = SampledProfile(day.load.dt, day.load.values.copy())
         assert point(fresh, count) == want, count
     shared = _day(day)
-    for v in (shared.nodes, shared.cm, shared.pl):
+    for v in (shared.nodes, shared.cm):
         assert not v.flags.writeable
-    assert shared.pl.tobytes() == np.append(day.load.values,
-                                            day.load.values[0]).tobytes()
 
 
 def _fresh(load: SampledProfile) -> SampledProfile:
