@@ -14,7 +14,7 @@ from .costmodel import (CostModel, FleetSpec, MachineSpec, MACHINE_PRESETS,
 from .econ import (EconReport, ProfitModel, ProjectionSeries, ScheduleStats,
                    TrendModel, amortized_daily_msrp,
                    breakeven_max_machine_price, daily_report, fit_price_trend,
-                   fit_ramp_trend, profit_vs_price, project_net_profit)
+                   profit_vs_price, project_net_profit)
 from .errors import (DivergenceError, RampSchedError, ReportOnUnconvergedError,
                      ValidationError)
 from .oracle import DiscreteSolution, discretize_objective, solve_active_set

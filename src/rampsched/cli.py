@@ -230,8 +230,8 @@ def _scenario_from_solution(args, cfg) -> tuple[pmp.PmpSolution, pmp.Scenario]:
 
 
 # econ flags that only the --project projection reads
-_PROJECTION_FLAGS = ("price_trend", "ramp_trend", "share0", "share_per_year",
-                     "profit_a", "profit_b")
+_PROJECTION_FLAGS = ("price_trend", "share0", "share_per_year", "profit_a",
+                     "profit_b")
 # econ flags that --breakeven, which reads only --daily-profit, would drop
 _NOT_BREAKEVEN_FLAGS = ("solution", "machine", "fleet_count", "attribution",
                         "format", "out", "project", *_PROJECTION_FLAGS)
@@ -275,21 +275,12 @@ def cmd_econ(args) -> int:
         stats_ramp_saved = report.ramping_saved
         files["econ_report.json"] = _json_text(econ.report_as_dict(report))
         files["econ_report.txt"] = econ.format_report_table([report])
-        print(files["econ_report.txt" if args.format == "table"
-                    else "econ_report.json"], end="")
 
     if args.project is not None:
         if args.price_trend is None:
             raise ValidationError("--project requires --price-trend data")
-        if args.ramp_trend is not None and args.solution is None:
-            raise ValidationError("--ramp-trend requires --solution: it scales "
-                                  "the schedule's ramping saving")
-        ramp_fit = econ.TrendModel()
-        if args.ramp_trend is not None:
-            ramp_fit = econ.fit_ramp_trend(econ.read_trend_csv(args.ramp_trend))
         trend = dataclasses.replace(
             econ.fit_price_trend(econ.read_trend_csv(args.price_trend)),
-            ramp_coeff=ramp_fit.ramp_coeff, ramp_rms=ramp_fit.ramp_rms,
             **_given(share_per_year=args.share_per_year))
         stats = econ.ScheduleStats(
             share0_pct=10.0 if args.share0 is None else args.share0,
@@ -304,6 +295,9 @@ def cmd_econ(args) -> int:
         raise ValidationError("nothing to do: pass --solution, --project, "
                               "or --breakeven")
     _write_outputs(Path(args.out or "."), files)
+    if args.solution is not None:  # printed once every input has passed
+        print(files["econ_report.txt" if args.format == "table"
+                    else "econ_report.json"], end="")
     return EXIT_OK
 
 
@@ -372,10 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the break-even machine price; reads only "
                         "--daily-profit")
     p.add_argument("--daily-profit", type=_finite_float, default=None)
-    p.add_argument("--project", type=int, default=None, help="projection years")
+    p.add_argument("--project", type=int, default=None,
+                   help=f"projection years, 1 to {econ.MAX_PROJECTION_YEARS}")
     p.add_argument("--price-trend", default=None, help="share_pct,value CSV")
-    p.add_argument("--ramp-trend", default=None, help="share_pct,value CSV; "
-                   "scales the saving by (share/share0)^2, whatever its values")
     p.add_argument("--share0", type=_finite_float, help="[%%], default 10")
     p.add_argument("--share-per-year", type=_finite_float, help="default 0")
     p.add_argument("--profit-a", type=_finite_float, help="default 14")

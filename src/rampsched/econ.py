@@ -27,6 +27,9 @@ BREAKEVEN_PROFIT_FLOOR = 5.0
 BREAKEVEN_MSRP_OFFSET = 8.9
 BREAKEVEN_AMORT_DAYS = 2.0 * DAYS_PER_YEAR
 
+# longest projection horizon; each year is one row of the series
+MAX_PROJECTION_YEARS = 100
+
 
 @dataclass(frozen=True)
 class ProfitModel:
@@ -43,18 +46,15 @@ class ProfitModel:
 
 @dataclass(frozen=True)
 class TrendModel:
-    """Fitted dependence of market quantities on renewable share (%).
+    """Fitted dependence of the electricity price on renewable share (%).
 
-    The price part is an ordinary least-squares line; the ramp part is a
-    single through-origin quadratic coefficient.  Each fit carries its
-    residual RMS.  share_per_year is the assumed growth of the share.
+    An ordinary least-squares line with its residual RMS.
+    share_per_year is the assumed growth of the share.
     """
 
     price_intercept: float | None = None
     price_slope: float | None = None
     price_rms: float | None = None
-    ramp_coeff: float | None = None
-    ramp_rms: float | None = None
     share_per_year: float = 0.0
 
 
@@ -129,22 +129,6 @@ def fit_price_trend(points) -> TrendModel:
                       price_rms=float(np.sqrt(np.mean(resid ** 2))))
 
 
-def fit_ramp_trend(points) -> TrendModel:
-    """Least-squares through-origin quadratic ramp$ = c * share^2."""
-    pts = np.asarray(list(points), dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
-        raise ValidationError("need at least three (share, ramp cost) points")
-    x, y = pts[:, 0], pts[:, 1]
-    x2 = x * x
-    denom = float((x2 * x2).sum())
-    if denom == 0.0:
-        raise ValidationError("all shares are zero; quadratic fit is degenerate")
-    coeff = float((x2 * y).sum() / denom)
-    resid = y - coeff * x2
-    return TrendModel(ramp_coeff=coeff,
-                      ramp_rms=float(np.sqrt(np.mean(resid ** 2))))
-
-
 @dataclass(frozen=True)
 class ScheduleStats:
     """Today's operating point feeding a multi-year projection."""
@@ -164,37 +148,35 @@ def project_net_profit(machine: MachineSpec, trend: TrendModel, years: int,
 
     Per year y (1-based): the renewable share moves linearly and is held
     within [0, 100] %; the electricity price follows the fitted line; the
-    mining component follows the linear profit model; with a ramp trend,
-    the ramping saving scales by (share / share0)^2, where its fit cancels;
-    the amortized purchase price is subtracted.  No re-solve per year:
-    the projection extrapolates trends only.
+    mining component follows the linear profit model; the schedule's
+    ramping saving is added unchanged; the amortized purchase price is
+    subtracted.  No re-solve per year: the projection extrapolates the
+    price trend only.  The horizon is 1 to MAX_PROJECTION_YEARS years.
     """
-    if years < 1:
-        raise ValidationError("years must be >= 1")
+    if not 1 <= years <= MAX_PROJECTION_YEARS:
+        raise ValidationError(f"years must be within 1 to "
+                              f"{MAX_PROJECTION_YEARS}, got {years}")
     if trend.price_intercept is None or trend.price_slope is None:
         raise ValidationError("projection needs a fitted price trend")
     stats = schedule_stats
     msrp = amortized_daily_msrp(machine.price_usd, machine.lifespan_years)
+    saved = stats.ramp_saved_usd_day
 
-    year_list, nets, minings, savings = [], [], [], []
+    year_list, nets, minings = [], [], []
     first_loss = None
     for y in range(1, years + 1):
         share = min(max(stats.share0_pct + y * trend.share_per_year, 0.0), 100.0)
         price = trend.price_intercept + trend.price_slope * share
         mining = profit_vs_price(price, stats.profit)
-        if trend.ramp_coeff is not None and stats.share0_pct > 0.0:
-            saved = stats.ramp_saved_usd_day * (share / stats.share0_pct) ** 2
-        else:
-            saved = stats.ramp_saved_usd_day
         net = mining + saved - msrp
         year_list.append(y)
         nets.append(net)
         minings.append(mining)
-        savings.append(saved)
         if first_loss is None and net < 0.0:
             first_loss = y
     return ProjectionSeries(years=tuple(year_list), net=tuple(nets),
-                            mining=tuple(minings), ramping_saved=tuple(savings),
+                            mining=tuple(minings),
+                            ramping_saved=(saved,) * years,
                             first_loss_year=first_loss)
 
 

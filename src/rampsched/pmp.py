@@ -122,11 +122,6 @@ class Scenario:
         object.__setattr__(self, "alpha_schedule", sched)
 
     @functools.cached_property
-    def baseline(self) -> CostBreakdown:
-        """`objective` of no mining (p_m = 0), shared by the day's scenarios."""
-        return _day(self).baseline
-
-    @functools.cached_property
     def _csv_grid_cells(self) -> tuple[list[str], list[str]]:
         """The t_h and pl_kw cells of a schedule CSV, t = T included,
         formatted once: oracle-check writes two schedules on one grid."""
@@ -710,16 +705,31 @@ def breakdown_as_dict(bd: CostBreakdown) -> dict:
     return out
 
 
+# Each reader takes a JSON value as it is: bool("false") would be True,
+# int(2.7) 2, int(true) 1, float("100") 100.0 and float("nan") NaN.
 def _json_bool(value) -> bool:
-    if not isinstance(value, bool):  # bool("false") would be True
+    if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
     return value
 
 
+def _json_float(value) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise TypeError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _json_int(value) -> int:
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 # diagnostics.json keys restoring PmpSolution fields, and their types
-_DIAGNOSTICS_FIELDS = {"converged": _json_bool, "periodic_residual": float,
-                       "newton_iters": int, "alpha_used": float,
-                       "rk4_passes": int}
+_DIAGNOSTICS_FIELDS = {"converged": _json_bool,
+                       "periodic_residual": _json_float,
+                       "newton_iters": _json_int, "alpha_used": _json_float,
+                       "rk4_passes": _json_int}
 
 
 def solution_diagnostics(sol: PmpSolution, sc: Scenario) -> dict:
@@ -743,7 +753,7 @@ def read_diagnostics(path: Path) -> dict:
         return {key: kind(doc[key]) for key, kind in _DIAGNOSTICS_FIELDS.items()}
     except KeyError as exc:
         raise ValidationError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, OverflowError) as exc:  # an integer past float range
         raise ValidationError(f"{path}: bad value: {exc}") from exc
 
 

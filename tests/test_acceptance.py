@@ -11,7 +11,7 @@ pass/fail line.
  7. Box violations decay along the penalty-weight schedule, each weight
     solved on its own.
  8. Economics anchors (amortized MSRP, profit intercept, break-even).
- 9. Trend fits recover synthetic ground truth under noise.
+ 9. The price-trend fit recovers synthetic ground truth under noise.
 10. Byte-identical CLI reruns.
 """
 
@@ -24,7 +24,7 @@ from corpus import BINDING_NAMES, CM1, M1, build_corpus
 
 from rampsched import (FleetSpec, ProfitModel, SampledProfile,
                        amortized_daily_msrp, breakeven_max_machine_price,
-                       evaluate, fit_price_trend, fit_ramp_trend, hamiltonian,
+                       evaluate, fit_price_trend, hamiltonian,
                        make_scenario, pmp_rhs, profit_vs_price, solve,
                        stationary_point)
 from rampsched.cli import main
@@ -226,7 +226,7 @@ def test_criterion_08_economics_anchors():
 
 
 def test_criterion_09_trend_fit_recovery():
-    slope_true, intercept_true, coeff_true = 0.8, 30.0, 0.004
+    slope_true, intercept_true = 0.8, 30.0
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -237,11 +237,6 @@ def test_criterion_09_trend_fit_recovery():
         worst = max(worst,
                     abs(fit.price_slope - slope_true) / slope_true,
                     abs(fit.price_intercept - intercept_true) / intercept_true)
-
-        y_par = coeff_true * x * x
-        y_par = y_par + rng.normal(0.0, 0.05 * y_par)
-        rfit = fit_ramp_trend(np.column_stack([x, y_par]))
-        worst = max(worst, abs(rfit.ramp_coeff - coeff_true) / coeff_true)
     ok = worst <= 0.05
     _report(9, "trend fit recovery", ok,
             f"worst relative coefficient error={worst * 100:.2f}% "

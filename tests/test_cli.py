@@ -503,7 +503,8 @@ HEADER = SOLUTION_CSV_HEADER + "\n"
     ("diagnostics.json", json.dumps(
         {"converged": True, "periodic_residual": 0.0,
          "stationarity_residual": 0.0, "newton_iters": 0,
-         "alpha_used": None}), "bad value: float() argument"),
+         "alpha_used": None}),
+     "bad value: expected a finite number, got None"),
     ("diagnostics.json", json.dumps(
         {"converged": "false", "periodic_residual": 0.0,
          "stationarity_residual": 0.0, "newton_iters": 0,
@@ -524,6 +525,58 @@ def test_econ_rejects_malformed_solution(tmp_path, machine_cfg, plant_net_csv,
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("newton_iters", 2.7, "expected an integer, got 2.7"),
+    ("newton_iters", True, "expected an integer, got True"),
+    ("rk4_passes", 3.0, "expected an integer, got 3.0"),
+    ("alpha_used", "100", "expected a finite number, got '100'"),
+    ("alpha_used", False, "expected a finite number, got False"),
+    ("periodic_residual", "nan", "expected a finite number, got 'nan'"),
+    ("periodic_residual", float("nan"), "expected a finite number, got nan"),
+    ("alpha_used", 10 ** 400, "int too large to convert to float")],
+    ids=["float-iters", "bool-iters", "float-passes", "string-alpha",
+         "bool-alpha", "string-nan", "json-nan", "huge-alpha"])
+def test_econ_rejects_mistyped_diagnostics(tmp_path, machine_cfg,
+                                           plant_net_csv, capsys, key, value,
+                                           message):
+    """diagnostics.json values are read as JSON typed them: int() and
+    float() would turn 2.7 into 2, true into 1 and "100" into 100.0."""
+    run = tmp_path / "run"
+    assert main(["solve", "--load", plant_net_csv, "--machine", machine_cfg,
+                 "--out", str(run)]) == 0
+    path = run / "diagnostics.json"
+    diag = json.loads(path.read_text())
+    diag[key] = value
+    path.write_text(json.dumps(diag))
+    out = tmp_path / "econ"
+    assert main(["econ", "--machine", machine_cfg, "--solution", str(run),
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: bad value: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_econ_reads_integral_float_values(tmp_path, machine_cfg,
+                                          plant_net_csv):
+    """A float key may hold any finite JSON number, an integer included."""
+    run = tmp_path / "run"
+    assert main(["solve", "--load", plant_net_csv, "--machine", machine_cfg,
+                 "--out", str(run)]) == 0
+    path = run / "diagnostics.json"
+    diag = json.loads(path.read_text())
+    assert diag["alpha_used"] == 1e4 and isinstance(diag["alpha_used"], float)
+    reports = []
+    for tag in ("float", "int"):
+        out = tmp_path / tag
+        assert main(["econ", "--machine", machine_cfg, "--solution", str(run),
+                     "--out", str(out)]) == 0
+        reports.append((out / "econ_report.json").read_bytes())
+        diag["alpha_used"] = int(diag["alpha_used"])
+        path.write_text(json.dumps(diag))
+    assert reports[0] == reports[1]
 
 
 def test_econ_rejects_solution_times_off_the_grid(tmp_path, machine_cfg,
@@ -597,12 +650,8 @@ def test_econ_projection_requires_trend(tmp_path, machine_cfg):
     (["--machine", "CFG", "--solution", "run", "--fleet-count", "100"],
      "run/solution.csv: pm_clipped_kw spans 964.286 to 11964.3 kW, outside "
      "[0, 536] kW for 100 machines"),
-    (["--machine", "CFG", "--project", "3", "--price-trend", "price.csv",
-      "--ramp-trend", "price.csv"],
-     "--ramp-trend requires --solution: it scales the schedule's ramping "
-     "saving"),
     (["--solution", "run"], "--machine is required")],
-    ids=["fleet-below-draw", "ramp-trend-without-solution", "no-machine"])
+    ids=["fleet-below-draw", "no-machine"])
 def test_econ_input_error_writes_nothing(tmp_path, machine_cfg, plant_net_csv,
                                          capsys, monkeypatch, extra, message):
     monkeypatch.chdir(tmp_path)
@@ -618,8 +667,8 @@ def test_econ_input_error_writes_nothing(tmp_path, machine_cfg, plant_net_csv,
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--price-trend", "price.csv"), ("--ramp-trend", "price.csv"),
-    ("--share0", "50"), ("--share-per-year", "2"), ("--profit-a", "3"),
+    ("--price-trend", "price.csv"), ("--share0", "50"),
+    ("--share-per-year", "2"), ("--profit-a", "3"),
     ("--profit-b", "0.2")])
 def test_econ_projection_flag_requires_project(tmp_path, machine_cfg,
                                                plant_net_csv, capsys,
@@ -694,31 +743,108 @@ def test_econ_accepts_solution_of_a_smaller_fleet(tmp_path, machine_cfg,
 
 
 def test_econ_projection_pinned(tmp_path, machine_cfg, plant_net_csv):
-    # the quadratic ramp trend scales the saving by (share / share0)^2
     run = tmp_path / "run"
     assert main(["solve", "--load", plant_net_csv, "--machine", machine_cfg,
                  "--out", str(run)]) == 0
     price = tmp_path / "price.csv"
     price.write_text("share_pct,value\n10,40\n20,46\n30,51\n45,60\n")
-    ramp = tmp_path / "ramp.csv"
-    ramp.write_text("share_pct,value\n10,100\n20,390\n30,910\n40,1580\n")
-    texts = []
-    for extra in ([], ["--ramp-trend", str(ramp)]):
-        out = tmp_path / f"proj{len(extra)}"
-        assert main(["econ", "--machine", machine_cfg, "--solution", str(run),
-                     "--project", "4", "--price-trend", str(price),
-                     "--share0", "12", "--share-per-year", "3",
-                     "--out", str(out), *extra]) == 0
-        texts.append((out / "projection.csv").read_text())
-    flat, scaled = ([[float(c) for c in row.split(",")]
-                     for row in text.splitlines()[1:]] for text in texts)
-    for year, (a, b) in enumerate(zip(flat, scaled), start=1):
-        assert b[0] == a[0] == year and b[2] == a[2]  # mining
-        assert b[3] == pytest.approx(a[3] * ((12 + 3 * year) / 12) ** 2,
-                                     rel=1e-12)
-    assert [hashlib.sha256(text.encode()).hexdigest() for text in texts] == [
-        "2e6fdd90bcf738b418ce2e5052b344affa8ed0e9de55c1f073d06b629a6d929d",
-        "7fa98d7de16f675dab8cf14b0d011c2ba008807e9ff699dc1e2f405bd3fa4fa6"]
+    out = tmp_path / "proj"
+    assert main(["econ", "--machine", machine_cfg, "--solution", str(run),
+                 "--project", "4", "--price-trend", str(price),
+                 "--share0", "12", "--share-per-year", "3",
+                 "--out", str(out)]) == 0
+    text = (out / "projection.csv").read_text()
+    saved = json.loads((out / "econ_report.json").read_text())["ramping_saved"]
+    # the schedule's saving, every year
+    assert [float(row.split(",")[3]) for row in text.splitlines()[1:]] \
+        == [saved] * 4
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "2e6fdd90bcf738b418ce2e5052b344affa8ed0e9de55c1f073d06b629a6d929d"
+
+
+PROJECTION_ARGV = ["--machine", "CFG", "--solution", "run", "--project", "4",
+                   "--price-trend", "price.csv", "--share0", "12",
+                   "--share-per-year", "3", "--profit-a", "14",
+                   "--profit-b", "0.1", "--attribution", "marginal",
+                   "--fleet-count", "2853", "--format", "json"]
+
+
+def _econ_outputs(tmp_path, capsys, argv, tag) -> dict:
+    """stdout and the bytes of every file of one econ run."""
+    out = tmp_path / tag
+    assert main(["econ", *argv, "--out", str(out)]) == 0
+    outputs = {"stdout": capsys.readouterr().out.encode()}
+    for path in out.iterdir():
+        outputs[path.name] = path.read_bytes()
+    return outputs
+
+
+@pytest.fixture()
+def projection_inputs(tmp_path, machine_cfg, plant_net_csv, capsys,
+                      monkeypatch):
+    """A solved run, a run of a 5 % larger load and two price trends, in
+    the working directory; returns PROJECTION_ARGV."""
+    monkeypatch.chdir(tmp_path)
+    for run, extra in (("run", []), ("run1", ["--load-scale", "1.05"])):
+        assert main(["solve", "--load", plant_net_csv, "--machine",
+                     machine_cfg, "--out", run, *extra]) == 0
+    (tmp_path / "price.csv").write_text("share_pct,value\n10,40\n20,46\n")
+    (tmp_path / "price1.csv").write_text("share_pct,value\n10,40\n20,47\n")
+    capsys.readouterr()
+    return [machine_cfg if arg == "CFG" else arg for arg in PROJECTION_ARGV]
+
+
+@pytest.mark.parametrize("flag,value,output", [
+    ("--price-trend", "price1.csv", "projection.csv"),
+    ("--share0", "20", "projection.csv"),
+    ("--share-per-year", "5", "projection.csv"),
+    ("--profit-a", "15", "projection.csv"),
+    ("--profit-b", "0.2", "projection.csv"),
+    ("--solution", "run1", "projection.csv"),
+    ("--fleet-count", "3000", "projection.csv"),
+    ("--attribution", "average", "econ_report.json"),
+    ("--format", "table", "stdout")])
+def test_econ_drops_no_input(tmp_path, capsys, projection_inputs, flag, value,
+                             output):
+    """Each econ input changes the output that reads it."""
+    argv = list(projection_inputs)
+    base = _econ_outputs(tmp_path, capsys, argv, "base")
+    argv[argv.index(flag) + 1] = value
+    assert _econ_outputs(tmp_path, capsys, argv, "other")[output] \
+        != base[output]
+
+
+def test_econ_has_no_ramp_trend(tmp_path, capsys, projection_inputs):
+    assert main(["econ", *projection_inputs, "--ramp-trend", "price.csv",
+                 "--out", "out"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --ramp-trend price.csv" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("years", ["0", "101", str(10 ** 12)])
+def test_econ_projection_horizon_is_bounded(tmp_path, capsys,
+                                            projection_inputs, years):
+    """Each projection year is a row, so a horizon past 100 years is an
+    input error before any row is built, and nothing is printed."""
+    argv = list(projection_inputs)
+    argv[argv.index("--project") + 1] = years
+    assert main(["econ", *argv, "--out", "out"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: years must be within 1 to 100, got {years}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_econ_help_names_the_horizon(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["econ", "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert "projection years, 1 to 100" in text and "ramp-trend" not in text
 
 
 @pytest.mark.parametrize("command,flag,value", [

@@ -1,6 +1,7 @@
-"""Profit model, amortization, break-even, trend fits, reports, projections."""
+"""Profit model, amortization, break-even, price fit, reports, projections."""
 
 import io
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from rampsched import (EconReport, FleetSpec,
                        SampledProfile, ScheduleStats, TrendModel,
                        ValidationError, amortized_daily_msrp,
                        breakeven_max_machine_price, daily_report,
-                       fit_price_trend, fit_ramp_trend, make_scenario,
+                       fit_price_trend, make_scenario,
                        profit_vs_price, project_net_profit, solve)
 from rampsched.econ import (format_report_table, read_trend_csv,
                             report_as_dict,
@@ -122,35 +123,6 @@ def test_price_fit_recovers_noisy_line():
     assert abs(fit.price_slope - slope) < 3.0 * se
 
 
-def test_ramp_fit_exact_parabola():
-    pts = [(s, 0.02 * s * s) for s in (5.0, 10.0, 20.0, 40.0)]
-    fit = fit_ramp_trend(pts)
-    assert fit.ramp_coeff == pytest.approx(0.02, rel=1e-12)
-    assert fit.ramp_rms == pytest.approx(0.0, abs=1e-12)
-
-
-def test_ramp_fit_zero_share_points_are_inert():
-    pts = [(0.0, 123.0), (10.0, 2.0), (20.0, 8.0)]
-    fit = fit_ramp_trend(pts)
-    pts_without = [(10.0, 2.0), (20.0, 8.0), (0.0, 0.0)]
-    assert fit.ramp_coeff == pytest.approx(fit_ramp_trend(pts_without).ramp_coeff)
-
-
-def test_ramp_fit_degenerate_when_all_zero():
-    with pytest.raises(ValidationError, match="quadratic fit is degenerate"):
-        fit_ramp_trend([(0.0, 1.0), (0.0, 2.0), (0.0, 3.0)])
-
-
-def test_ramp_fit_recovers_noisy_parabola():
-    rng = np.random.default_rng(6)
-    c = 0.004
-    x = rng.uniform(5.0, 60.0, 500)
-    y = c * x * x
-    y = y + rng.normal(0.0, 0.05 * y)
-    fit = fit_ramp_trend(np.column_stack([x, y]))
-    assert abs(fit.ramp_coeff - c) / c < 0.05
-
-
 def test_fits_are_least_squares_optima():
     rng = np.random.default_rng(7)
     x = rng.uniform(1.0, 50.0, 200)
@@ -177,7 +149,7 @@ def test_trend_csv_roundtrip(tmp_path):
 
 def _flat_trend(**kw):
     base = dict(price_intercept=40.0, price_slope=0.0, price_rms=0.0,
-                ramp_coeff=0.01, ramp_rms=0.0, share_per_year=0.0)
+                share_per_year=0.0)
     base.update(kw)
     return TrendModel(**base)
 
@@ -208,8 +180,7 @@ def test_projection_mining_declines_with_rising_prices():
     stats = ScheduleStats(share0_pct=10.0, ramp_saved_usd_day=1.0)
     series = project_net_profit(M1, trend, 6, stats)
     assert all(b < a for a, b in zip(series.mining, series.mining[1:]))
-    assert all(b > a for a, b in zip(series.ramping_saved,
-                                     series.ramping_saved[1:]))
+    assert series.ramping_saved == (1.0,) * 6  # the schedule's, every year
 
 
 def test_projection_share_capped_at_hundred():
@@ -224,14 +195,25 @@ def test_projection_share_floored_at_zero():
     trend = _flat_trend(share_per_year=-6.0, price_slope=1.0)
     stats = ScheduleStats(share0_pct=10.0, ramp_saved_usd_day=1.0)
     series = project_net_profit(M1, trend, 4, stats)
-    # shares 4, 0, 0, 0: the quadratic ramp saving falls to 0 and stays
-    assert series.ramping_saved == pytest.approx((0.16, 0.0, 0.0, 0.0))
+    # shares 4, 0, 0, 0: the price stops moving at 0 %; the saving is
+    # the schedule's every year
+    assert series.ramping_saved == (1.0, 1.0, 1.0, 1.0)
     assert series.mining[1] == series.mining[2] == series.mining[3]
+
+
+def test_projection_horizon_is_one_to_a_hundred_years():
+    stats = ScheduleStats(share0_pct=10.0, ramp_saved_usd_day=1.0)
+    assert len(project_net_profit(M1, _flat_trend(), 100, stats).net) == 100
+    for years in (0, 101, 10 ** 12):  # refused before a row is built
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match=f"1 to 100, got {years}"):
+            project_net_profit(M1, _flat_trend(), years, stats)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_projection_requires_price_fit():
     with pytest.raises(ValidationError):
-        project_net_profit(M1, TrendModel(ramp_coeff=0.1), 3,
+        project_net_profit(M1, TrendModel(share_per_year=1.0), 3,
                            ScheduleStats(share0_pct=10.0))
 
 

@@ -314,8 +314,9 @@ def test_fleet_count_shares_one_condensed_table(monkeypatch):
 def test_scenario_baseline_is_objective_of_no_mining(corpus96):
     for name, sc in corpus96.items():
         fresh = pmp.objective(sc, np.zeros(sc.load.count))
-        assert sc.baseline == fresh, name  # every term, bit for bit
-        assert sc.baseline is sc.baseline, name
+        baseline = pmp._day(sc).baseline
+        assert baseline == fresh, name  # every term, bit for bit
+        assert pmp._day(sc).baseline is baseline, name
 
 
 @pytest.mark.parametrize("n", [4, 5, 96])
@@ -747,7 +748,7 @@ def test_evaluate_prices_a_solution_once_per_day(corpus96):
         got = evaluate(sol, sc)
         assert got is not bd
         assert repr(got) \
-            == repr(pmp.objective(sc, sol.pm_traj[:-1], sc.baseline))
+            == repr(pmp.objective(sc, sol.pm_traj[:-1], pmp._day(sc).baseline))
     assert evaluate(sol, scenario(tight)).penalty_usd > 0.0
 
 
@@ -858,7 +859,8 @@ def test_random_day_ladders_pinned():
 def test_report_ramping_saving_is_evaluate_saving(solved96, corpus96):
     for name, sc in corpus96.items():
         sol = solved96[name]
-        saved = sc.baseline.ramping_usd - evaluate(sol, sc).ramping_usd
+        bd = evaluate(sol, sc)
+        saved = bd.baseline.ramping_usd - bd.ramping_usd
         assert daily_report(sol, sc, M1).ramping_saved_fleet == saved, name
 
 
