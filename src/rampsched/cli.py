@@ -229,75 +229,43 @@ def _scenario_from_solution(args, cfg) -> tuple[pmp.PmpSolution, pmp.Scenario]:
     return sol, sc
 
 
-# econ flags that only the --project projection reads
-_PROJECTION_FLAGS = ("price_trend", "share0", "share_per_year", "profit_a",
-                     "profit_b")
-# econ flags that --breakeven, which reads only --daily-profit, would drop
-_NOT_BREAKEVEN_FLAGS = ("solution", "machine", "fleet_count", "attribution",
-                        "format", "out", "project", *_PROJECTION_FLAGS)
-
-
-def _given(**values) -> dict:
-    """The keyword arguments whose flags were passed (not None)."""
-    return {key: value for key, value in values.items() if value is not None}
-
-
-def _reject_given(args, names, reason: str) -> None:
-    """Input error naming the first of the flags `names` that was passed."""
-    for name in names:
-        if getattr(args, name) is not None:
-            raise ValidationError(f"--{name.replace('_', '-')} {reason}")
-
-
 def cmd_econ(args) -> int:
-    if args.breakeven:
-        _reject_given(args, _NOT_BREAKEVEN_FLAGS,
-                      "does not apply with --breakeven")
-        if args.daily_profit is None:
-            raise ValidationError("--breakeven requires --daily-profit")
-        print(f"{econ.breakeven_max_machine_price(args.daily_profit):.10g}")
-        return EXIT_OK
-    _reject_given(args, ("daily_profit",), "requires --breakeven")
-    if args.project is None:
-        _reject_given(args, _PROJECTION_FLAGS, "requires --project")
-    if args.machine is None:
-        raise ValidationError("--machine is required")
-
     cfg = cmod.load_config(args.machine)
     machine = cmod.machine_from_config(cfg)
+    report = econ.daily_report(*_scenario_from_solution(args, cfg), machine,
+                               attribution=args.attribution)
+    files = {"econ_report.json": _json_text(econ.report_as_dict(report)),
+             "econ_report.txt": econ.format_report_table([report])}
+    _write_outputs(Path(args.out), files)
+    print(files["econ_report.txt" if args.format == "table"
+                else "econ_report.json"], end="")
+    return EXIT_OK
 
-    stats_ramp_saved = 0.0
-    files = {}
+
+def cmd_project(args) -> int:
+    if args.fleet_count is not None and args.solution is None:
+        raise ValidationError("--fleet-count requires --solution")
+    cfg = cmod.load_config(args.machine)
+    machine = cmod.machine_from_config(cfg)
+    saved = 0.0
     if args.solution is not None:
-        sol, sc = _scenario_from_solution(args, cfg)
-        report = econ.daily_report(sol, sc, machine,
-                                   attribution=args.attribution or "marginal")
-        stats_ramp_saved = report.ramping_saved
-        files["econ_report.json"] = _json_text(econ.report_as_dict(report))
-        files["econ_report.txt"] = econ.format_report_table([report])
+        saved = econ.daily_report(*_scenario_from_solution(args, cfg),
+                                  machine).ramping_saved
+    trend = dataclasses.replace(
+        econ.fit_price_trend(econ.read_trend_csv(args.price_trend)),
+        share_per_year=args.share_per_year)
+    stats = econ.ScheduleStats(
+        share0_pct=args.share0, ramp_saved_usd_day=saved,
+        profit=econ.ProfitModel(a=args.profit_a, b=args.profit_b))
+    series = econ.project_net_profit(machine, trend, args.years, stats)
+    _write_outputs(Path(args.out), {"projection.csv": profiles.format_table(
+        "year,net_usd_day,mining_usd_day,ramping_saved_usd_day",
+        (series.years, series.net, series.mining, series.ramping_saved))})
+    return EXIT_OK
 
-    if args.project is not None:
-        if args.price_trend is None:
-            raise ValidationError("--project requires --price-trend data")
-        trend = dataclasses.replace(
-            econ.fit_price_trend(econ.read_trend_csv(args.price_trend)),
-            **_given(share_per_year=args.share_per_year))
-        stats = econ.ScheduleStats(
-            share0_pct=10.0 if args.share0 is None else args.share0,
-            ramp_saved_usd_day=stats_ramp_saved,
-            profit=econ.ProfitModel(**_given(a=args.profit_a, b=args.profit_b)))
-        series = econ.project_net_profit(machine, trend, args.project, stats)
-        files["projection.csv"] = profiles.format_table(
-            "year,net_usd_day,mining_usd_day,ramping_saved_usd_day",
-            (series.years, series.net, series.mining, series.ramping_saved))
 
-    if not files:
-        raise ValidationError("nothing to do: pass --solution, --project, "
-                              "or --breakeven")
-    _write_outputs(Path(args.out or "."), files)
-    if args.solution is not None:  # printed once every input has passed
-        print(files["econ_report.txt" if args.format == "table"
-                    else "econ_report.json"], end="")
+def cmd_breakeven(args) -> int:
+    print(f"{econ.breakeven_max_machine_price(args.daily_profit):.10g}")
     return EXIT_OK
 
 
@@ -353,27 +321,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pm-tol", type=_finite_float, default=DEFAULT_PM_GAP_FRACTION)
     p.set_defaults(func=cmd_oracle_check)
 
-    p = sub.add_parser("econ", help="economics reports and projections")
-    p.add_argument("--machine", default=None)
-    p.add_argument("--solution", default=None,
+    p = sub.add_parser("econ", help="daily economics of a solved schedule")
+    p.add_argument("--machine", required=True)
+    p.add_argument("--solution", required=True,
                    help="solution directory or solution.csv path")
     p.add_argument("--fleet-count", type=int, default=None)
     p.add_argument("--attribution", choices=("marginal", "average"),
-                   help="default marginal")
-    p.add_argument("--out", help="default .")
-    p.add_argument("--format", choices=("json", "table"), help="default json")
-    p.add_argument("--breakeven", action="store_true",
-                   help="print the break-even machine price; reads only "
-                        "--daily-profit")
-    p.add_argument("--daily-profit", type=_finite_float, default=None)
-    p.add_argument("--project", type=int, default=None,
-                   help=f"projection years, 1 to {econ.MAX_PROJECTION_YEARS}")
-    p.add_argument("--price-trend", default=None, help="share_pct,value CSV")
-    p.add_argument("--share0", type=_finite_float, help="[%%], default 10")
-    p.add_argument("--share-per-year", type=_finite_float, help="default 0")
-    p.add_argument("--profit-a", type=_finite_float, help="default 14")
-    p.add_argument("--profit-b", type=_finite_float, help="default 0.1")
+                   default="marginal")
+    p.add_argument("--format", choices=("json", "table"), default="json",
+                   help="the report printed on stdout")
+    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_econ)
+
+    p = sub.add_parser("project", help="multi-year net-profit projection")
+    p.add_argument("--machine", required=True)
+    p.add_argument("--price-trend", required=True, help="share_pct,value CSV")
+    p.add_argument("--years", type=int, required=True,
+                   help=f"projection years, 1 to {econ.MAX_PROJECTION_YEARS}")
+    p.add_argument("--solution", default=None,
+                   help="solution whose ramping saving enters every year; "
+                        "without it the saving is 0")
+    p.add_argument("--fleet-count", type=int, default=None,
+                   help="needs --solution")
+    p.add_argument("--share0", type=_finite_float,
+                   default=econ.ScheduleStats.share0_pct,
+                   help="[%%], default %(default)s")
+    p.add_argument("--share-per-year", type=_finite_float,
+                   default=econ.TrendModel.share_per_year,
+                   help="default %(default)s")
+    p.add_argument("--profit-a", type=_finite_float,
+                   default=econ.ProfitModel.a, help="default %(default)s")
+    p.add_argument("--profit-b", type=_finite_float,
+                   default=econ.ProfitModel.b, help="default %(default)s")
+    p.add_argument("--out", default=".")
+    p.set_defaults(func=cmd_project)
+
+    p = sub.add_parser("breakeven", help="print the break-even machine price")
+    p.add_argument("--daily-profit", type=_finite_float, required=True)
+    p.set_defaults(func=cmd_breakeven)
 
     p = sub.add_parser("synth", help="write synthetic duck-curve profiles")
     p.add_argument("--base", type=_finite_float, required=True)

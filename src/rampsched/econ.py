@@ -106,8 +106,12 @@ def amortized_daily_msrp(price_usd: float, lifespan_years: float) -> float:
 
 def breakeven_max_machine_price(v_daily: float) -> float:
     """Highest machine price for which daily profit V still breaks even."""
-    return BREAKEVEN_AMORT_DAYS * (v_daily - BREAKEVEN_PROFIT_FLOOR
-                                   + BREAKEVEN_MSRP_OFFSET)
+    price = BREAKEVEN_AMORT_DAYS * (v_daily - BREAKEVEN_PROFIT_FLOOR
+                                    + BREAKEVEN_MSRP_OFFSET)
+    if not math.isfinite(price):
+        raise ValidationError(f"the break-even price for a daily profit of "
+                              f"{v_daily!r} is not finite")
+    return price
 
 
 def fit_price_trend(points) -> TrendModel:
@@ -133,7 +137,7 @@ def fit_price_trend(points) -> TrendModel:
 class ScheduleStats:
     """Today's operating point feeding a multi-year projection."""
 
-    share0_pct: float
+    share0_pct: float = 10.0
     ramp_saved_usd_day: float = 0.0
     profit: ProfitModel = ProfitModel()
 

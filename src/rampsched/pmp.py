@@ -25,8 +25,8 @@ stiffness dt*sqrt((g + alpha)/d) stays below Z_STAR.
 
 Everything here is deterministic: fixed steps, fixed iteration order,
 no adaptive logic, so identical scenarios produce bit-identical results.
-Every ufunc of the RK4 pass takes array operands shaped like its output;
-those the grid fixes are cached per (n, dt) (`_rk4_grid`).
+Every ufunc of the RK4 pass takes array operands shaped like its output,
+filled once per solve (`_rk4_stepper`).
 Each solve is single-threaded and shares with other solves only
 read-only cached arrays and its day's two one-entry slots: the solution
 a larger box reuses (`solve`) and the last solution priced (`evaluate`).
@@ -252,16 +252,6 @@ def _build_day(load: SampledProfile, cm: Union[float, SampledProfile],
                 [(None, math.inf, None)], [(None, None, None, None)])
 
 
-@functools.lru_cache(maxsize=64)
-def _rk4_grid(m: int, dt: float) -> tuple:
-    """The RK4 pass's operands its grid fixes, read-only, once per (m, dt)
-    and process: the steps dt/2, dt and weights 2, dt/6, each (2, m), and
-    the box's lower bound 0, shape (m,)."""
-    ops = np.repeat([0.5 * dt, dt, 2.0, dt / 6.0, 0.0], 2 * m).reshape(5, 2, m)
-    ops.setflags(write=False)
-    return (*ops[:4], ops[4, 0])
-
-
 def _rk4_stepper(nodes: np.ndarray, dt: float, d: float, g: float,
                  alpha: float, pbar: float):
     """step(z): one classical RK4 step from the stacked states z = (x, lam),
@@ -271,14 +261,17 @@ def _rk4_stepper(nodes: np.ndarray, dt: float, d: float, g: float,
     Both results are buffers of the stepper, overwritten by its next call;
     every ufunc writes into them with `out=`, in the operand order of the
     plain expressions, so the bits do not depend on the buffering.  Every
-    operand is an array shaped like its output (`_rk4_grid`'s, or filled
-    per stepper), so no call converts a float or broadcasts a column."""
+    operand is an array shaped like its output, filled once per stepper,
+    so no call converts a float or broadcasts a column."""
     pl0, plh, pl1, cm0, cmh, cm1 = nodes
     m = nodes.shape[1]
-    h2, h1, two, h6, zero = _rk4_grid(m, float(dt))
-    # rate_lam * lam and rate_x * x + c_m - xi' are the right-hand side
-    rate_lam, rate_x, a2, pbar = np.repeat(
-        [-1.0 / (2.0 * d), -2.0 * g, 2.0 * alpha, pbar], m).reshape(4, m)
+    # the steps dt/2, dt and weights 2, dt/6, each (2, m); rate_lam * lam
+    # and rate_x * x + c_m - xi' are the right-hand side; the box is
+    # [zero, pbar]; each of these last five is (m,)
+    ops = np.repeat([0.5 * dt, dt, 2.0, dt / 6.0, -1.0 / (2.0 * d), -2.0 * g,
+                     2.0 * alpha, pbar, 0.0], 2 * m).reshape(9, 2, m)
+    h2, h1, two, h6 = ops[:4]
+    rate_lam, rate_x, a2, pbar, zero = ops[4:, 0]
     excess = np.empty((4, m))
     k1, k2, k3, k4 = np.empty((4, 2, m))  # the four slopes
     zs, acc, res = np.empty((3, 2, m))    # stage point, sum of slopes, result
@@ -706,23 +699,30 @@ def breakdown_as_dict(bd: CostBreakdown) -> dict:
 
 
 # Each reader takes a JSON value as it is: bool("false") would be True,
-# int(2.7) 2, int(true) 1, float("100") 100.0 and float("nan") NaN.
+# int(2.7) 2, int(true) 1, float("100") 100.0 and float("nan") NaN.  No
+# solve writes a negative number.
 def _json_bool(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
     return value
 
 
+def _at_least_zero(value):
+    if value < 0:
+        raise ValueError(f"expected a value >= 0, got {value!r}")
+    return value
+
+
 def _json_float(value) -> float:
     if type(value) not in (int, float) or not math.isfinite(value):
         raise TypeError(f"expected a finite number, got {value!r}")
-    return float(value)
+    return _at_least_zero(float(value))
 
 
 def _json_int(value) -> int:
     if type(value) is not int:
         raise TypeError(f"expected an integer, got {value!r}")
-    return value
+    return _at_least_zero(value)
 
 
 # diagnostics.json keys restoring PmpSolution fields, and their types
@@ -753,7 +753,8 @@ def read_diagnostics(path: Path) -> dict:
         return {key: kind(doc[key]) for key, kind in _DIAGNOSTICS_FIELDS.items()}
     except KeyError as exc:
         raise ValidationError(f"{path}: missing key {exc}") from exc
-    except (TypeError, OverflowError) as exc:  # an integer past float range
+    # a mistyped value, one below 0, or an integer past float range
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: bad value: {exc}") from exc
 
 

@@ -380,9 +380,19 @@ def test_divergence_above_resolvable_alpha_names_limit(tmp_path,
 
 
 def test_econ_breakeven_prints_price(capsys):
-    assert main(["econ", "--breakeven", "--daily-profit", "5"]) == 0
-    out = capsys.readouterr().out.strip()
-    assert float(out) == pytest.approx(6497.0, abs=0.5)
+    assert main(["breakeven", "--daily-profit", "5"]) == 0
+    assert capsys.readouterr().out == "6497\n"
+
+
+def test_breakeven_refuses_a_price_past_float_range(tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["breakeven", "--daily-profit", "1e308"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the break-even price for a daily profit "
+                            "of 1e+308 is not finite\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_econ_report_from_solution(tmp_path, machine_cfg, plant_net_csv):
@@ -535,14 +545,21 @@ def test_econ_rejects_malformed_solution(tmp_path, machine_cfg, plant_net_csv,
     ("alpha_used", False, "expected a finite number, got False"),
     ("periodic_residual", "nan", "expected a finite number, got 'nan'"),
     ("periodic_residual", float("nan"), "expected a finite number, got nan"),
-    ("alpha_used", 10 ** 400, "int too large to convert to float")],
+    ("alpha_used", 10 ** 400, "int too large to convert to float"),
+    ("newton_iters", -5, "expected a value >= 0, got -5"),
+    ("rk4_passes", -7, "expected a value >= 0, got -7"),
+    ("periodic_residual", -1.0, "expected a value >= 0, got -1.0"),
+    ("alpha_used", -1, "expected a value >= 0, got -1.0")],
     ids=["float-iters", "bool-iters", "float-passes", "string-alpha",
-         "bool-alpha", "string-nan", "json-nan", "huge-alpha"])
+         "bool-alpha", "string-nan", "json-nan", "huge-alpha",
+         "negative-iters", "negative-passes", "negative-residual",
+         "negative-alpha"])
 def test_econ_rejects_mistyped_diagnostics(tmp_path, machine_cfg,
                                            plant_net_csv, capsys, key, value,
                                            message):
     """diagnostics.json values are read as JSON typed them: int() and
-    float() would turn 2.7 into 2, true into 1 and "100" into 100.0."""
+    float() would turn 2.7 into 2, true into 1 and "100" into 100.0.  No
+    solve writes a negative number."""
     run = tmp_path / "run"
     assert main(["solve", "--load", plant_net_csv, "--machine", machine_cfg,
                  "--out", str(run)]) == 0
@@ -603,7 +620,7 @@ def test_econ_projection_flat_with_zero_slopes(tmp_path, machine_cfg):
     trend = tmp_path / "price.csv"
     trend.write_text("share_pct,value\n10,40\n20,40\n30,40\n")
     out = tmp_path / "proj"
-    code = main(["econ", "--machine", machine_cfg, "--project", "6",
+    code = main(["project", "--machine", machine_cfg, "--years", "6",
                  "--price-trend", str(trend), "--share0", "10",
                  "--out", str(out)])
     assert code == 0
@@ -617,7 +634,7 @@ def test_econ_projection_share_stays_at_or_above_zero(tmp_path, machine_cfg):
     trend = tmp_path / "price.csv"
     trend.write_text("share_pct,value\n10,40\n20,46\n30,51\n")
     out = tmp_path / "proj"
-    code = main(["econ", "--machine", machine_cfg, "--project", "4",
+    code = main(["project", "--machine", machine_cfg, "--years", "4",
                  "--price-trend", str(trend), "--share0", "10",
                  "--share-per-year", "-6", "--out", str(out)])
     assert code == 0
@@ -632,7 +649,7 @@ def test_econ_projection_rejects_non_finite_price(tmp_path, machine_cfg,
     trend = tmp_path / "price.csv"
     trend.write_text("share_pct,value\n10,40\n20,nan\n30,50\n")
     out = tmp_path / "proj"
-    code = main(["econ", "--machine", machine_cfg, "--project", "3",
+    code = main(["project", "--machine", machine_cfg, "--years", "3",
                  "--price-trend", str(trend), "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err.startswith(
@@ -640,17 +657,21 @@ def test_econ_projection_rejects_non_finite_price(tmp_path, machine_cfg,
     assert not (out / "projection.csv").exists()
 
 
-def test_econ_projection_requires_trend(tmp_path, machine_cfg):
-    code = main(["econ", "--machine", machine_cfg, "--project", "6",
+def test_econ_projection_requires_trend(tmp_path, machine_cfg, capsys):
+    code = main(["project", "--machine", machine_cfg, "--years", "6",
                  "--out", str(tmp_path / "p")])
     assert code == 1
+    assert capsys.readouterr().err.endswith(
+        "error: the following arguments are required: --price-trend\n")
+    assert not (tmp_path / "p").exists()
 
 
 @pytest.mark.parametrize("extra,message", [
     (["--machine", "CFG", "--solution", "run", "--fleet-count", "100"],
      "run/solution.csv: pm_clipped_kw spans 964.286 to 11964.3 kW, outside "
      "[0, 536] kW for 100 machines"),
-    (["--solution", "run"], "--machine is required")],
+    (["--solution", "run"],
+     "the following arguments are required: --machine")],
     ids=["fleet-below-draw", "no-machine"])
 def test_econ_input_error_writes_nothing(tmp_path, machine_cfg, plant_net_csv,
                                          capsys, monkeypatch, extra, message):
@@ -662,62 +683,9 @@ def test_econ_input_error_writes_nothing(tmp_path, machine_cfg, plant_net_csv,
     capsys.readouterr()
     argv = [machine_cfg if arg == "CFG" else arg for arg in extra]
     assert main(["econ", *argv, "--out", "out"]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: {message}\n") and err.count("error:") == 1
     assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("flag,value", [
-    ("--price-trend", "price.csv"), ("--share0", "50"),
-    ("--share-per-year", "2"), ("--profit-a", "3"),
-    ("--profit-b", "0.2")])
-def test_econ_projection_flag_requires_project(tmp_path, machine_cfg,
-                                               plant_net_csv, capsys,
-                                               monkeypatch, flag, value):
-    """A projection flag without --project is an input error, not dropped."""
-    monkeypatch.chdir(tmp_path)
-    assert main(["solve", "--load", plant_net_csv, "--machine", machine_cfg,
-                 "--out", "run"]) == 0
-    (tmp_path / "price.csv").write_text("share_pct,value\n10,40\n20,46\n")
-    capsys.readouterr()
-    assert main(["econ", "--machine", machine_cfg, "--solution", "run",
-                 flag, value, "--out", "out"]) == 1
-    assert capsys.readouterr().err == f"error: {flag} requires --project\n"
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("flag,value", [
-    ("--solution", "run"), ("--machine", "CFG"), ("--fleet-count", "3000"),
-    ("--attribution", "marginal"), ("--format", "json"), ("--out", "out"),
-    ("--project", "3"), ("--price-trend", "price.csv"), ("--share0", "10")])
-def test_econ_breakeven_rejects_inputs_it_drops(tmp_path, machine_cfg,
-                                                capsys, monkeypatch, flag,
-                                                value):
-    """--breakeven reads only --daily-profit: any other econ input, a
-    default value included, is an input error that prints and writes
-    nothing."""
-    monkeypatch.chdir(tmp_path)
-    before = sorted(tmp_path.iterdir())
-    value = machine_cfg if value == "CFG" else value
-    assert main(["econ", "--breakeven", "--daily-profit", "3", flag,
-                 value]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {flag} does not apply with --breakeven\n"
-    assert sorted(tmp_path.iterdir()) == before
-
-
-def test_econ_daily_profit_requires_breakeven(tmp_path, machine_cfg,
-                                              plant_net_csv, capsys,
-                                              monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main(["solve", "--load", plant_net_csv, "--machine", machine_cfg,
-                 "--out", "run"]) == 0
-    capsys.readouterr()
-    assert main(["econ", "--machine", machine_cfg, "--solution", "run",
-                 "--daily-profit", "3", "--out", "dp"]) == 1
-    assert capsys.readouterr().err == (
-        "error: --daily-profit requires --breakeven\n")
-    assert not (tmp_path / "dp").exists()
 
 
 def test_oracle_check_rejects_dt_with_n(tmp_path, machine_cfg, plant_net_csv,
@@ -750,73 +718,143 @@ def test_econ_projection_pinned(tmp_path, machine_cfg, plant_net_csv):
     price.write_text("share_pct,value\n10,40\n20,46\n30,51\n45,60\n")
     out = tmp_path / "proj"
     assert main(["econ", "--machine", machine_cfg, "--solution", str(run),
-                 "--project", "4", "--price-trend", str(price),
+                 "--out", str(out)]) == 0
+    assert main(["project", "--machine", machine_cfg, "--solution", str(run),
+                 "--years", "4", "--price-trend", str(price),
                  "--share0", "12", "--share-per-year", "3",
                  "--out", str(out)]) == 0
     text = (out / "projection.csv").read_text()
     saved = json.loads((out / "econ_report.json").read_text())["ramping_saved"]
-    # the schedule's saving, every year
+    # the saving `econ` reports for the same solution, every year
     assert [float(row.split(",")[3]) for row in text.splitlines()[1:]] \
         == [saved] * 4
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "2e6fdd90bcf738b418ce2e5052b344affa8ed0e9de55c1f073d06b629a6d929d"
 
 
-PROJECTION_ARGV = ["--machine", "CFG", "--solution", "run", "--project", "4",
-                   "--price-trend", "price.csv", "--share0", "12",
-                   "--share-per-year", "3", "--profit-a", "14",
-                   "--profit-b", "0.1", "--attribution", "marginal",
-                   "--fleet-count", "2853", "--format", "json"]
+# a run of each econ command that succeeds in the `econ_inputs` directory
+ECON_ARGV = {
+    "econ": ["--machine", "machine1.cfg", "--solution", "run",
+             "--fleet-count", "2853", "--attribution", "marginal",
+             "--format", "json"],
+    "project": ["--machine", "machine1.cfg", "--solution", "run",
+                "--years", "4", "--price-trend", "price.csv",
+                "--share0", "12", "--share-per-year", "3",
+                "--profit-a", "14", "--profit-b", "0.1",
+                "--fleet-count", "2853"],
+    "breakeven": ["--daily-profit", "5"]}
+# every flag of the three commands, with a value it accepts
+ECON_FLAG_VALUES = {
+    "--machine": "machine1.cfg", "--solution": "run", "--fleet-count": "3000",
+    "--attribution": "average", "--format": "table", "--out": "out",
+    "--years": "3", "--price-trend": "price.csv", "--share0": "10",
+    "--share-per-year": "2", "--profit-a": "3", "--profit-b": "0.2",
+    "--daily-profit": "3"}
+# the flags each command reads
+ECON_FLAGS = {
+    "econ": {"--machine", "--solution", "--fleet-count", "--attribution",
+             "--format", "--out"},
+    "project": {"--machine", "--price-trend", "--years", "--solution",
+                "--fleet-count", "--share0", "--share-per-year",
+                "--profit-a", "--profit-b", "--out"},
+    "breakeven": {"--daily-profit"}}
 
 
-def _econ_outputs(tmp_path, capsys, argv, tag) -> dict:
-    """stdout and the bytes of every file of one econ run."""
+def _econ_outputs(tmp_path, capsys, command, argv, tag) -> dict:
+    """stdout and the bytes of every file of one run of `command`."""
     out = tmp_path / tag
-    assert main(["econ", *argv, "--out", str(out)]) == 0
+    if command != "breakeven":  # it only prints
+        argv = [*argv, "--out", str(out)]
+    assert main([command, *argv]) == 0
     outputs = {"stdout": capsys.readouterr().out.encode()}
-    for path in out.iterdir():
+    for path in out.iterdir() if out.exists() else ():
         outputs[path.name] = path.read_bytes()
     return outputs
 
 
 @pytest.fixture()
-def projection_inputs(tmp_path, machine_cfg, plant_net_csv, capsys,
-                      monkeypatch):
-    """A solved run, a run of a 5 % larger load and two price trends, in
-    the working directory; returns PROJECTION_ARGV."""
+def econ_inputs(tmp_path, machine_cfg, plant_net_csv, capsys, monkeypatch):
+    """In the working directory: the machine config machine1.cfg, the
+    same machine at a higher price in machine2.cfg, a solved run, a run
+    of a 5 % larger load and two price trends."""
     monkeypatch.chdir(tmp_path)
     for run, extra in (("run", []), ("run1", ["--load-scale", "1.05"])):
         assert main(["solve", "--load", plant_net_csv, "--machine",
                      machine_cfg, "--out", run, *extra]) == 0
+    (tmp_path / "machine2.cfg").write_text(
+        MACHINE_CFG.replace("price_usd = 7400", "price_usd = 8000"))
     (tmp_path / "price.csv").write_text("share_pct,value\n10,40\n20,46\n")
     (tmp_path / "price1.csv").write_text("share_pct,value\n10,40\n20,47\n")
     capsys.readouterr()
-    return [machine_cfg if arg == "CFG" else arg for arg in PROJECTION_ARGV]
 
 
-@pytest.mark.parametrize("flag,value,output", [
-    ("--price-trend", "price1.csv", "projection.csv"),
-    ("--share0", "20", "projection.csv"),
-    ("--share-per-year", "5", "projection.csv"),
-    ("--profit-a", "15", "projection.csv"),
-    ("--profit-b", "0.2", "projection.csv"),
-    ("--solution", "run1", "projection.csv"),
-    ("--fleet-count", "3000", "projection.csv"),
-    ("--attribution", "average", "econ_report.json"),
-    ("--format", "table", "stdout")])
-def test_econ_drops_no_input(tmp_path, capsys, projection_inputs, flag, value,
-                             output):
-    """Each econ input changes the output that reads it."""
-    argv = list(projection_inputs)
-    base = _econ_outputs(tmp_path, capsys, argv, "base")
+DROP_CASES = [
+    ("project", "--price-trend", "price1.csv", "projection.csv"),
+    ("project", "--share0", "20", "projection.csv"),
+    ("project", "--share-per-year", "5", "projection.csv"),
+    ("project", "--profit-a", "15", "projection.csv"),
+    ("project", "--profit-b", "0.2", "projection.csv"),
+    ("project", "--solution", "run1", "projection.csv"),
+    ("project", "--fleet-count", "3000", "projection.csv"),
+    ("project", "--years", "5", "projection.csv"),
+    ("project", "--machine", "machine2.cfg", "projection.csv"),
+    ("econ", "--attribution", "average", "econ_report.json"),
+    ("econ", "--format", "table", "stdout"),
+    ("econ", "--solution", "run1", "econ_report.json"),
+    ("econ", "--fleet-count", "3000", "econ_report.json"),
+    ("econ", "--machine", "machine2.cfg", "econ_report.json"),
+    ("breakeven", "--daily-profit", "6", "stdout")]
+
+
+@pytest.mark.parametrize("command,flag,value,output", DROP_CASES,
+                         ids=["-".join(case[1:]) for case in DROP_CASES])
+def test_econ_drops_no_input(tmp_path, capsys, econ_inputs, command, flag,
+                             value, output):
+    """Each input of each econ command changes the output that reads it."""
+    argv = list(ECON_ARGV[command])
+    base = _econ_outputs(tmp_path, capsys, command, argv, "base")
     argv[argv.index(flag) + 1] = value
-    assert _econ_outputs(tmp_path, capsys, argv, "other")[output] \
+    assert _econ_outputs(tmp_path, capsys, command, argv, "other")[output] \
         != base[output]
 
 
-def test_econ_has_no_ramp_trend(tmp_path, capsys, projection_inputs):
-    assert main(["econ", *projection_inputs, "--ramp-trend", "price.csv",
-                 "--out", "out"]) == 1
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command in ECON_FLAGS for flag in ECON_FLAG_VALUES
+    if flag not in ECON_FLAGS[command]])
+def test_econ_commands_refuse_flags_they_do_not_read(tmp_path, capsys,
+                                                     econ_inputs, command,
+                                                     flag):
+    """Each econ command defines only the flags its job reads: any other
+    is argparse's usage error, which prints and writes nothing."""
+    before = {p: p.read_bytes() if p.is_file() else None
+              for p in tmp_path.rglob("*")}
+    value = ECON_FLAG_VALUES[flag]
+    assert main([command, *ECON_ARGV[command], flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: unrecognized arguments: {flag} {value}\n")
+    assert "Traceback" not in captured.err
+    assert {p: p.read_bytes() if p.is_file() else None
+            for p in tmp_path.rglob("*")} == before
+
+
+def test_project_fleet_count_requires_solution(tmp_path, capsys,
+                                               econ_inputs):
+    """Without a solution the projection's saving is 0, so a fleet size
+    would be read by nothing."""
+    argv = list(ECON_ARGV["project"])
+    del argv[argv.index("--solution"):argv.index("--solution") + 2]
+    assert main(["project", *argv, "--out", "out"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --fleet-count requires --solution\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_econ_has_no_ramp_trend(tmp_path, capsys, econ_inputs):
+    assert main(["project", *ECON_ARGV["project"], "--ramp-trend",
+                 "price.csv", "--out", "out"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --ramp-trend price.csv" in captured.err
@@ -825,13 +863,13 @@ def test_econ_has_no_ramp_trend(tmp_path, capsys, projection_inputs):
 
 
 @pytest.mark.parametrize("years", ["0", "101", str(10 ** 12)])
-def test_econ_projection_horizon_is_bounded(tmp_path, capsys,
-                                            projection_inputs, years):
+def test_econ_projection_horizon_is_bounded(tmp_path, capsys, econ_inputs,
+                                            years):
     """Each projection year is a row, so a horizon past 100 years is an
     input error before any row is built, and nothing is printed."""
-    argv = list(projection_inputs)
-    argv[argv.index("--project") + 1] = years
-    assert main(["econ", *argv, "--out", "out"]) == 1
+    argv = list(ECON_ARGV["project"])
+    argv[argv.index("--years") + 1] = years
+    assert main(["project", *argv, "--out", "out"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
@@ -841,7 +879,7 @@ def test_econ_projection_horizon_is_bounded(tmp_path, capsys,
 
 def test_econ_help_names_the_horizon(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["econ", "--help"])
+        main(["project", "--help"])
     assert exc.value.code == 0
     text = capsys.readouterr().out
     assert "projection years, 1 to 100" in text and "ramp-trend" not in text
@@ -850,21 +888,26 @@ def test_econ_help_names_the_horizon(capsys):
 @pytest.mark.parametrize("command,flag,value", [
     ("solve", "--dt", "nan"), ("solve", "--tol-bc", "nan"),
     ("solve", "--alpha-schedule", "1,nan,100"),
-    ("oracle-check", "--obj-tol", "nan"), ("econ", "--daily-profit", "nan"),
+    ("oracle-check", "--obj-tol", "nan"),
+    ("breakeven", "--daily-profit", "nan"),
     ("solve", "--dt", "abc"), ("synth", "--dt", "0")])
 def test_bad_number_is_input_error(tmp_path, machine_cfg, plant_net_csv,
-                                   capsys, command, flag, value):
+                                   capsys, monkeypatch, command, flag, value):
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
-    args = {"solve": ["--load", plant_net_csv, "--machine", machine_cfg],
-            "oracle-check": ["--load", plant_net_csv, "--machine", machine_cfg],
-            "econ": ["--breakeven"],
-            "synth": ["--base", "1", "--evening-peak", "1", "--pv-peak", "1"]}
-    assert main([command, *args[command], "--out", str(out), flag, value]) == 1
+    scenario = ["--load", plant_net_csv, "--machine", machine_cfg]
+    args = {"solve": [*scenario, "--out", str(out)],
+            "oracle-check": [*scenario, "--out", str(out)],
+            "breakeven": [],  # it writes no file
+            "synth": ["--base", "1", "--evening-peak", "1", "--pv-peak", "1",
+                      "--out", str(out)]}
+    before = sorted(tmp_path.iterdir())
+    assert main([command, *args[command], flag, value]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
     assert len(errors) == 1 and value in errors[0]
-    assert not out.exists()
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_one_process_serves_many_requests(tmp_path, machine_cfg,

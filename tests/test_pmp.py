@@ -20,8 +20,8 @@ from rampsched.costmodel import box_excess, gen_cost, penalty_xi, ramp_cost
 from rampsched.econ import report_as_dict
 from rampsched.oracle import discretize_objective, solve_active_set
 from rampsched.pmp import (SOLUTION_CSV_HEADER, PmpState, Scenario, Tolerances,
-                           _condensed_table, _cyclic_thomas, _day, _rk4_grid,
-                           _rk4_step, _rk4_step_derivative, _rk4_stepper,
+                           _condensed_table, _cyclic_thomas, _day, _rk4_step,
+                           _rk4_step_derivative, _rk4_stepper,
                            _schedule_csv, breakdown_as_dict, failure_reason,
                            read_solution_csv, resolvable_alpha,
                            solution_to_csv)
@@ -581,18 +581,6 @@ def test_rk4_stepper_has_the_bits_of_the_plain_expressions(n):
     assert on_pbar > 0
 
 
-def test_rk4_grid_operands_are_read_only_and_keyed_on_the_grid():
-    ops = _rk4_grid(97, 0.25)
-    assert _rk4_grid(97, 0.25) is ops
-    for op in ops:
-        assert not op.flags.writeable
-        with pytest.raises(ValueError):
-            op[..., 0] = 0.0
-    other = _rk4_grid(97, 0.5)
-    assert other is not ops and not np.array_equal(other[0], ops[0])
-    assert [op.shape for op in _rk4_grid(49, 0.5)] == [(2, 49)] * 4 + [(49,)]
-
-
 def test_rk4_stepper_closure_is_not_a_20_tuple():
     """CPython 3.11 puts a freed 20-tuple on its free list and never takes
     it back, so a stepper closure of 20 cells would leave one tuple per
@@ -603,16 +591,11 @@ def test_rk4_stepper_closure_is_not_a_20_tuple():
 
 def test_grids_of_one_size_share_no_operands(corpus96):
     """Solves on two grids of n nodes and different dt, in turn, give
-    byte for byte what each gives with no RK4 grid operands cached."""
+    byte for byte what each gives on its first solve."""
     a = corpus96["peak_touch"]
     b = dataclasses.replace(
         a, load=SampledProfile(2.0 * a.load.dt, a.load.values))
-
-    def fresh(sc):
-        pmp._rk4_grid.cache_clear()
-        return _solution_bytes(solve(sc))
-
-    want = [fresh(a), fresh(b)]
+    want = [_solution_bytes(solve(sc)) for sc in (a, b)]
     assert [_solution_bytes(solve(sc)) for sc in (a, b, a, b)] == want * 2
 
 
