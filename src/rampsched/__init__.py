@@ -11,10 +11,10 @@ projections).
 from .costmodel import (CostModel, FleetSpec, MachineSpec, MACHINE_PRESETS,
                         compute_cm, compute_g, control_from_costate, gen_cost,
                         load_config, penalty_xi, penalty_xi_prime, ramp_cost)
-from .econ import (EconReport, ProfitModel, ProjectionSeries, ScheduleStats,
-                   TrendModel, amortized_daily_msrp,
-                   breakeven_max_machine_price, daily_report, fit_price_trend,
-                   profit_vs_price, project_net_profit)
+from .econ import (EconReport, ProfitModel, ProjectionSeries, TrendModel,
+                   amortized_daily_msrp, breakeven_max_machine_price,
+                   daily_report, fit_price_trend, profit_vs_price,
+                   project_net_profit)
 from .errors import (DivergenceError, RampSchedError, ReportOnUnconvergedError,
                      ValidationError)
 from .oracle import DiscreteSolution, discretize_objective, solve_active_set

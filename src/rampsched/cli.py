@@ -10,7 +10,6 @@ environment variable (error|warn|info|debug).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import io
 import json
@@ -166,11 +165,9 @@ def cmd_oracle_check(args) -> int:
         return EXIT_VERIFICATION
     ref_diagnostics = oracle.oracle_diagnostics(ref, sc)
 
-    # `discretize_objective` of the draw, from the one `evaluate`
+    # `discretize_objective` of the draw; `evaluate` prices it once
     diagnostics = pmp.solution_diagnostics(sol, sc)
-    terms = diagnostics["objective_breakdown"]
-    j_pmp_cmp = (terms["generation_usd"] + terms["ramping_usd"]
-                 - terms["revenue_usd"])
+    j_pmp_cmp = pmp.evaluate(sol, sc).unpenalized_usd
     obj_gap = abs(j_pmp_cmp - ref.objective) / (1.0 + abs(ref.objective))
     pm_gap = float(np.max(np.abs(sol.pm_clipped[:-1] - ref.pm)))
     pm_gap_frac = pm_gap / sc.cost.pbar_kw
@@ -245,19 +242,24 @@ def cmd_econ(args) -> int:
 def cmd_project(args) -> int:
     if args.fleet_count is not None and args.solution is None:
         raise ValidationError("--fleet-count requires --solution")
+    # `project_net_profit` checks these too, in its own names
+    if not 1 <= args.years <= econ.MAX_PROJECTION_YEARS:
+        raise ValidationError(f"--years must be within 1 to "
+                              f"{econ.MAX_PROJECTION_YEARS}, got {args.years}")
+    if not 0.0 <= args.share0 <= 100.0:
+        raise ValidationError(f"--share0 must be within [0, 100], "
+                              f"got {args.share0:g}")
     cfg = cmod.load_config(args.machine)
     machine = cmod.machine_from_config(cfg)
     saved = 0.0
     if args.solution is not None:
         saved = econ.daily_report(*_scenario_from_solution(args, cfg),
                                   machine).ramping_saved
-    trend = dataclasses.replace(
-        econ.fit_price_trend(econ.read_trend_csv(args.price_trend)),
-        share_per_year=args.share_per_year)
-    stats = econ.ScheduleStats(
-        share0_pct=args.share0, ramp_saved_usd_day=saved,
+    series = econ.project_net_profit(
+        machine, econ.fit_price_trend(econ.read_trend_csv(args.price_trend)),
+        args.years, share0_pct=args.share0,
+        share_per_year=args.share_per_year, ramp_saved_usd_day=saved,
         profit=econ.ProfitModel(a=args.profit_a, b=args.profit_b))
-    series = econ.project_net_profit(machine, trend, args.years, stats)
     _write_outputs(Path(args.out), {"projection.csv": profiles.format_table(
         "year,net_usd_day,mining_usd_day,ramping_saved_usd_day",
         (series.years, series.net, series.mining, series.ramping_saved))})
@@ -343,11 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "without it the saving is 0")
     p.add_argument("--fleet-count", type=int, default=None,
                    help="needs --solution")
+    defaults = econ.project_net_profit.__kwdefaults__
     p.add_argument("--share0", type=_finite_float,
-                   default=econ.ScheduleStats.share0_pct,
+                   default=defaults["share0_pct"],
                    help="[%%], default %(default)s")
     p.add_argument("--share-per-year", type=_finite_float,
-                   default=econ.TrendModel.share_per_year,
+                   default=defaults["share_per_year"],
                    help="default %(default)s")
     p.add_argument("--profit-a", type=_finite_float,
                    default=econ.ProfitModel.a, help="default %(default)s")

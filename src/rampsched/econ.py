@@ -46,16 +46,10 @@ class ProfitModel:
 
 @dataclass(frozen=True)
 class TrendModel:
-    """Fitted dependence of the electricity price on renewable share (%).
+    """Least-squares line of the electricity price over renewable share (%)."""
 
-    An ordinary least-squares line with its residual RMS.
-    share_per_year is the assumed growth of the share.
-    """
-
-    price_intercept: float | None = None
-    price_slope: float | None = None
-    price_rms: float | None = None
-    share_per_year: float = 0.0
+    price_intercept: float
+    price_slope: float
 
 
 @dataclass(frozen=True)
@@ -127,60 +121,45 @@ def fit_price_trend(points) -> TrendModel:
         raise ValidationError("all shares identical; line fit is degenerate")
     xm, ym = x.mean(), y.mean()
     slope = float(((x - xm) * (y - ym)).sum() / ((x - xm) ** 2).sum())
-    intercept = float(ym - slope * xm)
-    resid = y - (intercept + slope * x)
-    return TrendModel(price_intercept=intercept, price_slope=slope,
-                      price_rms=float(np.sqrt(np.mean(resid ** 2))))
+    return TrendModel(price_intercept=float(ym - slope * xm),
+                      price_slope=slope)
 
 
-@dataclass(frozen=True)
-class ScheduleStats:
-    """Today's operating point feeding a multi-year projection."""
-
-    share0_pct: float = 10.0
-    ramp_saved_usd_day: float = 0.0
-    profit: ProfitModel = ProfitModel()
-
-    def __post_init__(self):
-        if not 0.0 <= self.share0_pct <= 100.0:
-            raise ValidationError("share0_pct must be within [0, 100]")
-
-
-def project_net_profit(machine: MachineSpec, trend: TrendModel, years: int,
-                       schedule_stats: ScheduleStats) -> ProjectionSeries:
+def project_net_profit(machine: MachineSpec, trend: TrendModel, years: int, *,
+                       share0_pct: float = 10.0, share_per_year: float = 0.0,
+                       ramp_saved_usd_day: float = 0.0,
+                       profit: ProfitModel = ProfitModel()) -> ProjectionSeries:
     """Project daily net profit per machine over a horizon of years.
 
-    Per year y (1-based): the renewable share moves linearly and is held
-    within [0, 100] %; the electricity price follows the fitted line; the
-    mining component follows the linear profit model; the schedule's
-    ramping saving is added unchanged; the amortized purchase price is
-    subtracted.  No re-solve per year: the projection extrapolates the
-    price trend only.  The horizon is 1 to MAX_PROJECTION_YEARS years.
+    Per year y (1-based): the renewable share, share0_pct today, moves by
+    share_per_year and is held within [0, 100] %; the electricity price
+    follows the fitted line; the mining component follows the linear
+    profit model; the schedule's ramping saving is added unchanged; the
+    amortized purchase price is subtracted.  No re-solve per year: the
+    projection extrapolates the price trend only.  The horizon is 1 to
+    MAX_PROJECTION_YEARS years and share0_pct is within [0, 100].
     """
     if not 1 <= years <= MAX_PROJECTION_YEARS:
         raise ValidationError(f"years must be within 1 to "
                               f"{MAX_PROJECTION_YEARS}, got {years}")
-    if trend.price_intercept is None or trend.price_slope is None:
-        raise ValidationError("projection needs a fitted price trend")
-    stats = schedule_stats
+    if not 0.0 <= share0_pct <= 100.0:
+        raise ValidationError("share0_pct must be within [0, 100]")
     msrp = amortized_daily_msrp(machine.price_usd, machine.lifespan_years)
-    saved = stats.ramp_saved_usd_day
 
-    year_list, nets, minings = [], [], []
+    nets, minings = [], []
     first_loss = None
     for y in range(1, years + 1):
-        share = min(max(stats.share0_pct + y * trend.share_per_year, 0.0), 100.0)
+        share = min(max(share0_pct + y * share_per_year, 0.0), 100.0)
         price = trend.price_intercept + trend.price_slope * share
-        mining = profit_vs_price(price, stats.profit)
-        net = mining + saved - msrp
-        year_list.append(y)
+        mining = profit_vs_price(price, profit)
+        net = mining + ramp_saved_usd_day - msrp
         nets.append(net)
         minings.append(mining)
         if first_loss is None and net < 0.0:
             first_loss = y
-    return ProjectionSeries(years=tuple(year_list), net=tuple(nets),
+    return ProjectionSeries(years=tuple(range(1, years + 1)), net=tuple(nets),
                             mining=tuple(minings),
-                            ramping_saved=(saved,) * years,
+                            ramping_saved=(ramp_saved_usd_day,) * years,
                             first_loss_year=first_loss)
 
 

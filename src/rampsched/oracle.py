@@ -58,8 +58,7 @@ def discretize_objective(sc: Scenario, pm: np.ndarray) -> float:
     if pm.shape != pl.shape:
         raise ValidationError(
             f"pm has length {pm.size}, load grid has {pl.size}")
-    bd = objective(sc, pm)
-    return bd.generation_usd + bd.ramping_usd - bd.revenue_usd
+    return objective(sc, pm).unpenalized_usd
 
 
 def _gradient_density(sc: Scenario):

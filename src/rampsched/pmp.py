@@ -159,6 +159,12 @@ class CostBreakdown:
     total_usd: float
     baseline: "CostBreakdown | None" = None
 
+    @property
+    def unpenalized_usd(self) -> float:
+        """Generation + ramping - revenue: the discrete objective that
+        `oracle` solves with its box exact, so without the penalty."""
+        return self.generation_usd + self.ramping_usd - self.revenue_usd
+
 
 def make_scenario(load: SampledProfile, fleet: FleetSpec, *,
                   g: float | None = None, d: float = 1.0,

@@ -873,7 +873,20 @@ def test_econ_projection_horizon_is_bounded(tmp_path, capsys, econ_inputs,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: years must be within 1 to 100, got {years}\n")
+        f"error: --years must be within 1 to 100, got {years}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("share0", ["-0.5", "150"])
+def test_project_share0_is_a_percentage(tmp_path, capsys, econ_inputs, share0):
+    """The refusal names the flag, not the library's keyword."""
+    argv = list(ECON_ARGV["project"])
+    argv[argv.index("--share0") + 1] = share0
+    assert main(["project", *argv, "--out", "out"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --share0 must be within [0, 100], got {share0}\n")
     assert not (tmp_path / "out").exists()
 
 

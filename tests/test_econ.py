@@ -10,7 +10,7 @@ from corpus import M1, M3, build_corpus
 
 from rampsched import (EconReport, FleetSpec,
                        MACHINE_PRESETS, ProfitModel, ReportOnUnconvergedError,
-                       SampledProfile, ScheduleStats, TrendModel,
+                       SampledProfile, TrendModel,
                        ValidationError, amortized_daily_msrp,
                        breakeven_max_machine_price, daily_report,
                        fit_price_trend, make_scenario,
@@ -97,12 +97,18 @@ def test_breakeven_satisfies_rule_with_equality():
 
 # ------------------------------------------------------------- trend fits
 
+def _residual_rms(fit, points) -> float:
+    x, y = np.asarray(points, dtype=float).T
+    resid = y - (fit.price_intercept + fit.price_slope * x)
+    return float(np.sqrt(np.mean(resid ** 2)))
+
+
 def test_price_fit_exact_line():
     pts = [(s, 20.0 + 1.5 * s) for s in (0.0, 10.0, 25.0, 40.0)]
     fit = fit_price_trend(pts)
     assert fit.price_slope == pytest.approx(1.5, rel=1e-12)
     assert fit.price_intercept == pytest.approx(20.0, rel=1e-12)
-    assert fit.price_rms == pytest.approx(0.0, abs=1e-10)
+    assert _residual_rms(fit, pts) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_price_fit_degenerate_only_when_all_shares_equal():
@@ -118,8 +124,9 @@ def test_price_fit_recovers_noisy_line():
     x = rng.uniform(5.0, 60.0, 1000)
     y = intercept + slope * x
     y = y + rng.normal(0.0, 0.05 * np.abs(y))
-    fit = fit_price_trend(np.column_stack([x, y]))
-    se = fit.price_rms / (np.std(x) * np.sqrt(len(x)))
+    pts = np.column_stack([x, y])
+    fit = fit_price_trend(pts)
+    se = _residual_rms(fit, pts) / (np.std(x) * np.sqrt(len(x)))
     assert abs(fit.price_slope - slope) < 3.0 * se
 
 
@@ -147,54 +154,48 @@ def test_trend_csv_roundtrip(tmp_path):
 
 # ------------------------------------------------------------- projections
 
-def _flat_trend(**kw):
-    base = dict(price_intercept=40.0, price_slope=0.0, price_rms=0.0,
-                share_per_year=0.0)
-    base.update(kw)
-    return TrendModel(**base)
+FLAT = TrendModel(price_intercept=40.0, price_slope=0.0)
+RISING = TrendModel(price_intercept=40.0, price_slope=1.0)
 
 
 def test_projection_constant_when_trends_flat():
-    stats = ScheduleStats(share0_pct=10.0, ramp_saved_usd_day=2.0)
-    series = project_net_profit(M1, _flat_trend(), 6, stats)
+    series = project_net_profit(M1, FLAT, 6, share0_pct=10.0,
+                                ramp_saved_usd_day=2.0)
     assert len(set(series.net)) == 1
     assert series.first_loss_year is None or series.net[0] < 0
 
 
 def test_projection_expensive_machine_loses_immediately():
-    stats = ScheduleStats(share0_pct=10.0, ramp_saved_usd_day=0.0)
-    v_daily = profit_vs_price(40.0, stats.profit)
+    v_daily = profit_vs_price(40.0, ProfitModel())
     pricey = type(M1)(name="pricey", demand_w=M1.demand_w,
                       hashrate_ths=M1.hashrate_ths,
                       income_usd_day=M1.income_usd_day,
                       elec_cost_coeff=M1.elec_cost_coeff,
                       price_usd=3.0 * breakeven_max_machine_price(v_daily),
                       lifespan_years=2.0, k_const=M1.k_const)
-    series = project_net_profit(pricey, _flat_trend(), 3, stats)
+    series = project_net_profit(pricey, FLAT, 3, share0_pct=10.0)
     assert series.first_loss_year == 1
     assert series.net[0] < 0.0
 
 
 def test_projection_mining_declines_with_rising_prices():
-    trend = _flat_trend(price_slope=1.2, share_per_year=4.0)
-    stats = ScheduleStats(share0_pct=10.0, ramp_saved_usd_day=1.0)
-    series = project_net_profit(M1, trend, 6, stats)
+    trend = TrendModel(price_intercept=40.0, price_slope=1.2)
+    series = project_net_profit(M1, trend, 6, share0_pct=10.0,
+                                share_per_year=4.0, ramp_saved_usd_day=1.0)
     assert all(b < a for a, b in zip(series.mining, series.mining[1:]))
     assert series.ramping_saved == (1.0,) * 6  # the schedule's, every year
 
 
 def test_projection_share_capped_at_hundred():
-    trend = _flat_trend(share_per_year=50.0, price_slope=1.0)
-    stats = ScheduleStats(share0_pct=20.0)
-    series = project_net_profit(M1, trend, 5, stats)
+    series = project_net_profit(M1, RISING, 5, share0_pct=20.0,
+                                share_per_year=50.0)
     # shares clamp at 100 so late-year mining stops falling
     assert series.mining[-1] == series.mining[-2]
 
 
 def test_projection_share_floored_at_zero():
-    trend = _flat_trend(share_per_year=-6.0, price_slope=1.0)
-    stats = ScheduleStats(share0_pct=10.0, ramp_saved_usd_day=1.0)
-    series = project_net_profit(M1, trend, 4, stats)
+    series = project_net_profit(M1, RISING, 4, share0_pct=10.0,
+                                share_per_year=-6.0, ramp_saved_usd_day=1.0)
     # shares 4, 0, 0, 0: the price stops moving at 0 %; the saving is
     # the schedule's every year
     assert series.ramping_saved == (1.0, 1.0, 1.0, 1.0)
@@ -202,19 +203,22 @@ def test_projection_share_floored_at_zero():
 
 
 def test_projection_horizon_is_one_to_a_hundred_years():
-    stats = ScheduleStats(share0_pct=10.0, ramp_saved_usd_day=1.0)
-    assert len(project_net_profit(M1, _flat_trend(), 100, stats).net) == 100
+    assert len(project_net_profit(M1, FLAT, 100).net) == 100
     for years in (0, 101, 10 ** 12):  # refused before a row is built
         start = time.perf_counter()
         with pytest.raises(ValidationError, match=f"1 to 100, got {years}"):
-            project_net_profit(M1, _flat_trend(), years, stats)
+            project_net_profit(M1, FLAT, years)
         assert time.perf_counter() - start < 1.0
 
 
-def test_projection_requires_price_fit():
-    with pytest.raises(ValidationError):
-        project_net_profit(M1, TrendModel(share_per_year=1.0), 3,
-                           ScheduleStats(share0_pct=10.0))
+def test_projection_share_today_is_a_percentage():
+    for share0 in (0.0, 100.0):
+        assert len(project_net_profit(M1, RISING, 3, share0_pct=share0).net) \
+            == 3
+    for share0 in (-1e-9, 100.0 + 1e-9, -5.0, 150.0):
+        with pytest.raises(ValidationError,
+                           match=r"share0_pct must be within \[0, 100\]"):
+            project_net_profit(M1, RISING, 3, share0_pct=share0)
 
 
 # ------------------------------------------------------------- reports
