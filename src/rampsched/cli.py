@@ -105,11 +105,10 @@ def _load_net_profile(path: str, dt: float | None,
     return load
 
 
-def _config_scenario(cfg, args, load, schedule, tolerances=None) -> pmp.Scenario:
+def _config_scenario(cfg, args, load, **kw) -> pmp.Scenario:
     fleet = cmod.fleet_from_config(cfg, count_override=args.fleet_count)
-    return pmp.make_scenario(load, fleet, g=cfg.get("g_override"),
-                             d=cfg.get("d", 1.0), alpha_schedule=schedule,
-                             tolerances=tolerances)
+    return pmp.Scenario(load, fleet, g=cfg.get("g_override"),
+                        d=cfg.get("d", 1.0), **kw)
 
 
 def _build_scenario(args) -> pmp.Scenario:
@@ -123,8 +122,8 @@ def _build_scenario(args) -> pmp.Scenario:
         schedule = (float(cfg["alpha"]),)
     else:
         schedule = pmp.DEFAULT_ALPHA_SCHEDULE
-    return _config_scenario(cfg, args, load, schedule,
-                            pmp.Tolerances(tol_bc=args.tol_bc))
+    return _config_scenario(cfg, args, load, alpha_schedule=schedule,
+                            tolerances=pmp.Tolerances(tol_bc=args.tol_bc))
 
 
 def _solution_files(sol: pmp.PmpSolution, sc: pmp.Scenario,
@@ -210,7 +209,7 @@ def _scenario_from_solution(args, cfg) -> tuple[pmp.PmpSolution, pmp.Scenario]:
     t = cols["t_h"]
     dt = float(t[1] - t[0])
     load = profiles.SampledProfile(dt, cols["pl_kw"][:-1])
-    sc = _config_scenario(cfg, args, load, (diag["alpha_used"],))
+    sc = _config_scenario(cfg, args, load, alpha_schedule=(diag["alpha_used"],))
     pbar, clipped = sc.cost.pbar_kw, cols["pm_clipped_kw"]
     if pmp.box_violation(clipped, pbar) > 1e-9 * pbar:
         raise ValidationError(
@@ -255,9 +254,13 @@ def cmd_project(args) -> int:
     if args.solution is not None:
         saved = econ.daily_report(*_scenario_from_solution(args, cfg),
                                   machine).ramping_saved
+    points = econ.read_trend_csv(args.price_trend)
+    try:
+        trend = econ.fit_price_trend(points)
+    except ValidationError as exc:  # read, but no line fits the points
+        raise ValidationError(f"{args.price_trend}: {exc}") from exc
     series = econ.project_net_profit(
-        machine, econ.fit_price_trend(econ.read_trend_csv(args.price_trend)),
-        args.years, share0_pct=args.share0,
+        machine, trend, args.years, share0_pct=args.share0,
         share_per_year=args.share_per_year, ramp_saved_usd_day=saved,
         profit=econ.ProfitModel(a=args.profit_a, b=args.profit_b))
     _write_outputs(Path(args.out), {"projection.csv": profiles.format_table(

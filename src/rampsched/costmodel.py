@@ -149,9 +149,7 @@ def penalty_xi(pm, m: CostModel):
 
 def penalty_xi_prime(pm, m: CostModel):
     """Derivative of the penalty; 0 on the closed band including both kinks."""
-    below = np.minimum(pm, 0.0)
-    above = np.maximum(np.subtract(pm, m.pbar_kw), 0.0)
-    return 2.0 * m.alpha * (below + above)
+    return 2.0 * m.alpha * box_excess(pm, m.pbar_kw)
 
 
 def control_from_costate(lam, m: CostModel):

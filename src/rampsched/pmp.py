@@ -43,17 +43,17 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
 from . import costmodel as cmod
 from .costmodel import CostModel, FleetSpec, compute_cm, compute_g
 from .errors import DivergenceError, ValidationError
-from .profiles import (SampledProfile, format_table, names_path, periodic_ext,
-                       read_table, table_floats)
+from .profiles import (_MIN_SAMPLES, SampledProfile, format_table, names_path,
+                       periodic_ext, read_table, refuse_negative, table_floats)
 
 logger = logging.getLogger("rampsched.pmp")
 
@@ -91,13 +91,24 @@ _DEFAULT_TOLERANCES = Tolerances()
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything one solve needs: load, cost model, fleet, tolerances."""
+    """Everything one solve needs: the load, the fleet, the cost
+    coefficients, the penalty schedule and the tolerances.
+
+    g and cm default (None) to the fleet machine's `compute_g` and
+    `compute_cm`.  `cost`, built here and not a field, takes its miner
+    bound from the fleet and its penalty weight from the schedule's last
+    entry, so `dataclasses.replace` with another fleet or schedule
+    builds it anew.  `make_scenario` is this constructor.
+    """
 
     load: SampledProfile
-    cost: CostModel
     fleet: FleetSpec
-    tolerances: Tolerances = _DEFAULT_TOLERANCES
+    _: KW_ONLY
+    g: float | None = None
+    d: float = 1.0
+    cm: Union[float, SampledProfile, None] = None
     alpha_schedule: tuple[float, ...] = DEFAULT_ALPHA_SCHEDULE
+    tolerances: Tolerances = _DEFAULT_TOLERANCES
 
     def __post_init__(self):
         sched = tuple(float(a) for a in self.alpha_schedule)
@@ -108,18 +119,15 @@ class Scenario:
         if not all(0 <= a < math.inf for a in sched):
             raise ValidationError(
                 f"alpha_schedule entries must be finite and >= 0, got {sched}")
-        if not math.isclose(sched[-1], self.cost.alpha, rel_tol=1e-12):
-            raise ValidationError(
-                f"last alpha_schedule entry {sched[-1]} must equal "
-                f"cost.alpha {self.cost.alpha}")
-        if isinstance(self.cost.cm, SampledProfile) and \
-                not self.load.same_grid(self.cost.cm):
+        if isinstance(self.cm, SampledProfile) and not self.load.same_grid(self.cm):
             raise ValidationError("load and cm profiles must share one grid")
-        if abs(self.cost.pbar_kw - self.fleet.pbar_kw) > 1e-9 * self.fleet.pbar_kw:
-            raise ValidationError(
-                f"cost.pbar_kw {self.cost.pbar_kw} disagrees with fleet bound "
-                f"{self.fleet.pbar_kw}")
+        machine = self.fleet.machine
         object.__setattr__(self, "alpha_schedule", sched)
+        object.__setattr__(self, "cost", CostModel(
+            g=compute_g(machine) if self.g is None else self.g,
+            pbar_kw=self.fleet.pbar_kw,
+            cm=compute_cm(machine) if self.cm is None else self.cm,
+            d=self.d, alpha=sched[-1]))
 
     @functools.cached_property
     def _csv_grid_cells(self) -> tuple[list[str], list[str]]:
@@ -166,29 +174,7 @@ class CostBreakdown:
         return self.generation_usd + self.ramping_usd - self.revenue_usd
 
 
-def make_scenario(load: SampledProfile, fleet: FleetSpec, *,
-                  g: float | None = None, d: float = 1.0,
-                  cm: Union[float, SampledProfile, None] = None,
-                  alpha_schedule: Sequence[float] = DEFAULT_ALPHA_SCHEDULE,
-                  tolerances: Tolerances | None = None) -> Scenario:
-    """Build a scenario with the usual defaults.
-
-    g defaults to the machine-derived generation coefficient and cm to
-    the machine revenue rate; the final schedule entry becomes the cost
-    model's penalty weight.  `Scenario` converts and checks the schedule.
-    """
-    schedule = tuple(alpha_schedule)
-    cost = CostModel(
-        g=compute_g(fleet.machine) if g is None else g,
-        d=d,
-        # an empty schedule is left for Scenario to refuse
-        alpha=float(schedule[-1]) if schedule else 0.0,
-        pbar_kw=fleet.pbar_kw,
-        cm=compute_cm(fleet.machine) if cm is None else cm,
-    )
-    return Scenario(load=load, cost=cost, fleet=fleet,
-                    tolerances=tolerances or _DEFAULT_TOLERANCES,
-                    alpha_schedule=schedule)
+make_scenario = Scenario
 
 
 def hamiltonian(s: PmpState, u: float, t: float, sc: Scenario) -> float:
@@ -785,17 +771,20 @@ def read_solution_csv(source) -> dict[str, np.ndarray]:
     Raises:
         ValidationError: naming the line, for an empty file, a wrong
             header, a row whose field count differs from the header, a
-            cell that is not a finite number, fewer than 2 rows, or a
-            ``t_h`` off the grid 0, dt, 2·dt, ... (dt = t_h[1] > 0, to
-            1e-9 of the period).
+            cell that is not a finite number, fewer than 4 nodes and
+            t = T, a negative ``pl_kw``, or a ``t_h`` off the grid 0,
+            dt, 2·dt, ... (dt = t_h[1] > 0, to 1e-9 of the period).
     """
     header, rows = read_table(source)
     if header != SOLUTION_CSV_HEADER.split(","):
         raise ValidationError(f"line 1: expected the header {SOLUTION_CSV_HEADER!r}")
     data = table_floats(header, rows, header)
-    if len(rows) < 2:
-        raise ValidationError(f"line {rows[-1][0] if rows else 1}: solution CSV "
-                              f"needs at least 2 rows, got {len(rows)}")
+    if len(rows) <= _MIN_SAMPLES:
+        raise ValidationError(
+            f"line {rows[-1][0] if rows else 1}: solution CSV needs at least "
+            f"{_MIN_SAMPLES + 1} rows ({_MIN_SAMPLES} nodes and t = T), "
+            f"got {len(rows)}")
+    refuse_negative(rows, data[:, -1:], header[-1:])  # pl_kw
     t = data[:, 0]
     grid = float(t[1]) * np.arange(len(t))
     off = np.abs(t - grid) > 1e-9 * grid[-1]

@@ -193,6 +193,15 @@ def table_floats(header: list[str], rows, columns) -> np.ndarray:
     return data.reshape(len(rows), len(idx))
 
 
+def refuse_negative(rows, data: np.ndarray, columns) -> None:
+    """Raise, naming line and column, at the first negative cell of the
+    named columns' `table_floats` array."""
+    if np.any(data < 0.0):
+        i, j = np.argwhere(data < 0.0)[0]
+        raise ValidationError(f"line {rows[i][0]}: negative value {data[i, j]} "
+                              f"in column {columns[j]!r}")
+
+
 def format_table(header: str, columns) -> str:
     """CSV text of a header line and equal-length columns whose cells are
     written with str: a text cell verbatim, a Python float as its repr, so
@@ -241,10 +250,7 @@ def load_csv(source, scale: float = 1.0) -> dict[str, SampledProfile]:
         raise ValidationError("line 1: no power column")
 
     values = table_floats(header, rows, power)
-    if np.any(values < 0.0):
-        i, j = np.argwhere(values < 0.0)[0]
-        raise ValidationError(f"line {rows[i][0]}: negative value {values[i, j]} "
-                              f"in column {power[j]!r}")
+    refuse_negative(rows, values, power)
     ts_idx = header.index("timestamp")
     ts = np.array([_parse_timestamp(cells[ts_idx], no) for no, cells in rows])
     if len(rows) < _MIN_SAMPLES:

@@ -504,7 +504,13 @@ HEADER = SOLUTION_CSV_HEADER + "\n"
     ("solution.csv", HEADER + "0,1,2,3,4,5,6\n0.25,1,2,3,oops,5,6\n",
      "line 3: non-numeric cell"),
     ("solution.csv", HEADER + "0,1,2,3,4,5,6\n",
-     "line 2: solution CSV needs at least 2 rows, got 1"),
+     "line 2: solution CSV needs at least 5 rows (4 nodes and t = T), got 1"),
+    ("solution.csv", HEADER + "".join(f"{t},1,2,3,4,5,6\n"
+                                      for t in (0.0, 6.0, 12.0, 18.0)),
+     "line 5: solution CSV needs at least 5 rows (4 nodes and t = T), got 4"),
+    ("solution.csv", HEADER + "".join(f"{t},1,2,3,4,5,{pl}\n" for t, pl in (
+        (0.0, 6), (6.0, 6), (12.0, -5.0), (18.0, 6), (24.0, 6))),
+     "line 4: negative value -5.0 in column 'pl_kw'"),
     ("solution.csv", HEADER + "0,1,2,3,4,5,6\n\n0.25,1,2,3,nan,5,6\n",
      "line 4: non-finite cell 'nan' in column 'pm_kw'"),
     ("diagnostics.json", "{}", "missing key 'converged'"),
@@ -519,20 +525,23 @@ HEADER = SOLUTION_CSV_HEADER + "\n"
         {"converged": "false", "periodic_residual": 0.0,
          "stationarity_residual": 0.0, "newton_iters": 0,
          "alpha_used": 1.0}), "expected true or false, got 'false'"),
-], ids=["empty-csv", "short-row", "non-numeric-cell", "one-row", "nan-cell",
-        "empty-object", "bad-json", "not-object", "bad-value", "string-bool"])
+], ids=["empty-csv", "short-row", "non-numeric-cell", "one-row",
+        "three-nodes", "negative-pl", "nan-cell", "empty-object", "bad-json",
+        "not-object", "bad-value", "string-bool"])
 def test_econ_rejects_malformed_solution(tmp_path, machine_cfg, plant_net_csv,
                                          capsys, name, text, message):
     run = tmp_path / "run"
     assert main(["solve", "--load", plant_net_csv, "--machine", machine_cfg,
                  "--alpha-schedule", "1", "--out", str(run)]) == 0
+    capsys.readouterr()
     (run / name).write_text(text)
     out = tmp_path / "econ"
     code = main(["econ", "--machine", machine_cfg, "--solution", str(run),
                  "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith(f"error: {run / name}: ") and message in err
+    assert err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -655,6 +664,22 @@ def test_econ_projection_rejects_non_finite_price(tmp_path, machine_cfg,
     assert capsys.readouterr().err.startswith(
         f"error: {trend}: line 3: non-finite cell 'nan' in column 'value'")
     assert not (out / "projection.csv").exists()
+
+
+@pytest.mark.parametrize("rows,message", [
+    (["10,40"], "need at least two (share, price) points"),
+    (["10,40", "10,46"], "all shares identical; line fit is degenerate")],
+    ids=["one-row", "one-share"])
+def test_project_names_a_trend_file_with_no_line(tmp_path, machine_cfg,
+                                                 capsys, rows, message):
+    trend = tmp_path / "price.csv"
+    trend.write_text("\n".join(["share_pct,value", *rows]) + "\n")
+    out = tmp_path / "proj"
+    code = main(["project", "--machine", machine_cfg, "--years", "3",
+                 "--price-trend", str(trend), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {trend}: {message}\n"
+    assert not out.exists()
 
 
 def test_econ_projection_requires_trend(tmp_path, machine_cfg, capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rampsched import (CostModel, FleetSpec, MACHINE_PRESETS, ProfitModel,
-                       SampledProfile, Scenario, Tolerances, ValidationError,
+                       SampledProfile, Tolerances, ValidationError,
                        compute_cm, compute_g, control_from_costate, gen_cost,
                        load_config, make_scenario, penalty_xi,
                        penalty_xi_prime, ramp_cost, write_csv)
@@ -201,8 +201,8 @@ FLAT_DAY = SampledProfile(0.25, np.full(96, 100.0))
     lambda: Tolerances(tol_bc=math.inf),
     lambda: make_scenario(FLAT_DAY, FleetSpec(M1, 20), g=1e-3,
                           alpha_schedule=(math.inf,)),
-    lambda: Scenario(load=FLAT_DAY, cost=model(pbar=20 * M1.demand_kw),
-                     fleet=FleetSpec(M1, 20), alpha_schedule=(-math.inf, 1.0)),
+    lambda: make_scenario(FLAT_DAY, FleetSpec(M1, 20), g=1e-3,
+                          alpha_schedule=(-math.inf, 1.0)),
 ], ids=["g-nan", "d-nan", "pbar-inf", "cm-nan", "demand-nan", "profit-a-nan",
         "count-nan", "count-inf", "demand-inf", "hashrate-inf", "profit-b-inf",
         "alpha-inf", "tol-bc-inf", "schedule-inf", "schedule-minus-inf"])

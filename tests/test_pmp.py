@@ -9,13 +9,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from corpus import (BINDING_NAMES, CM1, G1, M1, build_corpus, build_long_arc,
-                    interior_count, ladder_scenarios, plant_duck_undersized,
-                    random_days)
+from corpus import (BINDING_NAMES, CM1, G1, M1, M3, build_corpus,
+                    build_long_arc, interior_count, ladder_scenarios,
+                    plant_duck_undersized, random_days)
 
 from rampsched import (DivergenceError, FleetSpec, SampledProfile,
-                       ValidationError, daily_report, evaluate, hamiltonian,
-                       make_scenario, pmp, pmp_rhs, solve, stationary_point)
+                       ValidationError, compute_cm, compute_g, daily_report,
+                       evaluate, hamiltonian, make_scenario, pmp, pmp_rhs,
+                       solve, stationary_point)
 from rampsched.costmodel import box_excess, gen_cost, penalty_xi, ramp_cost
 from rampsched.econ import report_as_dict
 from rampsched.oracle import discretize_objective, solve_active_set
@@ -918,12 +919,33 @@ def test_tol_bc_must_be_positive():
             Tolerances(tol_bc=tol)
 
 
-def test_schedule_must_end_at_cost_alpha():
-    load = SampledProfile(0.25, np.full(96, 100.0))
-    sc = make_scenario(load, FLEET20, g=1e-3, alpha_schedule=(1.0, 4.0))
-    with pytest.raises(ValidationError):
-        Scenario(load=load, cost=sc.cost, fleet=FLEET20,
-                 alpha_schedule=(1.0, 2.0))
+def test_replace_rebuilds_the_cost_model(corpus96):
+    """A scenario's penalty weight is its schedule's last entry and its
+    miner bound its fleet's: `dataclasses.replace` of either rebuilds
+    `cost`, and solves as `make_scenario` of the same inputs does.  An
+    explicit g stays; a default g follows the new fleet's machine."""
+    sc = corpus96["peak_touch"]  # g = CM1 / 212, 20 machines of M1
+    weights = dataclasses.replace(sc, alpha_schedule=(1.0, 4.0))
+    bigger = dataclasses.replace(sc, fleet=FleetSpec(M1, 40))
+    assert weights.cost.alpha == 4.0
+    assert weights.cost.pbar_kw == sc.cost.pbar_kw == 20 * M1.demand_kw
+    assert bigger.cost.pbar_kw == 40 * M1.demand_kw
+    assert bigger.cost.alpha == sc.cost.alpha == sc.alpha_schedule[-1]
+    assert bigger.cost.g == weights.cost.g == sc.g == CM1 / 212.0
+    for got, fleet, schedule in ((weights, sc.fleet, (1.0, 4.0)),
+                                 (bigger, FleetSpec(M1, 40), sc.alpha_schedule)):
+        want = make_scenario(_fresh(sc.load), fleet, g=sc.g, d=sc.d,
+                             alpha_schedule=schedule)
+        assert want.cost == got.cost
+        assert _solution_bytes(solve(got)) == _solution_bytes(solve(want))
+
+    plant = corpus96["plant_duck"]  # default g and cm, machine 1
+    m3 = dataclasses.replace(plant, fleet=FleetSpec(M3, 2924))
+    assert plant.g is None and m3.g is None
+    assert plant.cost.g == G1
+    assert m3.cost.g == compute_g(M3) != G1
+    assert m3.cost.cm == compute_cm(M3)
+    assert make_scenario is Scenario
 
 
 def test_cm_profile_must_share_grid():
@@ -936,8 +958,9 @@ def test_cm_profile_must_share_grid():
 # ------------------------------------------------------------- export
 
 @pytest.mark.parametrize("times,line", [
-    ((0.5, 0.75, 1.0), 2), ((0.0, 0.0, 0.0), 3), ((0.0, -0.25, -0.5), 3),
-    ((0.0, 0.25, 0.5000001), 4),
+    ((0.5, 0.75, 1.0, 1.25, 1.5), 2), ((0.0, 0.0, 0.0, 0.0, 0.0), 3),
+    ((0.0, -0.25, -0.5, -0.75, -1.0), 3),
+    ((0.0, 0.25, 0.5000001, 0.75, 1.0), 4),
 ], ids=["nonzero-start", "zero-dt", "negative-dt", "off-grid"])
 def test_solution_csv_times_must_be_uniform_from_zero(times, line):
     rows = "".join(f"{t!r},1,2,3,4,5,6\n" for t in times)

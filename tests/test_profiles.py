@@ -206,8 +206,8 @@ def test_reader_names_line_and_column_of_bad_cell(reader, bad):
 _BOM_FILES = {
     "load_csv": (load_csv, "timestamp,load_kw\n0,1\n900,2\n1800,3\n2700,4\n"),
     "load_config": (load_config, "demand_w = 5360\nk = 0.0014\n"),
-    "read_solution_csv": (read_solution_csv, SOLUTION_CSV_HEADER
-                          + "\n0,1,2,3,4,5,6\n1,1,2,3,4,5,6\n"),
+    "read_solution_csv": (read_solution_csv, SOLUTION_CSV_HEADER + "\n"
+                          + "".join(f"{t},1,2,3,4,5,6\n" for t in range(5))),
     "read_trend_csv": (read_trend_csv, "share_pct,value\n10,40\n20,45\n"),
 }
 
