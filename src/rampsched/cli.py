@@ -91,18 +91,12 @@ def _parse_schedule(text: str) -> tuple[float, ...]:
         raise ValidationError(f"bad --alpha-schedule {text!r}") from exc
 
 
-def _load_net_profile(path: str, dt: float | None,
-                      scale: float = 1.0) -> profiles.SampledProfile:
-    """Read the dispatch load; nets out a pv_kw column when present."""
-    cols = profiles.load_csv(path, scale=scale)
-    if "load" not in cols:
-        raise ValidationError(f"{path}: no load_kw column")
-    load = cols["load"]
-    if "pv" in cols:
-        load = load.with_values(np.maximum(load.values - cols["pv"].values, 0.0))
-    if dt is not None:
-        load = profiles.resample_periodic(load, dt)
-    return load
+def _spacing(period: float, n: int) -> float:
+    """The spacing of --n nodes per period, the one grid flag."""
+    if n < 4:
+        raise ValidationError(f"--n must be >= 4, got {n}")
+    # an n past float range is refused downstream, as too fine a grid
+    return period / min(n, sys.float_info.max)
 
 
 def _config_scenario(cfg, args, load, **kw) -> pmp.Scenario:
@@ -113,15 +107,17 @@ def _config_scenario(cfg, args, load, **kw) -> pmp.Scenario:
 
 def _build_scenario(args) -> pmp.Scenario:
     cfg = cmod.load_config(args.machine)
-    load = _load_net_profile(args.load, args.dt, args.load_scale)
-    if getattr(args, "n", None) is not None:  # oracle-check --n
-        load = profiles.resample_periodic(load, load.period_T / args.n)
-    if args.alpha_schedule is not None:
-        schedule = _parse_schedule(args.alpha_schedule)
-    elif "alpha" in cfg:
-        schedule = (float(cfg["alpha"]),)
-    else:
-        schedule = pmp.DEFAULT_ALPHA_SCHEDULE
+    cols = profiles.load_csv(args.load, scale=args.load_scale)
+    if "load" not in cols:
+        raise ValidationError(f"{args.load}: no load_kw column")
+    load = cols["load"]
+    if "pv" in cols:  # the dispatch load is net of PV
+        load = load.with_values(np.maximum(load.values - cols["pv"].values, 0.0))
+    if args.n is not None:
+        load = profiles.resample_periodic(load,
+                                          _spacing(load.period_T, args.n))
+    schedule = (pmp.DEFAULT_ALPHA_SCHEDULE if args.alpha_schedule is None
+                else _parse_schedule(args.alpha_schedule))
     return _config_scenario(cfg, args, load, alpha_schedule=schedule,
                             tolerances=pmp.Tolerances(tol_bc=args.tol_bc))
 
@@ -148,10 +144,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    if args.n is not None and args.dt is not None:
-        raise ValidationError("--dt and --n both set the grid: pass one of them")
-    if args.n is not None and args.n < 4:
-        raise ValidationError(f"--n must be >= 4, got {args.n}")
     for flag, tol in (("--obj-tol", args.obj_tol), ("--pm-tol", args.pm_tol)):
         if tol < 0.0:
             raise ValidationError(f"{flag} must be >= 0, got {tol}")
@@ -193,6 +185,8 @@ def cmd_oracle_check(args) -> int:
         "oracle_diagnostics.json": _json_text(ref_diagnostics),
         **_solution_files(sol, sc, diagnostics)})
     if not ok:
+        if not sol.converged:
+            print(f"not converged: {pmp.failure_reason(sol, sc)}", file=sys.stderr)
         print(f"verification gap: objective {obj_gap:.3%}, "
               f"pm {pm_gap_frac:.3%} of Pbar, oracle KKT residual "
               f"{ref.grad_norm:.3g}", file=sys.stderr)
@@ -276,7 +270,7 @@ def cmd_breakeven(args) -> int:
 
 def cmd_synth(args) -> int:
     load, pv, net = profiles.synth_duck_curve(
-        args.base, args.evening_peak, args.pv_peak, dt=args.dt)
+        args.base, args.evening_peak, args.pv_peak, dt=_spacing(24.0, args.n))
     files = {}
     for name, columns in (("duck_profiles.csv", {"load": load, "pv": pv}),
                           ("duck_net.csv", {"load": net})):
@@ -293,8 +287,8 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fleet-count", type=int, default=None)
     p.add_argument("--alpha-schedule", default=None,
                    help="comma-separated increasing penalty weights")
-    p.add_argument("--dt", type=_finite_float, default=None,
-                   help="resample load to this spacing [h]")
+    p.add_argument("--n", type=int, default=None,
+                   help="resample the load to N nodes per period")
     p.add_argument("--load-scale", type=_finite_float, default=1.0,
                    help="multiply ingested power columns by this factor")
     p.add_argument("--tol-bc", type=_finite_float, default=pmp.DEFAULT_TOL_BC)
@@ -321,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
                                             "the discrete-oracle solution")
     _add_scenario_flags(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, help="resample to N nodes; not with --dt")
     p.add_argument("--obj-tol", type=_finite_float, default=DEFAULT_OBJECTIVE_GAP)
     p.add_argument("--pm-tol", type=_finite_float, default=DEFAULT_PM_GAP_FRACTION)
     p.set_defaults(func=cmd_oracle_check)
@@ -370,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=_finite_float, required=True)
     p.add_argument("--evening-peak", type=_finite_float, required=True)
     p.add_argument("--pv-peak", type=_finite_float, required=True)
-    p.add_argument("--dt", type=_finite_float, default=profiles.DEFAULT_DT_HOURS)
+    p.add_argument("--n", type=int, default=96, help="nodes per day")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
     return parser

@@ -186,7 +186,7 @@ MACHINE_PRESETS = {
 
 _CONFIG_KEYS = {
     "name", "demand_w", "hashrate_ths", "income_usd_day", "elec_cost",
-    "price_usd", "lifespan_years", "k", "count", "g_override", "d", "alpha",
+    "price_usd", "lifespan_years", "k", "count", "g_override", "d",
 }
 _REQUIRED_MACHINE_KEYS = ("demand_w", "income_usd_day", "elec_cost", "k")
 

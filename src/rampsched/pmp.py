@@ -528,7 +528,7 @@ def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
     stage outside the box solves every larger weight too, as the
     penalty never acts, and is returned at the final weight.  Otherwise
     the solve stops there: the solution comes back with converged=False
-    and alpha_used set to that weight, and one warning names the
+    and alpha_used set to that weight; `failure_reason` names the
     requested weight, dt and the largest weight dt resolves.
 
     A solve that ran no Newton step and left no RK4 stage outside its
@@ -592,8 +592,6 @@ def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
         box_violation_frac=violation / pbar)
     if not iters and not stages:
         day.held[0] = (key, pbar, sol)
-    if not converged and logger.isEnabledFor(logging.WARNING):
-        logger.warning("not converged: %s", failure_reason(sol, sc))
     return sol
 
 
@@ -658,8 +656,7 @@ def _objective(load: SampledProfile, m: CostModel, cm: np.ndarray,
 def evaluate(sol: PmpSolution, sc: Scenario) -> CostBreakdown:
     """`objective` of the solution's draw, with the no-mining baseline
     (p_m = 0, generation follows the load) attached so callers can
-    report savings.  Warns when evaluating a non-converged solution but
-    still evaluates it.
+    report savings.
 
     The day (`_day`) keeps the last breakdown it priced.  The same
     solution at the same alpha (its repr) and Pbar gets it back, and so
@@ -668,8 +665,6 @@ def evaluate(sol: PmpSolution, sc: Scenario) -> CostBreakdown:
     penalty is alpha times a sum of 0.0 at either Pbar, and every other
     term reads only the day.
     """
-    if not sol.converged:
-        logger.warning("evaluating a non-converged solution")
     day, m = _day(sc), sc.cost
     alpha, pbar = repr(m.alpha), m.pbar_kw
     priced_sol, priced_alpha, priced_pbar, bd = day.priced[0]
@@ -772,8 +767,9 @@ def read_solution_csv(source) -> dict[str, np.ndarray]:
         ValidationError: naming the line, for an empty file, a wrong
             header, a row whose field count differs from the header, a
             cell that is not a finite number, fewer than 4 nodes and
-            t = T, a negative ``pl_kw``, or a ``t_h`` off the grid 0,
-            dt, 2·dt, ... (dt = t_h[1] > 0, to 1e-9 of the period).
+            t = T, a negative ``pl_kw``, a ``t_h`` off the grid 0,
+            dt, 2·dt, ... (dt = t_h[1] > 0, to 1e-9 of the period), or
+            a t = T row whose other cells differ from row 0's.
     """
     header, rows = read_table(source)
     if header != SOLUTION_CSV_HEADER.split(","):
@@ -794,5 +790,11 @@ def read_solution_csv(source) -> dict[str, np.ndarray]:
         raise ValidationError(
             f"line {rows[i][0]}: t_h {float(t[i])!r} is off the uniform grid "
             f"0, dt, 2*dt, ... with dt = t_h[1] = {float(t[1])!r} > 0")
+    unequal = np.flatnonzero(data[-1, 1:] != data[0, 1:]) + 1
+    if unequal.size:
+        first, last = data[[0, -1], unequal[0]].tolist()
+        raise ValidationError(
+            f"line {rows[-1][0]}: the t = T row must repeat row 0: column "
+            f"{header[unequal[0]]!r} holds {last!r}, row 0 holds {first!r}")
     data.setflags(write=False)
     return {name: data[:, j] for j, name in enumerate(header)}

@@ -2,14 +2,18 @@
 
 import errno
 import hashlib
+import io
 import json
 import os
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from corpus import CM1, build_corpus
 
-from rampsched import cli, costmodel, oracle, pmp, write_csv
+from rampsched import (SampledProfile, cli, costmodel, oracle, pmp,
+                       synth_duck_curve, write_csv)
 from rampsched.cli import build_parser, main
 from rampsched.pmp import SOLUTION_CSV_HEADER
 
@@ -204,14 +208,17 @@ def test_os_error_is_input_error(tmp_path, machine_cfg, plant_net_csv, capsys,
 
 @pytest.mark.parametrize("argv,spacing", [
     (["synth", "--base", "8000", "--evening-peak", "3000", "--pv-peak",
-      "9000", "--dt", "1e-300"], "dt=1e-300 h"),
-    (["solve", "--load", "{csv}", "--machine", "{cfg}", "--dt", "1e-300"],
-     "new_dt=1e-300 h"),
+      "9000", "--n", "1000000000000000000000000"], "dt=2.4e-23 h"),
+    (["solve", "--load", "{csv}", "--machine", "{cfg}", "--n",
+      "1000000000000000000000000"], "new_dt=2.4e-23 h"),
     (["oracle-check", "--load", "{csv}", "--machine", "{cfg}", "--n",
       "1000000000000000000000000"], "new_dt=2.4e-23 h"),
     (["oracle-check", "--load", "{csv}", "--machine", "{cfg}", "--n", "86401"],
      "new_dt=0.0002777745627944121 h"),
-], ids=["synth_dt", "solve_dt", "oracle_n_1e24", "oracle_n_86401"])
+    (["solve", "--load", "{csv}", "--machine", "{cfg}", "--n", "1" + "0" * 400],
+     "new_dt=1.335044315104321e-307 h"),
+], ids=["synth_n", "solve_n", "oracle_n_1e24", "oracle_n_86401",
+        "solve_n_past_float_range"])
 def test_absurd_grid_is_input_error(tmp_path, machine_cfg, plant_net_csv,
                                     capsys, argv, spacing):
     """A grid of more than one node per second of the day exits 1 with
@@ -443,10 +450,10 @@ def test_solve_reports_stop_below_final_alpha(tmp_path, plant_net_csv, capsys):
     code = main(["solve", "--load", plant_net_csv, "--machine", str(cfg),
                  "--out", str(out)])
     assert code == 2
-    err = capsys.readouterr().err
-    assert ("not converged: the penalty acts at alpha 100; the requested "
-            "alpha 10000 is above 124.1, the largest alpha that dt = 0.25 h "
-            "resolves") in err
+    assert capsys.readouterr().err == (
+        "not converged: the penalty acts at alpha 100; the requested "
+        "alpha 10000 is above 124.1, the largest alpha that dt = 0.25 h "
+        "resolves\n")
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["converged"] is False and diag["alpha_used"] == 100.0
     assert 0.0 < diag["box_violation_frac"] <= 0.01
@@ -513,6 +520,10 @@ HEADER = SOLUTION_CSV_HEADER + "\n"
      "line 4: negative value -5.0 in column 'pl_kw'"),
     ("solution.csv", HEADER + "0,1,2,3,4,5,6\n\n0.25,1,2,3,nan,5,6\n",
      "line 4: non-finite cell 'nan' in column 'pm_kw'"),
+    ("solution.csv", HEADER + "".join(f"{t},1,2,3,4,5,6\n" for t in (
+        0.0, 6.0, 12.0, 18.0)) + "24.0,12345,2,3,4,5,6\n",
+     "line 6: the t = T row must repeat row 0: column 'x_kw' holds 12345.0, "
+     "row 0 holds 1.0"),
     ("diagnostics.json", "{}", "missing key 'converged'"),
     ("diagnostics.json", "{\"converged\": tru", "not valid JSON"),
     ("diagnostics.json", "[]", "expected a JSON object"),
@@ -526,8 +537,8 @@ HEADER = SOLUTION_CSV_HEADER + "\n"
          "stationarity_residual": 0.0, "newton_iters": 0,
          "alpha_used": 1.0}), "expected true or false, got 'false'"),
 ], ids=["empty-csv", "short-row", "non-numeric-cell", "one-row",
-        "three-nodes", "negative-pl", "nan-cell", "empty-object", "bad-json",
-        "not-object", "bad-value", "string-bool"])
+        "three-nodes", "negative-pl", "nan-cell", "t-T-row", "empty-object",
+        "bad-json", "not-object", "bad-value", "string-bool"])
 def test_econ_rejects_malformed_solution(tmp_path, machine_cfg, plant_net_csv,
                                          capsys, name, text, message):
     run = tmp_path / "run"
@@ -711,19 +722,6 @@ def test_econ_input_error_writes_nothing(tmp_path, machine_cfg, plant_net_csv,
     err = capsys.readouterr().err
     assert err.endswith(f"error: {message}\n") and err.count("error:") == 1
     assert not (tmp_path / "out").exists()
-
-
-def test_oracle_check_rejects_dt_with_n(tmp_path, machine_cfg, plant_net_csv,
-                                        capsys):
-    """--dt and --n both set the grid; --n used to resample the --dt
-    profile a second time."""
-    out = tmp_path / "c"
-    code = main(["oracle-check", "--load", plant_net_csv, "--machine",
-                 machine_cfg, "--n", "48", "--dt", "0.1", "--out", str(out)])
-    assert code == 1
-    assert capsys.readouterr().err == (
-        "error: --dt and --n both set the grid: pass one of them\n")
-    assert not out.exists()
 
 
 def test_econ_accepts_solution_of_a_smaller_fleet(tmp_path, machine_cfg,
@@ -924,11 +922,11 @@ def test_econ_help_names_the_horizon(capsys):
 
 
 @pytest.mark.parametrize("command,flag,value", [
-    ("solve", "--dt", "nan"), ("solve", "--tol-bc", "nan"),
+    ("solve", "--n", "nan"), ("solve", "--tol-bc", "nan"),
     ("solve", "--alpha-schedule", "1,nan,100"),
     ("oracle-check", "--obj-tol", "nan"),
     ("breakeven", "--daily-profit", "nan"),
-    ("solve", "--dt", "abc"), ("synth", "--dt", "0")])
+    ("solve", "--n", "abc"), ("synth", "--n", "0")])
 def test_bad_number_is_input_error(tmp_path, machine_cfg, plant_net_csv,
                                    capsys, monkeypatch, command, flag, value):
     monkeypatch.chdir(tmp_path)
@@ -1068,3 +1066,86 @@ def test_cli_outputs_pinned(tmp_path, machine_cfg, capsys):
         "oracle/solution.csv":
             "ec515771a97e192db02ce2765b9aa6d9bf3d451f14ff5c0fc27b3ce61b43180e",
     }
+
+
+def test_solve_n_writes_what_oracle_check_n_writes(tmp_path, machine_cfg,
+                                                   plant_net_csv):
+    """--n is one grid flag: solve --n 48 writes the solution files that
+    oracle-check --n 48 pins in `test_cli_outputs_pinned`."""
+    out = tmp_path / "run"
+    assert main(["solve", "--load", plant_net_csv, "--machine", machine_cfg,
+                 "--n", "48", "--out", str(out)]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("diagnostics.json", "solution.csv")} == {
+        "diagnostics.json":
+            "40d66390c5b95165ec06dc744f54c577b873d6198deee98cd6d1b36a1314e8dc",
+        "solution.csv":
+            "ec515771a97e192db02ce2765b9aa6d9bf3d451f14ff5c0fc27b3ce61b43180e",
+    }
+
+
+def test_synth_n_sets_the_grid(tmp_path):
+    out = tmp_path / "s"
+    assert main(["synth", "--base", "8000", "--evening-peak", "3000",
+                 "--pv-peak", "9000", "--n", "1440", "--out", str(out)]) == 0
+    load, pv, net = synth_duck_curve(8000, 3000, 9000, dt=24 / 1440)
+    for name, columns in (("duck_profiles.csv", {"load": load, "pv": pv}),
+                          ("duck_net.csv", {"load": net})):
+        buf = io.StringIO()
+        write_csv(buf, **columns)
+        assert (out / name).read_bytes() == buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("command", ["synth", "solve", "oracle-check"])
+def test_too_few_nodes_is_input_error(tmp_path, machine_cfg, plant_net_csv,
+                                      capsys, command):
+    args = {"synth": ["--base", "1", "--evening-peak", "1", "--pv-peak", "1"],
+            "solve": ["--load", plant_net_csv, "--machine", machine_cfg],
+            "oracle-check": ["--load", plant_net_csv, "--machine", machine_cfg]}
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, *args[command], "--n", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --n must be >= 4, got 3\n"
+    assert not out.exists()
+
+
+def test_solve_nets_pv_out_of_the_load(tmp_path, machine_cfg, plant_net_csv):
+    """load_kw and pv_kw columns solve to the bytes of their net load."""
+    synth = Path(plant_net_csv).parent
+    runs = {}
+    for name in ("duck_net.csv", "duck_profiles.csv"):
+        out = tmp_path / name.removesuffix(".csv")
+        assert main(["solve", "--load", str(synth / name), "--machine",
+                     machine_cfg, "--out", str(out)]) == 0
+        runs[name] = [(out / f).read_bytes()
+                      for f in ("solution.csv", "diagnostics.json")]
+    assert runs["duck_profiles.csv"] == runs["duck_net.csv"]
+
+
+def test_load_without_load_column_is_input_error(tmp_path, machine_cfg,
+                                                 capsys):
+    csv = tmp_path / "pv.csv"
+    write_csv(csv, pv=SampledProfile(1.0, np.full(24, 100.0)))
+    assert csv.read_text().startswith("timestamp,pv_kw\n")
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["solve", "--load", str(csv), "--machine", machine_cfg,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {csv}: no load_kw column\n"
+    assert not out.exists()
+
+
+def test_oracle_check_names_a_stopped_solve_once(tmp_path, plant_net_csv,
+                                                 capsys):
+    cfg = tmp_path / "undersized.cfg"
+    cfg.write_text(MACHINE_CFG.replace("count = 2853", "count = 1898"))
+    out = tmp_path / "c"
+    capsys.readouterr()
+    code = main(["oracle-check", "--load", plant_net_csv, "--machine",
+                 str(cfg), "--n", "48", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == ["not converged",
+                                                    "verification gap"]
+    assert err[0].startswith("not converged: the penalty acts at alpha 10; ")
+    assert json.loads((out / "diagnostics.json").read_text())["converged"] is False

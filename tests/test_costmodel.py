@@ -211,6 +211,23 @@ def test_constructors_refuse_non_finite(build):
         build()
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: dataclasses.replace(M1, demand_w=0.0), "demand_w must be > 0"),
+    (lambda: dataclasses.replace(M1, demand_w=-1.0), "demand_w must be > 0"),
+    (lambda: dataclasses.replace(M1, income_usd_day=-1.0),
+     "income_usd_day must be >= 0"),
+    (lambda: dataclasses.replace(M1, price_usd=-1.0), "price_usd must be >= 0"),
+    (lambda: dataclasses.replace(M1, lifespan_years=0.0),
+     "lifespan_years must be > 0"),
+    (lambda: load_config(io.StringIO("demand_w = 10\ncount = 2.5\n")),
+     "line 2: count must be an integer"),
+], ids=["demand-zero", "demand-negative", "income-negative", "price-negative",
+        "lifespan-zero", "count-fraction"])
+def test_machine_inputs_out_of_range_are_refused(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
 def test_time_varying_cm_lookup():
     prof = SampledProfile(6.0, [0.1, 0.2, 0.3, 0.4])
     m = CostModel(g=1.0, d=1.0, alpha=1.0, pbar_kw=1.0, cm=prof)
@@ -233,7 +250,6 @@ lifespan_years = 2
 k = 0.0014
 count = 2853
 d = 1
-alpha = 1
 """
 
 
@@ -265,7 +281,7 @@ def test_config_roundtrip_builds_preset_machine(tmp_path):
         assert sc.fleet == fleet
         assert sc.cost.g == pytest.approx(compute_g(M1))
         assert sc.cost.cm == pytest.approx(compute_cm(M1))
-        assert sc.cost.alpha == 1.0
+        assert sc.cost.alpha == 1e4  # the default schedule's final weight
 
 
 def test_config_g_override_wins(tmp_path):
@@ -274,8 +290,11 @@ def test_config_g_override_wins(tmp_path):
 
 
 def test_config_unknown_key_errors():
-    with pytest.raises(ValidationError, match="unknown key"):
-        load_config(io.StringIO("demand_w = 10\nvoltage = 3\n"))
+    """The penalty schedule comes from --alpha-schedule, not the config."""
+    for key in ("voltage", "alpha"):
+        with pytest.raises(ValidationError,
+                           match=f"line 2: unknown key '{key}'"):
+            load_config(io.StringIO(f"demand_w = 10\n{key} = 3\n"))
 
 
 def test_config_missing_required_key_errors():
@@ -290,7 +309,7 @@ def test_config_non_numeric_value_errors():
 
 def test_config_repeated_key_names_both_lines(tmp_path, capsys):
     text = CFG_TEXT + "count = 5\n"
-    with pytest.raises(ValidationError, match="line 13: repeated key 'count', "
+    with pytest.raises(ValidationError, match="line 12: repeated key 'count', "
                                               "first set on line 10"):
         load_config(io.StringIO(text))
     cfg, load = tmp_path / "machine.cfg", tmp_path / "load.csv"
@@ -299,7 +318,7 @@ def test_config_repeated_key_names_both_lines(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["solve", "--load", str(load), "--machine", str(cfg),
                  "--out", str(out)]) == 1
-    assert "line 13: repeated key 'count'" in capsys.readouterr().err
+    assert "line 12: repeated key 'count'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -299,6 +299,24 @@ def test_report_invariant_enforced():
                    ramping_saved_fleet=0.0, breakeven_machine_price=0.0)
 
 
+def _median_attribution():
+    sol, sc = _constant_solution(FleetSpec(M1, 1), xstar=103.0)
+    daily_report(sol, sc, M1, attribution="median")
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: EconReport(machine_name="x", msrp_per_day=1.0,
+                        operating_cost=1.0, gross_mining=2.0, net_profit=0.0,
+                        ramping_saved=float("nan"), ramping_saved_fleet=0.0,
+                        breakeven_machine_price=0.0),
+     "report fields must be finite"),
+    (_median_attribution, "unknown attribution 'median'"),
+], ids=["report-nan", "attribution-median"])
+def test_report_inputs_are_refused(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
 def test_report_exports():
     report = EconReport(machine_name="m", msrp_per_day=10.0,
                         operating_cost=20.0, gross_mining=35.0,

@@ -229,6 +229,16 @@ def test_integration_divergence_error_carries_time():
         assert err.value.initial_state == (x0, lam0)
 
 
+def test_divergence_at_a_resolved_weight_is_raised_unchanged():
+    """Only a weight above the grid's limit gets the limit in its message."""
+    sc = plant_duck_undersized(96, alpha_schedule=(1.0,))
+    assert 1.0 < resolvable_alpha(sc)
+    with pytest.raises(DivergenceError) as err:
+        solve(sc, PmpState(1e308, 0.0))
+    assert str(err.value) == "non-finite state at t = 0.25 h"
+    assert err.value.initial_state == (1e308, 0.0)
+
+
 # ------------------------------------------------------------- shooting
 
 def test_shoot_constant_converges_at_reference_guess():
@@ -400,11 +410,10 @@ def test_guard_stops_at_largest_resolved_alpha(caplog):
     assert not sol.converged
     assert sol.alpha_used == 100.0
     assert sol.periodic_residual <= sc.tolerances.tol_bc
-    warnings = [r.getMessage() for r in caplog.records
-                if r.levelno == logging.WARNING]
-    assert len(warnings) == 1
-    assert ("requested alpha 10000 is above 124.1, the largest alpha that "
-            "dt = 0.25 h resolves") in warnings[0]
+    assert not caplog.records  # the stop is reported by its caller, once
+    assert failure_reason(sol, sc) == (
+        "the penalty acts at alpha 100; the requested alpha 10000 is above "
+        "124.1, the largest alpha that dt = 0.25 h resolves")
 
 
 def test_guard_schedule_within_reach_matches_oracle():

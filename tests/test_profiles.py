@@ -47,6 +47,32 @@ def test_profile_rejects_bad_dt():
         SampledProfile(0.0, [1.0, 2.0, 3.0, 4.0])
 
 
+FOUR = SampledProfile(1.0, [1.0, 2.0, 3.0, 4.0])
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: SampledProfile(1.0, np.ones((2, 4))), "one-dimensional"),
+    (lambda: SampledProfile(1.0, [1.0, np.inf, 3.0, 4.0]),
+     "profile values must be finite"),
+    (lambda: write_csv(io.StringIO()), "write_csv needs at least one profile"),
+    (lambda: write_csv(io.StringIO(), load=FOUR,
+                       pv=SampledProfile(2.0, [1.0, 2.0, 3.0, 4.0])),
+     "must share one grid"),
+    (lambda: resample_periodic(FOUR, 0.0), "new_dt must be positive, got 0.0"),
+    (lambda: resample_periodic(FOUR, -1.0),
+     "new_dt must be positive, got -1.0"),
+    (lambda: read_solution_csv(io.StringIO("t_h,x_kw\n0,1\n")),
+     "line 1: expected the header"),
+    (lambda: read_trend_csv(io.StringIO("year,value\n10,40\n")),
+     "must start with a 'share_pct,value' header"),
+], ids=["profile-2d", "profile-inf", "write-nothing", "write-two-grids",
+        "resample-zero", "resample-negative", "solution-header",
+        "trend-header"])
+def test_profile_and_table_inputs_are_refused(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
 def test_period_is_dt_times_count():
     p = SampledProfile(0.25, np.arange(96, dtype=float))
     assert p.period_T == 0.25 * 96
