@@ -112,7 +112,8 @@ def _build_scenario(args) -> pmp.Scenario:
         raise ValidationError(f"{args.load}: no load_kw column")
     load = cols["load"]
     if "pv" in cols:  # the dispatch load is net of PV
-        load = load.with_values(np.maximum(load.values - cols["pv"].values, 0.0))
+        load = profiles.SampledProfile(
+            load.dt, np.maximum(load.values - cols["pv"].values, 0.0))
     if args.n is not None:
         load = profiles.resample_periodic(load,
                                           _spacing(load.period_T, args.n))

@@ -169,12 +169,13 @@ def daily_report(sol: PmpSolution, sc: Scenario, machine: MachineSpec,
 
     Gross mining revenue is `revenue`, the objective's term, over one
     machine's share of the clipped miner draw (the physical machine
-    cannot exceed its rating, so economics always uses the clipped
-    trajectory).  Operating cost attributes generation cost to mining
-    energy at the scheduled operating point: marginal attribution prices
-    it at 2*g*x, average attribution at g*x.  The fleet's ramping saving
-    is the no-mining baseline's ramping term less the schedule's, both
-    from `evaluate`, which prices a solution once per day.
+    cannot exceed its rating).  Operating cost attributes generation
+    cost to mining energy of the clipped draw at the scheduled operating
+    point: marginal attribution prices it at 2*g*x, average attribution
+    at g*x.  The fleet's ramping saving is the no-mining baseline's
+    ramping term less the schedule's, both from `evaluate`, which prices
+    a solution once per day from the raw draw `pm_traj`, not the
+    clipped one.
     """
     if not sol.converged:
         raise ReportOnUnconvergedError(

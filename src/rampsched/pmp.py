@@ -727,22 +727,23 @@ def solution_diagnostics(sol: PmpSolution, sc: Scenario) -> dict:
             "objective_breakdown": breakdown_as_dict(evaluate(sol, sc))}
 
 
+@names_path
 def read_diagnostics(path: Path) -> dict:
     """The `PmpSolution` fields of a diagnostics.json, typed."""
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
-        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+        raise ValidationError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: expected a JSON object")
+        raise ValidationError("expected a JSON object")
     doc.setdefault("rk4_passes", 0)  # older files lack it
     try:
         return {key: kind(doc[key]) for key, kind in _DIAGNOSTICS_FIELDS.items()}
     except KeyError as exc:
-        raise ValidationError(f"{path}: missing key {exc}") from exc
+        raise ValidationError(f"missing key {exc}") from exc
     # a mistyped value, one below 0, or an integer past float range
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{path}: bad value: {exc}") from exc
+        raise ValidationError(f"bad value: {exc}") from exc
 
 
 def _schedule_csv(sc: Scenario, x, lam, u, pm, pm_clipped) -> str:

@@ -84,23 +84,13 @@ class SampledProfile:
 
     def value_at(self, t):
         """Periodic linear interpolation at time ``t`` hours (scalar or array)."""
-        pos = np.asarray(t, dtype=float) / self.dt
-        n = self.values.size
-        i0 = np.floor(pos).astype(int)
-        frac = pos - i0
-        lo = self.values[i0 % n]
-        hi = self.values[(i0 + 1) % n]
-        out = lo * (1.0 - frac) + hi * frac
-        if np.isscalar(t) or np.ndim(t) == 0:
-            return float(out)
-        return out
+        grid = np.arange(self.values.size + 1) * self.dt  # 0 ... period_T
+        out = np.interp(np.mod(t, self.period_T), grid, periodic_ext(self.values))
+        return float(out) if np.ndim(t) == 0 else out
 
     def same_grid(self, other: "SampledProfile") -> bool:
         return (self.values.size == other.values.size
                 and abs(self.dt - other.dt) <= 1e-12 * self.dt)
-
-    def with_values(self, values) -> "SampledProfile":
-        return SampledProfile(self.dt, values)
 
 
 def _iso_seconds(text: str, line_no: int) -> float:
@@ -308,14 +298,22 @@ def write_csv(dest, load: SampledProfile | None = None,
         dest.write(text)
 
 
-def _check_node_rate(name: str, dt: float, period: float, ratio: float) -> None:
-    """Refuse a spacing that puts more than one node per second into the
-    period (ratio = period / dt nodes) before any grid is allocated."""
+def _grid(name: str, dt: float, period: float) -> tuple[int, float]:
+    """The node count n of spacing dt over the period, and the spacing
+    period / n that keeps the period exact.  Refused before any grid is
+    allocated: a dt finer than one node per second, or one that does not
+    divide the period, to one part in 1e6, into at least 4 nodes."""
+    ratio = period / dt if dt > 0.0 else 0.0  # also refuses NaN
     limit = _NODES_PER_HOUR * period
     if ratio > limit * (1.0 + _DIVISOR_TOL):
         raise ValidationError(
             f"{name}={dt!r} h is finer than one node per second: the "
             f"{period:g} h period holds at most {limit:.0f} nodes")
+    n = int(round(ratio))
+    if n < _MIN_SAMPLES or abs(ratio - n) > _DIVISOR_TOL * max(1.0, ratio):
+        raise ValidationError(
+            f"{name}={dt} must divide {period:g} h into >= {_MIN_SAMPLES} samples")
+    return n, period / n
 
 
 def periodic_ext(v: np.ndarray) -> np.ndarray:
@@ -332,26 +330,14 @@ def resample_periodic(p: SampledProfile, new_dt: float) -> SampledProfile:
     Args:
         p: input profile.
         new_dt: target spacing in hours; must divide the period to
-            within one part in 1e6, into at most one node per second.
+            within one part in 1e6, into 4 nodes to one node per second.
 
     Raises:
-        ValidationError: ``new_dt`` is not a divisor of the period, or
-            is finer than one second.
+        ValidationError: ``new_dt`` does not divide the period into 4 to
+            one node per second.
     """
-    if not new_dt > 0.0:
-        raise ValidationError(f"new_dt must be positive, got {new_dt}")
-    ratio = p.period_T / new_dt
-    _check_node_rate("new_dt", new_dt, p.period_T, ratio)
-    n_new = int(round(ratio))
-    if n_new < 1 or abs(ratio - n_new) > _DIVISOR_TOL * max(1.0, ratio):
-        raise ValidationError(
-            f"new_dt={new_dt} does not divide period {p.period_T} "
-            f"(period/new_dt = {ratio:.9g})")
-    dt_used = p.period_T / n_new  # snap so period_T stays exact
-
-    grid_old = np.arange(p.count + 1) * p.dt
-    t_new = np.arange(n_new) * dt_used
-    out = np.interp(t_new, grid_old, periodic_ext(p.values))
+    n_new, dt_used = _grid("new_dt", new_dt, p.period_T)
+    out = p.value_at(np.arange(n_new) * dt_used)
     target = p.values.mean()
     out += target - out.mean()
     if out.min() < 0.0:
@@ -387,12 +373,7 @@ def synth_duck_curve(base_kw: float, evening_peak_kw: float, pv_peak_kw: float,
                     ("pv_peak_kw", pv_peak_kw)):
         if v < 0.0 or not math.isfinite(v):
             raise ValidationError(f"{name} must be finite and >= 0, got {v}")
-    ratio = 24.0 / dt if dt > 0.0 else 0.0  # also refuses NaN
-    _check_node_rate("dt", dt, 24.0, ratio)
-    n = int(round(ratio))
-    if n < _MIN_SAMPLES or abs(ratio - n) > _DIVISOR_TOL * max(1.0, ratio):
-        raise ValidationError(f"dt={dt} must divide 24 h into >= {_MIN_SAMPLES} samples")
-    dt_used = 24.0 / n
+    n, dt_used = _grid("dt", dt, 24.0)
     t = np.arange(n) * dt_used
 
     two_sigma_sq = 2.0 * EVENING_PEAK_SIGMA_H ** 2

@@ -461,6 +461,28 @@ def test_solve_reports_stop_below_final_alpha(tmp_path, plant_net_csv, capsys):
         diag["box_violation_frac"] * 1898 * 5.36, rel=1e-12)
 
 
+def test_long_binding_arc_fails_with_residual_diagnosis(tmp_path, capsys):
+    """ROADMAP item 1: 1117 machines is 0.5x the fleet that holds the
+    constant optimum; on the one-minute grid the box binds over a long arc
+    and Newton stalls at the final alpha.  The solve says so in one line."""
+    synth = tmp_path / "synth"
+    assert main(["synth", "--base", "8000", "--evening-peak", "3000",
+                 "--pv-peak", "9000", "--n", "1440", "--out", str(synth)]) == 0
+    cfg = tmp_path / "half.cfg"
+    cfg.write_text(MACHINE_CFG.replace("count = 2853", "count = 1117"))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    code = main(["solve", "--load", str(synth / "duck_net.csv"),
+                 "--machine", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "not converged: residual 1.12e+03 after 50 Newton iterations "
+        "at alpha 10000\n")
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["converged"] is False
+    assert diag["newton_iters"] == 50 and diag["alpha_used"] == 10000.0
+
+
 def test_econ_reads_diagnostics_without_rk4_passes(tmp_path, machine_cfg,
                                                    plant_net_csv):
     run = tmp_path / "run"
@@ -926,7 +948,8 @@ def test_econ_help_names_the_horizon(capsys):
     ("solve", "--alpha-schedule", "1,nan,100"),
     ("oracle-check", "--obj-tol", "nan"),
     ("breakeven", "--daily-profit", "nan"),
-    ("solve", "--n", "abc"), ("synth", "--n", "0")])
+    ("solve", "--n", "abc"), ("synth", "--n", "0"),
+    ("solve", "--load-scale", "abc"), ("oracle-check", "--obj-tol", "abc")])
 def test_bad_number_is_input_error(tmp_path, machine_cfg, plant_net_csv,
                                    capsys, monkeypatch, command, flag, value):
     monkeypatch.chdir(tmp_path)

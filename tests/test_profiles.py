@@ -58,9 +58,10 @@ FOUR = SampledProfile(1.0, [1.0, 2.0, 3.0, 4.0])
     (lambda: write_csv(io.StringIO(), load=FOUR,
                        pv=SampledProfile(2.0, [1.0, 2.0, 3.0, 4.0])),
      "must share one grid"),
-    (lambda: resample_periodic(FOUR, 0.0), "new_dt must be positive, got 0.0"),
+    (lambda: resample_periodic(FOUR, 0.0),
+     "new_dt=0.0 must divide 4 h into >= 4 samples"),
     (lambda: resample_periodic(FOUR, -1.0),
-     "new_dt must be positive, got -1.0"),
+     "new_dt=-1.0 must divide 4 h into >= 4 samples"),
     (lambda: read_solution_csv(io.StringIO("t_h,x_kw\n0,1\n")),
      "line 1: expected the header"),
     (lambda: read_trend_csv(io.StringIO("year,value\n10,40\n")),
@@ -84,6 +85,13 @@ def test_value_at_wraps_periodically():
     assert p.value_at(0.5) == pytest.approx(1.5)
     assert p.value_at(3.5) == pytest.approx(2.5)  # wraps toward sample 0
     assert p.value_at(4.5) == pytest.approx(p.value_at(0.5))
+    assert p.value_at(0.0) == 1.0 and p.value_at(4.0) == 1.0
+    assert p.value_at(-0.5) == pytest.approx(2.5)
+    assert p.value_at(9.25) == pytest.approx(2.25)
+    assert type(p.value_at(np.float64(-0.5))) is float
+    mixed = p.value_at([-0.5, 4.0, 9.25, 1.0])
+    assert type(mixed) is np.ndarray
+    np.testing.assert_allclose(mixed, [2.5, 1.0, 2.25, 2.0])
 
 
 def test_values_are_read_only():
@@ -412,7 +420,8 @@ def test_resample_rejects_more_than_one_node_per_second(new_dt):
 
 def test_resample_rejects_non_divisor():
     p = SampledProfile(0.25, np.full(96, 1.0))
-    with pytest.raises(ValidationError, match="does not divide period"):
+    with pytest.raises(ValidationError,
+                       match="new_dt=0.7 must divide 24 h into >= 4 samples"):
         resample_periodic(p, 0.7)
 
 
@@ -463,5 +472,6 @@ def test_synth_rejects_more_than_one_node_per_second(dt):
 
 def test_synth_rejects_bad_dt():
     for dt in (0.7, 0.0, float("nan")):
-        with pytest.raises(ValidationError, match="must divide 24 h"):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"dt={dt} must divide 24 h into >= 4 samples")):
             synth_duck_curve(1.0, 1.0, 1.0, dt=dt)
