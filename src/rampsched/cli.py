@@ -195,9 +195,13 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK
 
 
+def _solution_csv(args) -> Path:
+    path = Path(args.solution)
+    return path / "solution.csv" if path.is_dir() else path
+
+
 def _scenario_from_solution(args, cfg) -> tuple[pmp.PmpSolution, pmp.Scenario]:
-    sol_dir = Path(args.solution)
-    csv_path = sol_dir / "solution.csv" if sol_dir.is_dir() else sol_dir
+    csv_path = _solution_csv(args)
     cols = pmp.read_solution_csv(csv_path)
     diag = pmp.read_diagnostics(csv_path.parent / "diagnostics.json")
 
@@ -220,11 +224,23 @@ def _scenario_from_solution(args, cfg) -> tuple[pmp.PmpSolution, pmp.Scenario]:
     return sol, sc
 
 
+def _solution_report(args, cfg, machine, **kw) -> econ.EconReport:
+    """`econ.daily_report` of the --solution run.  A report that
+    overflows float range is refused without numpy's warnings, naming
+    the two files its numbers come from."""
+    sol, sc = _scenario_from_solution(args, cfg)
+    with np.errstate(all="ignore"):
+        try:
+            return econ.daily_report(sol, sc, machine, **kw)
+        except ValidationError as exc:
+            raise ValidationError(f"{_solution_csv(args)} on {args.machine}: "
+                                  f"{exc}") from exc
+
+
 def cmd_econ(args) -> int:
     cfg = cmod.load_config(args.machine)
     machine = cmod.machine_from_config(cfg)
-    report = econ.daily_report(*_scenario_from_solution(args, cfg), machine,
-                               attribution=args.attribution)
+    report = _solution_report(args, cfg, machine, attribution=args.attribution)
     files = {"econ_report.json": _json_text(econ.report_as_dict(report)),
              "econ_report.txt": econ.format_report_table([report])}
     _write_outputs(Path(args.out), files)
@@ -247,8 +263,7 @@ def cmd_project(args) -> int:
     machine = cmod.machine_from_config(cfg)
     saved = 0.0
     if args.solution is not None:
-        saved = econ.daily_report(*_scenario_from_solution(args, cfg),
-                                  machine).ramping_saved
+        saved = _solution_report(args, cfg, machine).ramping_saved
     points = econ.read_trend_csv(args.price_trend)
     try:
         trend = econ.fit_price_trend(points)

@@ -17,6 +17,7 @@ with that reading can bypass it via an explicit g override.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 from typing import Union
 
@@ -70,8 +71,11 @@ class FleetSpec:
     count: int
 
     def __post_init__(self):
-        if not (self.count >= 1 and float(self.count).is_integer()):
-            raise ValidationError(f"count must be a positive integer, got {self.count}")
+        # the upper bound comes first: float() of a larger int overflows
+        if not (1 <= self.count <= sys.float_info.max
+                and float(self.count).is_integer()):
+            raise ValidationError(f"count must be a positive integer within "
+                                  f"float range, got {self.count}")
 
     @property
     def pbar_kw(self) -> float:
@@ -162,8 +166,14 @@ def control_from_costate(lam, m: CostModel):
 
 
 def compute_g(machine: MachineSpec) -> float:
-    """Generation coefficient from machine data: k * cost / demand_kw^2."""
-    return machine.k_const * machine.elec_cost_coeff / machine.demand_kw ** 2
+    """Generation coefficient from machine data: k * cost / demand_kw^2.
+
+    Raises ValidationError when demand_kw^2 is 0.0 or past float range."""
+    try:
+        return machine.k_const * machine.elec_cost_coeff / machine.demand_kw ** 2
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValidationError(f"demand_w = {machine.demand_w!r} puts "
+                              "demand_kw^2 outside float range") from exc
 
 
 def compute_cm(machine: MachineSpec) -> float:

@@ -111,7 +111,9 @@ def breakeven_max_machine_price(v_daily: float) -> float:
 def fit_price_trend(points) -> TrendModel:
     """OLS line through (share %, price) points.
 
-    Raises ValidationError when fewer than two distinct shares exist.
+    Raises ValidationError when fewer than two distinct shares exist, or
+    when the fitted slope or intercept is not finite, as points near the
+    ends of float range give.
     """
     pts = np.asarray(list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
@@ -119,10 +121,14 @@ def fit_price_trend(points) -> TrendModel:
     x, y = pts[:, 0], pts[:, 1]
     if np.unique(x).size < 2:
         raise ValidationError("all shares identical; line fit is degenerate")
-    xm, ym = x.mean(), y.mean()
-    slope = float(((x - xm) * (y - ym)).sum() / ((x - xm) ** 2).sum())
-    return TrendModel(price_intercept=float(ym - slope * xm),
-                      price_slope=slope)
+    with np.errstate(all="ignore"):  # a non-finite fit is refused below
+        xm, ym = x.mean(), y.mean()
+        slope = float(((x - xm) * (y - ym)).sum() / ((x - xm) ** 2).sum())
+        intercept = float(ym - slope * xm)
+    if not (math.isfinite(slope) and math.isfinite(intercept)):
+        raise ValidationError(f"the fitted price line is not finite: slope "
+                              f"{slope}, intercept {intercept}")
+    return TrendModel(price_intercept=intercept, price_slope=slope)
 
 
 def project_net_profit(machine: MachineSpec, trend: TrendModel, years: int, *,
@@ -137,7 +143,8 @@ def project_net_profit(machine: MachineSpec, trend: TrendModel, years: int, *,
     profit model; the schedule's ramping saving is added unchanged; the
     amortized purchase price is subtracted.  No re-solve per year: the
     projection extrapolates the price trend only.  The horizon is 1 to
-    MAX_PROJECTION_YEARS years and share0_pct is within [0, 100].
+    MAX_PROJECTION_YEARS years and share0_pct is within [0, 100]; a
+    year whose profit is not finite is refused.
     """
     if not 1 <= years <= MAX_PROJECTION_YEARS:
         raise ValidationError(f"years must be within 1 to "
@@ -153,6 +160,9 @@ def project_net_profit(machine: MachineSpec, trend: TrendModel, years: int, *,
         price = trend.price_intercept + trend.price_slope * share
         mining = profit_vs_price(price, profit)
         net = mining + ramp_saved_usd_day - msrp
+        if not math.isfinite(net):  # so is every non-finite mining profit
+            raise ValidationError(f"year {y}: the projected net profit of "
+                                  f"{net} $/day is not finite")
         nets.append(net)
         minings.append(mining)
         if first_loss is None and net < 0.0:

@@ -262,8 +262,9 @@ def load_csv(source, scale: float = 1.0) -> dict[str, SampledProfile]:
             f"{_SPACING_JITTER:.0%} from median {median_gap:.6g}s")
 
     dt_hours = median_gap / 3600.0
-    return {_POWER_COLUMNS[name]: SampledProfile(dt_hours, values[:, j] * scale)
-            for j, name in enumerate(power)}
+    with np.errstate(over="ignore"):  # SampledProfile refuses an overflow
+        return {_POWER_COLUMNS[name]: SampledProfile(dt_hours, values[:, j] * scale)
+                for j, name in enumerate(power)}
 
 
 def write_csv(dest, load: SampledProfile | None = None,
@@ -380,12 +381,13 @@ def synth_duck_curve(base_kw: float, evening_peak_kw: float, pv_peak_kw: float,
     bump = np.zeros(n)
     for wrap in (-24.0, 0.0, 24.0):  # keep the bump C0-periodic at midnight
         bump += np.exp(-((t - EVENING_PEAK_HOUR + wrap) ** 2) / two_sigma_sq)
-    load = base_kw + evening_peak_kw * bump
 
     arc = np.sin(np.pi * (t - PV_SUNRISE_HOUR) / PV_DAYLIGHT_HOURS)
     daylight = (t >= PV_SUNRISE_HOUR) & (t <= PV_SUNRISE_HOUR + PV_DAYLIGHT_HOURS)
-    pv = pv_peak_kw * np.where(daylight, np.maximum(arc, 0.0), 0.0)
-
-    net = np.maximum(load - pv, 0.0)
-    return (SampledProfile(dt_used, load), SampledProfile(dt_used, pv),
-            SampledProfile(dt_used, net))
+    # SampledProfile refuses what overflows near the top of float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        load = base_kw + evening_peak_kw * bump
+        pv = pv_peak_kw * np.where(daylight, np.maximum(arc, 0.0), 0.0)
+        net = np.maximum(load - pv, 0.0)
+        return (SampledProfile(dt_used, load), SampledProfile(dt_used, pv),
+                SampledProfile(dt_used, net))

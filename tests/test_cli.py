@@ -1,10 +1,13 @@
 """End-to-end command-line behavior and exit codes."""
 
+import codecs
 import errno
 import hashlib
 import io
 import json
+import logging
 import os
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,27 @@ from rampsched import (SampledProfile, cli, costmodel, oracle, pmp,
                        synth_duck_curve, write_csv)
 from rampsched.cli import build_parser, main
 from rampsched.pmp import SOLUTION_CSV_HEADER
+
+# A real run prints numpy's RuntimeWarnings on stderr, ahead of the one
+# line a test reads through capsys; here they fail the test instead.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+@pytest.fixture(autouse=True)
+def no_warning_records():
+    """Fail a test during which a rampsched logger emits a warning.
+
+    pytest's log capture keeps `main` from adding the stderr handler a
+    real run prints these records through, so capsys never sees them."""
+    records = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    logger = logging.getLogger("rampsched")
+    logger.addHandler(handler)
+    yield
+    logger.removeHandler(handler)
+    assert not [r.getMessage() for r in records]
+
 
 MACHINE_CFG = """\
 name = antminer-s21
@@ -701,8 +725,13 @@ def test_econ_projection_rejects_non_finite_price(tmp_path, machine_cfg,
 
 @pytest.mark.parametrize("rows,message", [
     (["10,40"], "need at least two (share, price) points"),
-    (["10,40", "10,46"], "all shares identical; line fit is degenerate")],
-    ids=["one-row", "one-share"])
+    (["10,40", "10,46"], "all shares identical; line fit is degenerate"),
+    (["10,1e308", "20,-1e308", "30,1e308"],
+     "the fitted price line is not finite: slope nan, intercept nan"),
+    (["1e-310,40", "2e-310,46"],
+     "the fitted price line is not finite: slope inf, intercept -inf")],
+    ids=["one-row", "one-share", "prices-past-float-range",
+         "subnormal-shares"])
 def test_project_names_a_trend_file_with_no_line(tmp_path, machine_cfg,
                                                  capsys, rows, message):
     trend = tmp_path / "price.csv"
@@ -941,6 +970,9 @@ def test_econ_help_names_the_horizon(capsys):
     assert exc.value.code == 0
     text = capsys.readouterr().out
     assert "projection years, 1 to 100" in text and "ramp-trend" not in text
+    for default in ("[%], default 10.0", "default 0.0", "default 14.0",
+                    "default 0.1"):
+        assert default in text
 
 
 @pytest.mark.parametrize("command,flag,value", [
@@ -949,7 +981,9 @@ def test_econ_help_names_the_horizon(capsys):
     ("oracle-check", "--obj-tol", "nan"),
     ("breakeven", "--daily-profit", "nan"),
     ("solve", "--n", "abc"), ("synth", "--n", "0"),
-    ("solve", "--load-scale", "abc"), ("oracle-check", "--obj-tol", "abc")])
+    ("solve", "--load-scale", "abc"), ("oracle-check", "--obj-tol", "abc"),
+    pytest.param("solve", "--fleet-count", "1" + "0" * 400,
+                 id="solve---fleet-count-1e400")])
 def test_bad_number_is_input_error(tmp_path, machine_cfg, plant_net_csv,
                                    capsys, monkeypatch, command, flag, value):
     monkeypatch.chdir(tmp_path)
@@ -969,27 +1003,69 @@ def test_bad_number_is_input_error(tmp_path, machine_cfg, plant_net_csv,
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--load", "synth/duck_net.csv", "--machine", "machine1.cfg",
+      "--load-scale", "1e308", "--out", "out"],
+     "synth/duck_net.csv: profile values must be finite"),
+    (["synth", "--base", "1e308", "--evening-peak", "1e308", "--pv-peak", "0",
+      "--out", "out"], "profile values must be finite"),
+    (["econ", "--machine", "machine1.cfg", "--solution", "huge",
+      "--out", "out"],
+     "huge/solution.csv on machine1.cfg: report fields must be finite"),
+    (["project", "--machine", "machine1.cfg", "--years", "2", "--price-trend",
+      "price.csv", "--profit-b", "1e308", "--out", "out"],
+     "year 1: the projected net profit of -inf $/day is not finite")],
+    ids=["solve-load-scale", "synth-peaks", "econ-draw", "project-profit"])
+def test_overflow_is_one_error_line(tmp_path, capsys, econ_inputs, argv,
+                                    message):
+    """Finite inputs whose arithmetic leaves float range exit 1 with one
+    error line and no numpy RuntimeWarning, and write nothing."""
+    (tmp_path / "huge").mkdir()
+    (tmp_path / "huge" / "diagnostics.json").write_bytes(
+        (tmp_path / "run" / "diagnostics.json").read_bytes())
+    header, first, second, *rows = (
+        tmp_path / "run" / "solution.csv").read_text().splitlines()
+    cells = second.split(",")
+    cells[SOLUTION_CSV_HEADER.split(",").index("pm_kw")] = "1e308"
+    (tmp_path / "huge" / "solution.csv").write_text(
+        "\n".join([header, first, ",".join(cells), *rows]) + "\n")
+    before = {p: p.read_bytes() if p.is_file() else None
+              for p in tmp_path.rglob("*")}
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert {p: p.read_bytes() if p.is_file() else None
+            for p in tmp_path.rglob("*")} == before
+
+
 def test_one_process_serves_many_requests(tmp_path, machine_cfg,
                                           plant_net_csv, capsys):
     """The parser is built once; a usage error and other commands between
-    two identical oracle-checks leave their outputs byte-identical."""
+    two identical oracle-checks, and between two identical stopped
+    solves, leave their outputs byte-identical."""
     assert build_parser() is build_parser()
     scenario = ["--load", plant_net_csv, "--machine", machine_cfg]
+    small = [*scenario, "--fleet-count", "1898", "--out"]
     requests = [
+        (["solve", *small, str(tmp_path / "small_a")], 2),
         (["oracle-check", *scenario, "--n", "48", "--out", str(tmp_path / "a")], 0),
         (["solve", *scenario, "--no-such-flag"], 1),
         (["solve", *scenario, "--out", str(tmp_path / "run")], 0),
         (["econ", "--machine", machine_cfg, "--solution", str(tmp_path / "run"),
           "--out", str(tmp_path / "econ")], 0),
         (["oracle-check", *scenario, "--n", "48", "--out", str(tmp_path / "b")], 0),
+        (["solve", *small, str(tmp_path / "small_b")], 2),
     ]
     for argv, code in requests:
         assert main(argv) == code, argv
     capsys.readouterr()
-    for name in ("comparison.json", "oracle_solution.csv", "solution.csv",
-                 "diagnostics.json"):
-        assert ((tmp_path / "a" / name).read_bytes()
-                == (tmp_path / "b" / name).read_bytes()), name
+    for run, names in (("", ("comparison.json", "oracle_solution.csv",
+                             "solution.csv", "diagnostics.json")),
+                       ("small_", ("solution.csv", "diagnostics.json"))):
+        for name in names:
+            assert ((tmp_path / f"{run}a" / name).read_bytes()
+                    == (tmp_path / f"{run}b" / name).read_bytes()), name
 
 
 @pytest.mark.parametrize("fault", ["lone_surrogate", "os_write_raises"])
@@ -1133,16 +1209,29 @@ def test_too_few_nodes_is_input_error(tmp_path, machine_cfg, plant_net_csv,
 
 
 def test_solve_nets_pv_out_of_the_load(tmp_path, machine_cfg, plant_net_csv):
-    """load_kw and pv_kw columns solve to the bytes of their net load."""
+    """load_kw and pv_kw columns solve to the bytes of their net load, and
+    so does the net load with a UTF-8 byte-order mark or with epoch-second
+    timestamps."""
     synth = Path(plant_net_csv).parent
+    text = (synth / "duck_net.csv").read_text(encoding="utf-8")
+    (synth / "bom.csv").write_text(text, encoding="utf-8-sig")
+    assert (synth / "bom.csv").read_bytes().startswith(codecs.BOM_UTF8)
+    header, *rows = text.splitlines()
+    epoch = [header]
+    for row in rows:
+        stamp, rest = row.split(",", 1)
+        age = datetime.fromisoformat(stamp) - datetime(2000, 1, 1)
+        epoch.append(f"{age.total_seconds():.0f},{rest}")
+    assert epoch[1].startswith("0,") and epoch[2].startswith("900,")
+    (synth / "epoch.csv").write_text("\n".join(epoch) + "\n")
     runs = {}
-    for name in ("duck_net.csv", "duck_profiles.csv"):
+    for name in ("duck_net.csv", "duck_profiles.csv", "bom.csv", "epoch.csv"):
         out = tmp_path / name.removesuffix(".csv")
         assert main(["solve", "--load", str(synth / name), "--machine",
                      machine_cfg, "--out", str(out)]) == 0
         runs[name] = [(out / f).read_bytes()
                       for f in ("solution.csv", "diagnostics.json")]
-    assert runs["duck_profiles.csv"] == runs["duck_net.csv"]
+    assert runs == dict.fromkeys(runs, runs["duck_net.csv"])
 
 
 def test_load_without_load_column_is_input_error(tmp_path, machine_cfg,

@@ -221,8 +221,16 @@ def test_constructors_refuse_non_finite(build):
      "lifespan_years must be > 0"),
     (lambda: load_config(io.StringIO("demand_w = 10\ncount = 2.5\n")),
      "line 2: count must be an integer"),
+    (lambda: compute_g(dataclasses.replace(M1, demand_w=1e-300)),
+     r"demand_w = 1e-300 puts demand_kw\^2 outside float range"),
+    (lambda: compute_g(dataclasses.replace(M1, demand_w=1e308)),
+     r"demand_w = 1e\+308 puts demand_kw\^2 outside float range"),
+    (lambda: fleet_from_config(load_config(io.StringIO(
+        CFG_TEXT.replace("count = 2853", "count = 1" + "0" * 400)))),
+     "count must be a positive integer within float range, got 10{400}$"),
 ], ids=["demand-zero", "demand-negative", "income-negative", "price-negative",
-        "lifespan-zero", "count-fraction"])
+        "lifespan-zero", "count-fraction", "demand-underflows-g",
+        "demand-overflows-g", "count-past-float-range"])
 def test_machine_inputs_out_of_range_are_refused(build, message):
     with pytest.raises(ValidationError, match=message):
         build()
