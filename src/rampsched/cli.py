@@ -84,17 +84,25 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _parse_schedule(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(_finite_float(v) for v in text.split(","))
-    except argparse.ArgumentTypeError as exc:
-        raise ValidationError(f"bad --alpha-schedule {text!r}") from exc
+def _within(kind, lo, hi=math.inf):
+    """argparse type: `kind` of the text, refused outside [lo, hi]."""
+    def parse(text: str):
+        value = kind(text)
+        if not lo <= value <= hi:
+            bound = f">= {lo}" if hi == math.inf else f"within [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid int value: ..."
+    return parse
+
+
+def _schedule(text: str) -> tuple[float, ...]:
+    """argparse type: comma-separated finite penalty weights."""
+    return tuple(map(_finite_float, text.split(",")))
 
 
 def _spacing(period: float, n: int) -> float:
     """The spacing of --n nodes per period, the one grid flag."""
-    if n < 4:
-        raise ValidationError(f"--n must be >= 4, got {n}")
     # an n past float range is refused downstream, as too fine a grid
     return period / min(n, sys.float_info.max)
 
@@ -117,9 +125,8 @@ def _build_scenario(args) -> pmp.Scenario:
     if args.n is not None:
         load = profiles.resample_periodic(load,
                                           _spacing(load.period_T, args.n))
-    schedule = (pmp.DEFAULT_ALPHA_SCHEDULE if args.alpha_schedule is None
-                else _parse_schedule(args.alpha_schedule))
-    return _config_scenario(cfg, args, load, alpha_schedule=schedule,
+    return _config_scenario(cfg, args, load,
+                            alpha_schedule=args.alpha_schedule,
                             tolerances=pmp.Tolerances(tol_bc=args.tol_bc))
 
 
@@ -145,9 +152,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    for flag, tol in (("--obj-tol", args.obj_tol), ("--pm-tol", args.pm_tol)):
-        if tol < 0.0:
-            raise ValidationError(f"{flag} must be >= 0, got {tol}")
     sc = _build_scenario(args)
     sol = pmp.solve(sc)
     try:
@@ -252,13 +256,6 @@ def cmd_econ(args) -> int:
 def cmd_project(args) -> int:
     if args.fleet_count is not None and args.solution is None:
         raise ValidationError("--fleet-count requires --solution")
-    # `project_net_profit` checks these too, in its own names
-    if not 1 <= args.years <= econ.MAX_PROJECTION_YEARS:
-        raise ValidationError(f"--years must be within 1 to "
-                              f"{econ.MAX_PROJECTION_YEARS}, got {args.years}")
-    if not 0.0 <= args.share0 <= 100.0:
-        raise ValidationError(f"--share0 must be within [0, 100], "
-                              f"got {args.share0:g}")
     cfg = cmod.load_config(args.machine)
     machine = cmod.machine_from_config(cfg)
     saved = 0.0
@@ -297,13 +294,21 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as `ValidationError`; subparsers share the class."""
+
+    def error(self, message: str):
+        raise ValidationError(message)
+
+
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--load", required=True, help="load CSV (timestamp,load_kw[,pv_kw])")
     p.add_argument("--machine", required=True, help="machine key=value config file")
     p.add_argument("--fleet-count", type=int, default=None)
-    p.add_argument("--alpha-schedule", default=None,
+    p.add_argument("--alpha-schedule", type=_schedule,
+                   default=pmp.DEFAULT_ALPHA_SCHEDULE,
                    help="comma-separated increasing penalty weights")
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=_within(int, 4), default=None,
                    help="resample the load to N nodes per period")
     p.add_argument("--load-scale", type=_finite_float, default=1.0,
                    help="multiply ingested power columns by this factor")
@@ -315,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared by every
     call: `main` may serve many requests, and each then pays only for
     `parse_args`.  Callers must not add to it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rampsched",
         description="Miner-dispatch schedules that flatten generation ramps")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -331,8 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
                                             "the discrete-oracle solution")
     _add_scenario_flags(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--obj-tol", type=_finite_float, default=DEFAULT_OBJECTIVE_GAP)
-    p.add_argument("--pm-tol", type=_finite_float, default=DEFAULT_PM_GAP_FRACTION)
+    for flag, default in (("--obj-tol", DEFAULT_OBJECTIVE_GAP),
+                          ("--pm-tol", DEFAULT_PM_GAP_FRACTION)):
+        p.add_argument(flag, type=_within(_finite_float, 0), default=default)
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("econ", help="daily economics of a solved schedule")
@@ -350,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="multi-year net-profit projection")
     p.add_argument("--machine", required=True)
     p.add_argument("--price-trend", required=True, help="share_pct,value CSV")
-    p.add_argument("--years", type=int, required=True,
+    p.add_argument("--years", type=_within(int, 1, econ.MAX_PROJECTION_YEARS),
+                   required=True,
                    help=f"projection years, 1 to {econ.MAX_PROJECTION_YEARS}")
     p.add_argument("--solution", default=None,
                    help="solution whose ramping saving enters every year; "
@@ -358,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fleet-count", type=int, default=None,
                    help="needs --solution")
     defaults = econ.project_net_profit.__kwdefaults__
-    p.add_argument("--share0", type=_finite_float,
+    p.add_argument("--share0", type=_within(_finite_float, 0, 100),
                    default=defaults["share0_pct"],
                    help="[%%], default %(default)s")
     p.add_argument("--share-per-year", type=_finite_float,
@@ -379,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=_finite_float, required=True)
     p.add_argument("--evening-peak", type=_finite_float, required=True)
     p.add_argument("--pv-peak", type=_finite_float, required=True)
-    p.add_argument("--n", type=int, default=96, help="nodes per day")
+    p.add_argument("--n", type=_within(int, 4), default=96, help="nodes per day")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
     return parser
@@ -389,20 +396,12 @@ def main(argv=None) -> int:
     _configure_logging()
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse's usage errors exit 2
-        if exc.code == 2:
-            return EXIT_INPUT
-        raise
-    try:
         return args.func(args)
-    except OSError as exc:  # a missing input, a directory, an --out file
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except DivergenceError as exc:
-        print(f"error: integration diverged: {exc}; initial state "
+        print(f"not converged: integration diverged: {exc}; initial state "
               f"(x, lambda) = {exc.initial_state}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
-    except RampSchedError as exc:
+    except (OSError, RampSchedError) as exc:  # usage, input or file error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -228,6 +228,11 @@ def _build_day(load: SampledProfile, cm: Union[float, SampledProfile],
     by identity, and no mining pays exactly 0.0 revenue and penalty at
     every c_m, Pbar and alpha, so the baseline reads only load, g and d.
     The day's slots (`solve`, `evaluate`) start empty.
+
+    Raises:
+        ValidationError: a cost past float range: the baseline's
+            generation or ramping, or the revenue c_m^2/2g of generating
+            at the revenue-optimal level c_m/2g, which bounds the draw.
     """
     if isinstance(cm, SampledProfile):
         cm_nodes = cm.values
@@ -239,8 +244,22 @@ def _build_day(load: SampledProfile, cm: Union[float, SampledProfile],
     for v in (cm_nodes, nodes):
         v.setflags(write=False)
     day_cost = CostModel(g=g, pbar_kw=1.0, cm=cm, d=d)  # Pbar, alpha unread
-    return _Day(nodes, cm_nodes,
-                _objective(load, day_cost, cm_nodes, np.zeros(load.count)),
+    with np.errstate(over="ignore"):
+        baseline = _objective(load, day_cost, cm_nodes, np.zeros(load.count))
+    cm_peak = float(cm_nodes.max())
+    # a node sum, then dt times it, of the revenue at c_m/2g
+    revenue = cm_peak * cm_peak / (2.0 * g) * load.count * max(load.dt, 1.0)
+    for usd, cost, coefficient in (
+            (baseline.generation_usd, "load's no-mining generation cost",
+             f"g = {g:.4g}"),
+            (baseline.ramping_usd, "load's no-mining ramping cost",
+             f"d = {d:.4g}"),
+            (revenue, "revenue of generating at c_m/2g",
+             f"c_m = {cm_peak:.4g}")):
+        if not math.isfinite(usd):
+            raise ValidationError(
+                f"the {cost} is past float range at {coefficient}")
+    return _Day(nodes, cm_nodes, baseline,
                 [(None, math.inf, None)], [(None, None, None, None)])
 
 
@@ -512,10 +531,18 @@ def failure_reason(sol: PmpSolution, sc: Scenario) -> str:
 
 
 def _resolution_limit(sc: Scenario) -> str:
-    """Names the requested weight and the largest weight dt resolves."""
-    return (f"the requested alpha {sc.cost.alpha:g} is above "
-            f"{resolvable_alpha(sc):.4g}, the largest alpha that "
-            f"dt = {sc.load.dt:g} h resolves")
+    """Names the requested weight and the largest weight dt resolves, or,
+    where dt resolves none, the fewest nodes per period that resolve it."""
+    m, dt, limit = sc.cost, sc.load.dt, resolvable_alpha(sc)
+    if limit > 0.0:
+        return (f"the requested alpha {m.alpha:g} is above {limit:.4g}, "
+                f"the largest alpha that dt = {dt:g} h resolves")
+    # the least n with alpha < (Z_STAR * n / T)^2 * d - g
+    n = math.floor(sc.load.period_T / Z_STAR
+                   * math.sqrt((m.g + m.alpha) / m.d)) + 1
+    return (f"dt = {dt:g} h resolves no penalty weight at g = {m.g:g} and "
+            f"d = {m.d:g}; --n {n} is the fewest nodes per period that "
+            f"resolve alpha {m.alpha:g}")
 
 
 def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
@@ -543,7 +570,8 @@ def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
     the reuse.
 
     Raises:
-        ValidationError: the guess is not finite.
+        ValidationError: the guess is not finite, or the day's costs
+            leave float range (`_build_day`).
         DivergenceError: a Newton iterate is not finite; at a weight
             the grid does not resolve, the message names the limit.
     """
