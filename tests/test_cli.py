@@ -599,125 +599,166 @@ PROJECT = "project --machine machine1.cfg --price-trend price.csv --years 3 " \
 GRID = "is finer than one node per second: the 24 h period holds at most " \
        "86400 nodes"
 E24, E400 = "1" + "0" * 24, "1" + "0" * 400
-# Every refusal: (id, argv run in the `econ_inputs` directory, the files
-# it edits there first, each by its new text or a function of its old
-# one, and the `error:` line's message)
+MALFORMED = "test_econ_rejects_malformed_solution"
+# Every refusal: (the test name it is reported under, argv run in the
+# `econ_inputs` directory, the files it edits there first, each by its new
+# text or a function of its old one, and the `error:` line's message)
 REFUSALS = [
     # usage errors: unknown flag, missing flag or command, bad int,
     # non-finite float, out-of-range value, invalid choice
-    ("no-command", "", {}, "the following arguments are required: command"),
-    ("unknown-command", "bogus", {}, "argument command: invalid choice: "
+    ("test_refusal[no-command]",
+     "", {}, "the following arguments are required: command"),
+    ("test_refusal[unknown-command]",
+     "bogus", {}, "argument command: invalid choice: "
      "'bogus' (choose from 'solve', 'oracle-check', 'econ', 'project', "
      "'breakeven', 'synth')"),
-    ("solve-unknown-flag", f"{SOLVE} --no-such-flag", {},
+    ("test_refusal[solve-unknown-flag]", f"{SOLVE} --no-such-flag", {},
      "unrecognized arguments: --no-such-flag"),
-    ("solve-no-machine", "solve --load synth/duck_net.csv --out out", {},
+    ("test_refusal[solve-no-machine]",
+     "solve --load synth/duck_net.csv --out out", {},
      "the following arguments are required: --machine"),
-    ("econ-no-machine", "econ --solution run --out out", {},
+    ("test_econ_input_error_writes_nothing[no-machine]",
+     "econ --solution run --out out", {},
      "the following arguments are required: --machine"),
-    ("project-no-trend", "project --machine machine1.cfg --years 6 --out out",
+    ("test_econ_projection_requires_trend",
+     "project --machine machine1.cfg --years 6 --out out",
      {}, "the following arguments are required: --price-trend"),
-    ("solve-format-xml", f"{SOLVE} --format xml", {}, "argument --format: "
+    ("test_refusal[solve-format-xml]",
+     f"{SOLVE} --format xml", {}, "argument --format: "
      "invalid choice: 'xml' (choose from 'json', 'csv')"),
-    ("econ-attribution-median", f"{ECON} --attribution median", {},
+    ("test_refusal[econ-attribution-median]",
+     f"{ECON} --attribution median", {},
      "argument --attribution: invalid choice: 'median' (choose from "
      "'marginal', 'average')"),
-    ("project-ramp-trend", f"{PROJECT} --ramp-trend price.csv", {},
+    ("test_econ_has_no_ramp_trend", f"{PROJECT} --ramp-trend price.csv", {},
      "unrecognized arguments: --ramp-trend price.csv"),
-    *[(f"{command}-refuses{flag}",
+    *[(f"test_econ_commands_refuse_flags_they_do_not_read[{command}-{flag}]",
        " ".join([command, *ECON_ARGV[command], flag, ECON_FLAG_VALUES[flag]]),
        {}, f"unrecognized arguments: {flag} {ECON_FLAG_VALUES[flag]}")
       for command in ECON_FLAGS for flag in ECON_FLAG_VALUES
       if flag not in ECON_FLAGS[command]],
-    ("solve-n-abc", f"{SOLVE} --n abc", {},
+    ("test_bad_number_is_input_error[solve---n-abc]", f"{SOLVE} --n abc", {},
      "argument --n: invalid int value: 'abc'"),
-    ("solve-n-nan", f"{SOLVE} --n nan", {},
+    ("test_bad_number_is_input_error[solve---n-nan]", f"{SOLVE} --n nan", {},
      "argument --n: invalid int value: 'nan'"),
-    ("solve-fleet-count-1e400", f"{SOLVE} --fleet-count {E400}", {},
+    ("test_bad_number_is_input_error[solve---fleet-count-1e400]",
+     f"{SOLVE} --fleet-count {E400}", {},
      f"count must be a positive integer within float range, got {E400}"),
-    ("solve-load-scale-abc", f"{SOLVE} --load-scale abc", {},
+    ("test_bad_number_is_input_error[solve---load-scale-abc]",
+     f"{SOLVE} --load-scale abc", {},
      "argument --load-scale: expected a finite number, got 'abc'"),
-    ("solve-tol-bc-nan", f"{SOLVE} --tol-bc nan", {},
+    ("test_bad_number_is_input_error[solve---tol-bc-nan]",
+     f"{SOLVE} --tol-bc nan", {},
      "argument --tol-bc: expected a finite number, got 'nan'"),
-    ("solve-alpha-schedule-nan", f"{SOLVE} --alpha-schedule 1,nan,100", {},
+    ("test_bad_number_is_input_error[solve---alpha-schedule-1,nan,100]",
+     f"{SOLVE} --alpha-schedule 1,nan,100", {},
      "argument --alpha-schedule: expected a finite number, got 'nan'"),
-    ("oracle-obj-tol-abc", f"{ORACLE} --obj-tol abc", {},
+    ("test_bad_number_is_input_error[oracle-check---obj-tol-abc]",
+     f"{ORACLE} --obj-tol abc", {},
      "argument --obj-tol: expected a finite number, got 'abc'"),
-    ("oracle-obj-tol-nan", f"{ORACLE} --obj-tol nan", {},
+    ("test_bad_number_is_input_error[oracle-check---obj-tol-nan]",
+     f"{ORACLE} --obj-tol nan", {},
      "argument --obj-tol: expected a finite number, got 'nan'"),
-    ("breakeven-daily-profit-nan", "breakeven --daily-profit nan", {},
+    ("test_bad_number_is_input_error[breakeven---daily-profit-nan]",
+     "breakeven --daily-profit nan", {},
      "argument --daily-profit: expected a finite number, got 'nan'"),
-    ("synth-n-0", f"{SYNTH} --n 0", {}, "argument --n: must be >= 4, got 0"),
-    ("synth-n-3", f"{SYNTH} --n 3", {}, "argument --n: must be >= 4, got 3"),
-    ("solve-n-3", f"{SOLVE} --n 3", {}, "argument --n: must be >= 4, got 3"),
-    ("oracle-n-0", f"{ORACLE} --n 0", {}, "argument --n: must be >= 4, got 0"),
-    ("oracle-n-3", f"{ORACLE} --n 3", {}, "argument --n: must be >= 4, got 3"),
-    ("oracle-obj-tol-negative", f"{ORACLE} --n 48 --obj-tol -1", {},
+    ("test_bad_number_is_input_error[synth---n-0]",
+     f"{SYNTH} --n 0", {}, "argument --n: must be >= 4, got 0"),
+    ("test_too_few_nodes_is_input_error[synth]",
+     f"{SYNTH} --n 3", {}, "argument --n: must be >= 4, got 3"),
+    ("test_too_few_nodes_is_input_error[solve]",
+     f"{SOLVE} --n 3", {}, "argument --n: must be >= 4, got 3"),
+    ("test_oracle_check_rejects_too_few_nodes",
+     f"{ORACLE} --n 0", {}, "argument --n: must be >= 4, got 0"),
+    ("test_too_few_nodes_is_input_error[oracle-check]",
+     f"{ORACLE} --n 3", {}, "argument --n: must be >= 4, got 3"),
+    ("test_oracle_check_rejects_negative_tolerance[--obj-tol]",
+     f"{ORACLE} --n 48 --obj-tol -1", {},
      "argument --obj-tol: must be >= 0, got -1"),
-    ("oracle-pm-tol-negative", f"{ORACLE} --n 48 --pm-tol -1", {},
+    ("test_oracle_check_rejects_negative_tolerance[--pm-tol]",
+     f"{ORACLE} --n 48 --pm-tol -1", {},
      "argument --pm-tol: must be >= 0, got -1"),
-    *[(f"project-years-{years}",
+    *[(f"test_econ_projection_horizon_is_bounded[{years}]",
        PROJECT.replace("--years 3", f"--years {years}"), {},
        f"argument --years: must be within [1, 100], got {years}")
       for years in ("0", "101", str(10 ** 12))],
-    *[(f"project-share0-{share0}", f"{PROJECT} --share0 {share0}", {},
+    *[(f"test_project_share0_is_a_percentage[{share0}]",
+       f"{PROJECT} --share0 {share0}", {},
        f"argument --share0: must be within [0, 100], got {share0}")
       for share0 in ("-0.5", "150")],
-    ("project-fleet-count-without-solution",
+    ("test_project_fleet_count_requires_solution",
      f"{PROJECT} --fleet-count 2853", {}, "--fleet-count requires --solution"),
     # grids finer than one node per second, before any grid is allocated
-    ("synth-n-1e24", f"{SYNTH} --n {E24}", {}, f"dt=2.4e-23 h {GRID}"),
-    ("solve-n-1e24", f"{SOLVE} --n {E24}", {}, f"new_dt=2.4e-23 h {GRID}"),
-    ("oracle-n-1e24", f"{ORACLE} --n {E24}", {}, f"new_dt=2.4e-23 h {GRID}"),
-    ("oracle-n-86401", f"{ORACLE} --n 86401", {},
+    ("test_absurd_grid_is_input_error[synth_n]",
+     f"{SYNTH} --n {E24}", {}, f"dt=2.4e-23 h {GRID}"),
+    ("test_absurd_grid_is_input_error[solve_n]",
+     f"{SOLVE} --n {E24}", {}, f"new_dt=2.4e-23 h {GRID}"),
+    ("test_absurd_grid_is_input_error[oracle_n_1e24]",
+     f"{ORACLE} --n {E24}", {}, f"new_dt=2.4e-23 h {GRID}"),
+    ("test_absurd_grid_is_input_error[oracle_n_86401]",
+     f"{ORACLE} --n 86401", {},
      f"new_dt=0.0002777745627944121 h {GRID}"),
-    ("solve-n-1e400", f"{SOLVE} --n {E400}", {},
+    ("test_absurd_grid_is_input_error[solve_n_past_float_range]",
+     f"{SOLVE} --n {E400}", {},
      f"new_dt=1.335044315104321e-307 h {GRID}"),
     # files the system cannot read or write
-    ("load-missing", SOLVE.replace("synth/duck_net.csv", "nope.csv"), {},
+    ("test_solve_missing_file_is_input_error",
+     SOLVE.replace("synth/duck_net.csv", "nope.csv"), {},
      "[Errno 2] No such file or directory: 'nope.csv'"),
-    ("load-is-a-directory", SOLVE.replace("synth/duck_net.csv", "synth"), {},
+    ("test_os_error_is_input_error[load_is_dir]",
+     SOLVE.replace("synth/duck_net.csv", "synth"), {},
      "[Errno 21] Is a directory: 'synth'"),
-    ("machine-is-a-directory", ECON.replace("machine1.cfg", "run"), {},
+    ("test_os_error_is_input_error[machine_is_dir]",
+     ECON.replace("machine1.cfg", "run"), {},
      "[Errno 21] Is a directory: 'run'"),
-    ("out-is-a-file", SOLVE.replace("--out out", "--out price.csv"), {},
+    ("test_os_error_is_input_error[out_is_file]",
+     SOLVE.replace("--out out", "--out price.csv"), {},
      "[Errno 17] File exists: 'price.csv'"),
     # bad input files, each named with the line at fault
-    ("synth-negative-base",
+    ("test_synth_rejects_bad_params",
      "synth --base -5 --evening-peak 0 --pv-peak 0 --out out", {},
      "base_kw must be finite and >= 0, got -5.0"),
-    ("load-is-a-config", SOLVE.replace("synth/duck_net.csv", "machine1.cfg"),
+    ("test_input_error_names_the_bad_file[load]",
+     SOLVE.replace("synth/duck_net.csv", "machine1.cfg"),
      {}, "machine1.cfg: line 1: unknown column 'name = antminer-s21', "
      "expected timestamp,load_kw[,pv_kw]"),
-    ("machine-is-a-csv", SOLVE.replace("machine1.cfg", "synth/duck_net.csv"),
+    ("test_input_error_names_the_bad_file[machine]",
+     SOLVE.replace("machine1.cfg", "synth/duck_net.csv"),
      {}, "synth/duck_net.csv: line 1: expected 'key = value', got "
      "'timestamp,load_kw'"),
-    ("solution-is-diagnostics", ECON.replace("run", "run/diagnostics.json"),
+    ("test_input_error_names_the_bad_file[solution]",
+     ECON.replace("run", "run/diagnostics.json"),
      {}, "run/diagnostics.json: line 2: expected 1 fields, got 2"),
-    ("load-non-numeric-cell", SOLVE.replace("synth/duck_net.csv", "bad.csv"),
+    ("test_solve_malformed_csv_names_line",
+     SOLVE.replace("synth/duck_net.csv", "bad.csv"),
      {"bad.csv": "timestamp,load_kw\n0,1.0\n900,oops\n1800,2.0\n2700,3.0\n"},
      "bad.csv: line 3: non-numeric cell 'oops' in column 'load_kw'"),
-    ("load-nan-timestamp", SOLVE.replace("synth/duck_net.csv", "bad.csv"),
+    ("test_solve_non_finite_timestamp_is_input_error",
+     SOLVE.replace("synth/duck_net.csv", "bad.csv"),
      {"bad.csv": "timestamp,load_kw\n0,1.0\n900,2.0\nnan,3.0\n2700,4.0\n"},
      "bad.csv: line 4: non-finite timestamp 'nan'"),
-    ("load-price-column", SOLVE.replace("synth/duck_net.csv", "bad.csv"),
+    ("test_solve_rejects_price_column",
+     SOLVE.replace("synth/duck_net.csv", "bad.csv"),
      {"bad.csv": "timestamp,load_kw,price_usd_kwh\n"
       + "".join(f"{i * 900},100.0,0.2\n" for i in range(96))},
      "bad.csv: line 1: unknown column 'price_usd_kwh', expected "
      "timestamp,load_kw[,pv_kw]"),
-    ("load-without-load-column",
+    ("test_load_without_load_column_is_input_error",
      SOLVE.replace("synth/duck_net.csv", "bad.csv"),
      {"bad.csv": "timestamp,pv_kw\n"
       + "".join(f"{i * 3600},100.0\n" for i in range(24))},
      "bad.csv: no load_kw column"),
-    *[(f"config-{key}-{value}", SOLVE.replace("machine1.cfg", "bad.cfg"),
+    *[(f"test_solve_non_finite_config_value_is_input_error[{line}-{key}-"
+       f"{old}-{value}]", SOLVE.replace("machine1.cfg", "bad.cfg"),
        {"bad.cfg": _cfg(**{key: value})},
        f"bad.cfg: line {line}: value '{value}' for '{key}' is not finite")
-      for key, value, line in (("d", "nan", 10), ("k", "inf", 8))],
-    ("econ-config-price-nan", ECON.replace("machine1.cfg", "bad.cfg"),
+      for key, old, value, line in (("d", 1, "nan", 10),
+                                    ("k", 0.0014, "inf", 8))],
+    ("test_econ_non_finite_price_is_input_error",
+     ECON.replace("machine1.cfg", "bad.cfg"),
      {"bad.cfg": _cfg(price_usd="nan")},
      "bad.cfg: line 6: value 'nan' for 'price_usd' is not finite"),
-    *[(f"solution-{tag}", ECON, {"run/solution.csv": text},
+    *[(f"{MALFORMED}[{tag}]", ECON, {"run/solution.csv": text},
        f"run/solution.csv: {message}") for tag, text, message in [
         ("empty-csv", "", "line 1: expected the header, got an empty file"),
         ("short-row", HEADER + "0,1,2,3,4,5,6\n0.25,1,2\n",
@@ -738,14 +779,16 @@ REFUSALS = [
         ("t-T-row", HEADER + "".join(f"{t},1,2,3,4,5,6\n" for t in (
             0.0, 6.0, 12.0, 18.0)) + "24.0,12345,2,3,4,5,6\n",
          "line 6: the t = T row must repeat row 0: column 'x_kw' holds "
-         "12345.0, row 0 holds 1.0"),
-        ("times-off-the-grid", _solution(_off_grid),
-         "line 4: t_h 3.5 is off the uniform grid 0, dt, 2*dt, ... with "
-         "dt = t_h[1] = 0.25 > 0")]],
-    ("econ-fleet-below-draw", f"{ECON} --fleet-count 100", {},
+         "12345.0, row 0 holds 1.0")]],
+    ("test_econ_rejects_solution_times_off_the_grid", ECON,
+     {"run/solution.csv": _solution(_off_grid)},
+     "run/solution.csv: line 4: t_h 3.5 is off the uniform grid 0, dt, "
+     "2*dt, ... with dt = t_h[1] = 0.25 > 0"),
+    ("test_econ_input_error_writes_nothing[fleet-below-draw]",
+     f"{ECON} --fleet-count 100", {},
      "run/solution.csv: pm_clipped_kw spans 964.286 to 11964.3 kW, outside "
      "[0, 536] kW for 100 machines"),
-    *[(f"diagnostics-{tag}", ECON, {"run/diagnostics.json": text},
+    *[(f"{MALFORMED}[{tag}]", ECON, {"run/diagnostics.json": text},
        f"run/diagnostics.json: {message}") for tag, text, message in [
         ("empty-object", "{}", "missing key 'converged'"),
         ("bad-json", "{\"converged\": tru", "not valid JSON: Expecting "
@@ -764,7 +807,8 @@ REFUSALS = [
     # diagnostics.json values are read as JSON typed them: int() and
     # float() would turn 2.7 into 2, true into 1 and "100" into 100.0;
     # no solve writes a negative number
-    *[(f"diagnostics-{tag}", ECON, {"run/diagnostics.json": _diag(key, value)},
+    *[(f"test_econ_rejects_mistyped_diagnostics[{tag}]", ECON,
+       {"run/diagnostics.json": _diag(key, value)},
        f"run/diagnostics.json: bad value: {message}")
       for tag, key, value, message in [
         ("float-iters", "newton_iters", 2.7, "expected an integer, got 2.7"),
@@ -787,10 +831,12 @@ REFUSALS = [
          "expected a value >= 0, got -1.0"),
         ("negative-alpha", "alpha_used", -1,
          "expected a value >= 0, got -1.0")]],
-    *[(f"trend-{tag}", PROJECT, {"price.csv": "share_pct,value\n" + rows},
+    ("test_econ_projection_rejects_non_finite_price", PROJECT,
+     {"price.csv": "share_pct,value\n10,40\n20,nan\n30,50\n"},
+     "price.csv: line 3: non-finite cell 'nan' in column 'value'"),
+    *[(f"test_project_names_a_trend_file_with_no_line[{tag}]", PROJECT,
+       {"price.csv": "share_pct,value\n" + rows},
        f"price.csv: {message}") for tag, rows, message in [
-        ("nan-price", "10,40\n20,nan\n30,50\n",
-         "line 3: non-finite cell 'nan' in column 'value'"),
         ("one-row", "10,40\n", "need at least two (share, price) points"),
         ("one-share", "10,40\n10,46\n",
          "all shares identical; line fit is degenerate"),
@@ -800,18 +846,23 @@ REFUSALS = [
          "the fitted price line is not finite: slope inf, intercept -inf")]],
     # finite inputs whose arithmetic leaves float range, before any
     # numpy RuntimeWarning
-    ("breakeven-past-float-range", "breakeven --daily-profit 1e308", {},
+    ("test_breakeven_refuses_a_price_past_float_range",
+     "breakeven --daily-profit 1e308", {},
      "the break-even price for a daily profit of 1e+308 is not finite"),
-    ("solve-load-scale-1e308", f"{SOLVE} --load-scale 1e308", {},
+    ("test_overflow_is_one_error_line[solve-load-scale]",
+     f"{SOLVE} --load-scale 1e308", {},
      "synth/duck_net.csv: profile values must be finite"),
-    ("synth-peaks-1e308",
+    ("test_overflow_is_one_error_line[synth-peaks]",
      "synth --base 1e308 --evening-peak 1e308 --pv-peak 0 --out out", {},
      "profile values must be finite"),
-    ("econ-draw-1e308", ECON, {"run/solution.csv": _solution(_huge_draw)},
+    ("test_overflow_is_one_error_line[econ-draw]",
+     ECON, {"run/solution.csv": _solution(_huge_draw)},
      "run/solution.csv on machine1.cfg: report fields must be finite"),
-    ("project-profit-b-1e308", f"{PROJECT} --profit-b 1e308", {},
+    ("test_overflow_is_one_error_line[project-profit]",
+     f"{PROJECT} --profit-b 1e308", {},
      "year 1: the projected net profit of -inf $/day is not finite"),
-    *[(f"config-{key}-1e308", SOLVE.replace("machine1.cfg", "bad.cfg"),
+    *[(f"test_refusal[config-{key}-1e308]",
+       SOLVE.replace("machine1.cfg", "bad.cfg"),
        {"bad.cfg": _cfg(**{key: "1e308"})}, message)
       for key, message in [
         ("d", "the load's no-mining ramping cost is past float range at "
@@ -823,9 +874,7 @@ REFUSALS = [
 ]
 
 
-@pytest.mark.parametrize("argv,edits,message", [row[1:] for row in REFUSALS],
-                         ids=[row[0] for row in REFUSALS])
-def test_refusal(tmp_path, capsys, econ_inputs, argv, edits, message):
+def _assert_refusal(tmp_path, capsys, argv, edits, message):
     """Every input error, usage errors included: exit 1, nothing on
     stdout, exactly one `error:` line on stderr, no file written or
     changed, and no RuntimeWarning or warning record (module guards)."""
@@ -840,6 +889,29 @@ def test_refusal(tmp_path, capsys, econ_inputs, argv, edits, message):
     assert main(argv.split()) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert tree() == before
+
+
+def _refusal_test(rows):
+    """One test function that holds each of `rows` to `_assert_refusal`:
+    parametrized by the case id in each name's brackets, if it has one."""
+    if "[" not in rows[0][0]:
+        (_, *row), = rows
+        return lambda tmp_path, capsys, econ_inputs: _assert_refusal(
+            tmp_path, capsys, *row)
+
+    @pytest.mark.parametrize("row", [row[1:] for row in rows],
+                             ids=[row[0].split("[", 1)[1][:-1]
+                                  for row in rows])
+    def test(tmp_path, capsys, econ_inputs, row):
+        _assert_refusal(tmp_path, capsys, *row)
+    return test
+
+
+# one test function per name, so each refusal keeps the test id it has
+# always been reported under
+for _name in dict.fromkeys(row[0].split("[")[0] for row in REFUSALS):
+    globals()[_name] = _refusal_test(
+        [row for row in REFUSALS if row[0].split("[")[0] == _name])
 
 
 def test_one_process_serves_many_requests(tmp_path, machine_cfg,
