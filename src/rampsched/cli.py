@@ -161,9 +161,9 @@ def cmd_oracle_check(args) -> int:
         return EXIT_VERIFICATION
     ref_diagnostics = oracle.oracle_diagnostics(ref, sc)
 
-    # `discretize_objective` of the draw; `evaluate` prices it once
     diagnostics = pmp.solution_diagnostics(sol, sc)
-    j_pmp_cmp = pmp.evaluate(sol, sc).unpenalized_usd
+    terms = diagnostics["objective_breakdown"]  # the draw priced once
+    j_pmp_cmp = terms["generation_usd"] + terms["ramping_usd"] - terms["revenue_usd"]
     obj_gap = abs(j_pmp_cmp - ref.objective) / (1.0 + abs(ref.objective))
     pm_gap = float(np.max(np.abs(sol.pm_clipped[:-1] - ref.pm)))
     pm_gap_frac = pm_gap / sc.cost.pbar_kw

@@ -184,8 +184,8 @@ def daily_report(sol: PmpSolution, sc: Scenario, machine: MachineSpec,
     point: marginal attribution prices it at 2*g*x, average attribution
     at g*x.  The fleet's ramping saving is the no-mining baseline's
     ramping term less the schedule's, both from `evaluate`, which prices
-    a solution once per day from the raw draw `pm_traj`, not the
-    clipped one.
+    the raw draw `pm_traj`, not the clipped one, and returns the day's
+    interior draw already priced.
     """
     if not sol.converged:
         raise ReportOnUnconvergedError(

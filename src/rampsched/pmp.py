@@ -27,13 +27,12 @@ Everything here is deterministic: fixed steps, fixed iteration order,
 no adaptive logic, so identical scenarios produce bit-identical results.
 Every ufunc of the RK4 pass takes array operands shaped like its output,
 filled once per solve (`_rk4_stepper`).
-Each solve is single-threaded and shares with other solves only
-read-only cached arrays and its day's two one-entry slots: the solution
-a larger box reuses (`solve`) and the last solution priced (`evaluate`).
-Each slot is read and replaced as one tuple, so a thread never sees
-half an entry; scenarios and solutions are immutable, so distinct
-solves may run concurrently and results can be handed between threads
-freely.
+Each solve is single-threaded and shares with other solves only what
+its day fixes, built once and never written after: the day's profile
+data and baseline (`_day`) and its interior pass (`_interior`), as
+read-only arrays.  Scenarios and solutions are immutable too, so
+distinct solves may run concurrently and results can be handed between
+threads freely.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import KW_ONLY, dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Union
 
@@ -52,8 +51,9 @@ import numpy as np
 from . import costmodel as cmod
 from .costmodel import CostModel, FleetSpec, compute_cm, compute_g
 from .errors import DivergenceError, ValidationError
-from .profiles import (_MIN_SAMPLES, SampledProfile, format_table, names_path,
-                       periodic_ext, read_table, refuse_negative, table_floats)
+from .profiles import (_MIN_SAMPLES, _NODES_PER_HOUR, SampledProfile,
+                       format_table, names_path, periodic_ext, read_table,
+                       refuse_negative, table_floats)
 
 logger = logging.getLogger("rampsched.pmp")
 
@@ -203,12 +203,6 @@ class _Day(NamedTuple):
     nodes: np.ndarray
     cm: np.ndarray            # c_m at the n grid nodes
     baseline: CostBreakdown   # `objective` of no mining (p_m = 0)
-    # one-entry slots, each replaced whole: the smallest box whose solve
-    # ran no Newton step and left no RK4 stage outside it, [(solve key,
-    # Pbar, solution)] (`solve`), and the last solution priced,
-    # [(solution, repr(alpha), Pbar, breakdown)] (`evaluate`)
-    held: list
-    priced: list
 
 
 def _day(sc: Scenario) -> _Day:
@@ -227,7 +221,6 @@ def _build_day(load: SampledProfile, cm: Union[float, SampledProfile],
     The key is exact: `SampledProfile` is frozen and read-only and hashes
     by identity, and no mining pays exactly 0.0 revenue and penalty at
     every c_m, Pbar and alpha, so the baseline reads only load, g and d.
-    The day's slots (`solve`, `evaluate`) start empty.
 
     Raises:
         ValidationError: a cost past float range: the baseline's
@@ -259,8 +252,7 @@ def _build_day(load: SampledProfile, cm: Union[float, SampledProfile],
         if not math.isfinite(usd):
             raise ValidationError(
                 f"the {cost} is past float range at {coefficient}")
-    return _Day(nodes, cm_nodes, baseline,
-                [(None, math.inf, None)], [(None, None, None, None)])
+    return _Day(nodes, cm_nodes, baseline)
 
 
 def _rk4_stepper(nodes: np.ndarray, dt: float, d: float, g: float,
@@ -318,20 +310,13 @@ def _rk4_stepper(nodes: np.ndarray, dt: float, d: float, g: float,
     return step
 
 
-def _rk4_step(z: np.ndarray, nodes: np.ndarray, sc: Scenario
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """One `_rk4_stepper` step from z, shape (2, m), at the scenario's weight."""
-    m = sc.cost
-    return _rk4_stepper(nodes, sc.load.dt, m.d, m.g, m.alpha, m.pbar_kw)(z)
-
-
 def _rk4_step_derivative(excess: np.ndarray, dt: float, d: float, g: float,
                          alpha: float) -> tuple:
     """Blocks (A, B, C, D) of each node's RK4 step derivative d z_{i+1} / d z_i.
 
     At stage s the right-hand side has the Jacobian
     A_s = [[0, -1/2d], [-2g - xi''_s, 0]], with xi''_s = 2 alpha where
-    the stage's excess (row s of `_rk4_step`'s, or of a mask) is nonzero
+    the stage's excess (row s of `_rk4_stepper`'s, or of a mask) is nonzero
     and 0 elsewhere.  The chain rule through the stages gives
     I + dt/6 (K_0 + 2 K_1 + 2 K_2 + K_3) with K_s = A_s (I + c_s K_{s-1}),
     c = (0, dt/2, dt/2, dt).
@@ -505,10 +490,60 @@ def box_violation(pm: np.ndarray, pbar: float) -> float:
 def initial_guess(sc: Scenario) -> PmpState:
     """Default start: the revenue-optimal level c_m(0)/2g bounded into
     [min p_L, max p_L + Pbar]."""
-    x0 = sc.cost.cm_at(0.0) / (2.0 * sc.cost.g)
-    lo = float(sc.load.values.min())
     hi = float(sc.load.values.max()) + sc.cost.pbar_kw
-    return PmpState(x=min(max(x0, lo), hi), lam=0.0)
+    return PmpState(x=min(_level(sc.load, sc.cost), hi), lam=0.0)
+
+
+def _level(load: SampledProfile, m: CostModel) -> float:
+    """`initial_guess`'s level before its upper bound, which reads Pbar."""
+    return max(m.cm_at(0.0) / (2.0 * m.g), float(load.values.min()))
+
+
+def _solution(z: np.ndarray, load: SampledProfile, m: CostModel,
+              pbar: float, **diagnostics) -> PmpSolution:
+    """The read-only solution of the node states z (made read-only) in [0, pbar]."""
+    z.setflags(write=False)
+    xs, ls = z
+    u = cmod.control_from_costate(ls, m) + 0.0  # folds -0.0 into 0.0
+    pm = xs - periodic_ext(load.values)
+    clipped = np.clip(pm, 0.0, pbar)
+    for v in (u, pm, clipped):
+        v.setflags(write=False)
+    violation = box_violation(pm, pbar)
+    return PmpSolution(
+        x_traj=xs, lambda_traj=ls, u_traj=u, pm_traj=pm, pm_clipped=clipped,
+        box_violation_kw=violation, box_violation_frac=violation / pbar,
+        **diagnostics)
+
+
+def _interior(sc: Scenario) -> tuple:
+    """The scenario's interior pass, shared as `_day` is."""
+    m = sc.cost
+    return _build_interior(sc.load, m.cm, m.g, m.d)
+
+
+@functools.lru_cache(maxsize=64)
+def _build_interior(load: SampledProfile, cm: Union[float, SampledProfile],
+                    g: float, d: float) -> tuple:
+    """Run a day's first RK4 pass once per process, keyed like `_build_day`:
+    from `_level` and lam = 0 at every node, at alpha = 0 and Pbar = 0,
+    where the pass's excess output is each stage's draw.  In a box holding
+    every stage draw the excess is 0.0 at any weight, and Pbar enters the
+    pass only through it, so Newton's first pass from that start has these
+    bits, and the draw's penalty there is 0.0.  Returns (the least Pbar
+    whose box holds every stage draw, inf if one is below 0; the pass as
+    `solve` returns it, at weight 0; `objective` of its draw there)."""
+    day = _build_day(load, cm, g, d)
+    m = CostModel(g=g, pbar_kw=np.finfo(float).max, cm=cm, d=d)  # holds all pm >= 0
+    z = np.repeat([[_level(load, m)], [0.0]], load.count + 1, axis=1)
+    with np.errstate(all="ignore"):
+        zn, draws = _rk4_stepper(day.nodes, load.dt, d, g, 0.0, 0.0)(z)
+        defect = float(np.abs(zn[:, :-1] - z[:, 1:]).max())
+    sol = _solution(z, load, m, math.inf, converged=True, newton_iters=0,
+                    periodic_residual=defect, alpha_used=0.0, rk4_passes=1)
+    least_pbar = float(draws.max()) if draws.min() >= 0.0 else math.inf
+    return (least_pbar, sol,
+            _objective(load, m, day.cm, sol.pm_traj[:-1], day.baseline))
 
 
 def resolvable_alpha(sc: Scenario) -> float:
@@ -537,12 +572,15 @@ def _resolution_limit(sc: Scenario) -> str:
     if limit > 0.0:
         return (f"the requested alpha {m.alpha:g} is above {limit:.4g}, "
                 f"the largest alpha that dt = {dt:g} h resolves")
-    # the least n with alpha < (Z_STAR * n / T)^2 * d - g
-    n = math.floor(sc.load.period_T / Z_STAR
-                   * math.sqrt((m.g + m.alpha) / m.d)) + 1
+    # the least n with alpha < (Z_STAR * n / T)^2 * d - g, and the most
+    # nodes a grid holds, one per second
+    period = sc.load.period_T
+    n = math.floor(period / Z_STAR * math.sqrt((m.g + m.alpha) / m.d)) + 1
+    finest = _NODES_PER_HOUR * period
+    grid = (f"--n {n} is the fewest nodes per period that resolve" if n <= finest
+            else f"no grid of at most one node per second (--n {finest:.0f}) resolves")
     return (f"dt = {dt:g} h resolves no penalty weight at g = {m.g:g} and "
-            f"d = {m.d:g}; --n {n} is the fewest nodes per period that "
-            f"resolve alpha {m.alpha:g}")
+            f"d = {m.d:g}; {grid} alpha {m.alpha:g}")
 
 
 def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
@@ -558,16 +596,10 @@ def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
     and alpha_used set to that weight; `failure_reason` names the
     requested weight, dt and the largest weight dt resolves.
 
-    A solve that ran no Newton step and left no RK4 stage outside its
-    box is held on its day (`_day`), the smallest such box per day.  A
-    later solve of that day with the same Newton weight, final weight,
-    tol_bc and start, and a box at least as large, returns the held
-    solution: inside both boxes the excess is 0.0, so the RK4 pass,
-    the defect, the clipped draw and the violation have the same bits.
-    The key holds each number's repr, which tells -0.0 from 0.0 and an
-    int from a float.  The held solution's newton_iters and rk4_passes
-    are those of the solve that produced it; one debug record names
-    the reuse.
+    Without a guess, where the start is the level of its day's interior
+    pass (`_interior`), the box holds the pass and tol_bc its defect, the
+    pass is the solution at the final weight: 0 Newton steps, 1 RK4 pass,
+    the bits Newton from that start would give.
 
     Raises:
         ValidationError: the guess is not finite, or the day's costs
@@ -575,52 +607,32 @@ def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
         DivergenceError: a Newton iterate is not finite; at a weight
             the grid does not resolve, the message names the limit.
     """
+    pbar, tol = sc.cost.pbar_kw, sc.tolerances.tol_bc
     start = guess if guess is not None else initial_guess(sc)
+    # the start's largest draw: past the box, no pass stays inside it
+    if guess is None and start.x - float(sc.load.values.min()) <= pbar:
+        least_pbar, interior, _ = _interior(sc)
+        if (interior.x_traj[0] == start.x and least_pbar <= pbar
+                and interior.periodic_residual <= tol):
+            return replace(interior, alpha_used=sc.cost.alpha)
     if not (math.isfinite(start.x) and math.isfinite(start.lam)):
         raise ValidationError("solve guess must be finite")
     limit = resolvable_alpha(sc)
     alpha = max((a for a in sc.alpha_schedule if a < limit),
                 default=sc.alpha_schedule[0])
-    pbar, day = sc.cost.pbar_kw, _day(sc)
-    key = repr((alpha, sc.cost.alpha, sc.tolerances.tol_bc, start.x, start.lam))
-    held_key, held_pbar, held_sol = day.held[0]
-    if held_key == key and held_pbar <= pbar:
-        if logger.isEnabledFor(logging.DEBUG):
-            logger.debug("reused the solve at Pbar %.6g kW for Pbar %.6g kW",
-                         held_pbar, pbar,
-                         extra={"reused_pbar_kw": held_pbar, "pbar_kw": pbar})
-        return held_sol
     try:
-        z, defect, stages, iters = _newton(sc, alpha, start, day.nodes)
+        z, defect, stages, iters = _newton(sc, alpha, start, _day(sc).nodes)
     except DivergenceError as exc:
         if alpha < limit:
             raise
         raise DivergenceError(f"{exc}; {_resolution_limit(sc)}", exc.t_hours,
                               exc.initial_state) from exc
-    converged = defect <= sc.tolerances.tol_bc
-    if converged and alpha < sc.cost.alpha:
-        if stages:
-            converged = False
-        else:
-            alpha = sc.cost.alpha
-
-    z.setflags(write=False)
-    xs, ls = z
-    u = cmod.control_from_costate(ls, sc.cost) + 0.0  # folds -0.0 into 0.0
-    pm = xs - periodic_ext(sc.load.values)
-    clipped = np.clip(pm, 0.0, pbar)
-    for v in (u, pm, clipped):
-        v.setflags(write=False)
-    violation = box_violation(pm, pbar)
-    sol = PmpSolution(
-        x_traj=xs, lambda_traj=ls, u_traj=u, pm_traj=pm,
-        pm_clipped=clipped, converged=converged,
-        periodic_residual=defect, newton_iters=iters, alpha_used=alpha,
-        rk4_passes=iters + 1, box_violation_kw=violation,
-        box_violation_frac=violation / pbar)
-    if not iters and not stages:
-        day.held[0] = (key, pbar, sol)
-    return sol
+    # below the final weight, only a solve the penalty never acts on holds
+    converged = defect <= tol and (alpha == sc.cost.alpha or not stages)
+    return _solution(z, sc.load, sc.cost, pbar, converged=converged,
+                     periodic_residual=defect, newton_iters=iters,
+                     alpha_used=sc.cost.alpha if converged else alpha,
+                     rk4_passes=iters + 1)
 
 
 def stationary_point(sc: Scenario) -> float:
@@ -648,11 +660,6 @@ def _revenue(load: SampledProfile, cm: np.ndarray, pm: np.ndarray) -> float:
     return load.dt * float(cm @ pm)
 
 
-def _ramping(load: SampledProfile, m: CostModel, pg: np.ndarray) -> float:
-    dt = load.dt
-    return dt * float(cmod.ramp_cost(_forward_ramp(pg, dt), m).sum())
-
-
 def objective(sc: Scenario, pm: np.ndarray,
               baseline: CostBreakdown | None = None) -> CostBreakdown:
     """Objective terms in $ of the draw pm at the n grid nodes, with
@@ -672,7 +679,7 @@ def _objective(load: SampledProfile, m: CostModel, cm: np.ndarray,
     dt = load.dt
     pg = load.values + pm
     gen = dt * float(cmod.gen_cost(pg, m).sum())
-    ramp = _ramping(load, m, pg)
+    ramp = dt * float(cmod.ramp_cost(_forward_ramp(pg, dt), m).sum())
     rev = _revenue(load, cm, pm)
     penalty = dt * float(cmod.penalty_xi(pm, m).sum())
     return CostBreakdown(
@@ -686,24 +693,16 @@ def evaluate(sol: PmpSolution, sc: Scenario) -> CostBreakdown:
     (p_m = 0, generation follows the load) attached so callers can
     report savings.
 
-    The day (`_day`) keeps the last breakdown it priced.  The same
-    solution at the same alpha (its repr) and Pbar gets it back, and so
-    does a held solution (`solve`) whenever both boxes are at least as
-    large as the held one: no node of its draw leaves that box, so the
-    penalty is alpha times a sum of 0.0 at either Pbar, and every other
-    term reads only the day.
+    The day's interior draw (`_interior`) comes priced: in a box holding
+    the pass, its penalty is 0.0 at any weight, and the rest reads the day.
     """
-    day, m = _day(sc), sc.cost
-    alpha, pbar = repr(m.alpha), m.pbar_kw
-    priced_sol, priced_alpha, priced_pbar, bd = day.priced[0]
-    if priced_sol is sol and priced_alpha == alpha:
-        _, held_pbar, held_sol = day.held[0]
-        if priced_pbar == pbar or (held_sol is sol
-                                   and min(priced_pbar, pbar) >= held_pbar):
+    m = sc.cost
+    if not sol.newton_iters:  # as the pass; binding solves never build it
+        least_pbar, interior, bd = _interior(sc)
+        if sol.pm_traj is interior.pm_traj and least_pbar <= m.pbar_kw:
             return bd
-    bd = _objective(sc.load, m, day.cm, sol.pm_traj[:-1], day.baseline)
-    day.priced[0] = (sol, alpha, pbar, bd)
-    return bd
+    day = _day(sc)
+    return _objective(sc.load, m, day.cm, sol.pm_traj[:-1], day.baseline)
 
 
 def breakdown_as_dict(bd: CostBreakdown) -> dict:

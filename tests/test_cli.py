@@ -221,7 +221,7 @@ def test_divergence_reports_initial_state(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "not converged: integration diverged: non-finite state at t = 0.25 h; "
         "dt = 0.25 h resolves no penalty weight at g = 1e-06 and d = 1e-09; "
-        "--n 272483535816 is the fewest nodes per period that resolve alpha "
+        "no grid of at most one node per second (--n 86400) resolves alpha "
         "1e+12; initial state (x, lambda) = (207.2, 0.0)\n")
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import logging
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -21,7 +22,7 @@ from rampsched.costmodel import box_excess, gen_cost, penalty_xi, ramp_cost
 from rampsched.econ import report_as_dict
 from rampsched.oracle import discretize_objective, solve_active_set
 from rampsched.pmp import (SOLUTION_CSV_HEADER, PmpState, Scenario, Tolerances,
-                           _condensed_table, _cyclic_thomas, _day, _rk4_step,
+                           _condensed_table, _cyclic_thomas, _day,
                            _rk4_step_derivative, _rk4_stepper,
                            _schedule_csv, breakdown_as_dict, failure_reason,
                            read_solution_csv, resolvable_alpha,
@@ -116,8 +117,11 @@ def test_positive_costate_means_decreasing_state():
 # ------------------------------------------------------------- integration
 
 def _step_all(sc, z):
-    """One `_rk4_step` from the states z (shape (2, n)) at every node."""
-    return _rk4_step(z, _day(sc).nodes[:, :sc.load.count], sc)[0]
+    """One `_rk4_stepper` step from the states z (shape (2, n)) at every
+    node, at the scenario's weight."""
+    m = sc.cost
+    return _rk4_stepper(_day(sc).nodes[:, :sc.load.count], sc.load.dt, m.d,
+                        m.g, m.alpha, m.pbar_kw)(z)[0]
 
 
 def test_integration_holds_equilibrium_exactly():
@@ -279,9 +283,10 @@ def test_step_jacobian_matches_central_differences(solved96, corpus96):
         sc = corpus96[name]
         sol = solved96[name]
         assert sol.alpha_used == sc.alpha_schedule[-1], name
-        nodes = _day(sc).nodes
+        nodes, m = _day(sc).nodes, sc.cost
+        step = _rk4_stepper(nodes, sc.load.dt, m.d, m.g, m.alpha, m.pbar_kw)
         z = np.array([sol.x_traj, sol.lambda_traj])
-        _, excess = _rk4_step(z, nodes, sc)
+        _, excess = step(z)
         assert any(np.any(ex) for ex in excess), name  # the penalty acts
         exact = _rk4_step_derivative(excess, sc.load.dt, sc.cost.d,
                                      sc.cost.g, sc.cost.alpha)
@@ -290,8 +295,8 @@ def test_step_jacobian_matches_central_differences(solved96, corpus96):
             plus, minus = z.copy(), z.copy()
             plus[j] += h
             minus[j] -= h
-            up = _rk4_step(plus, nodes, sc)[0]
-            down = _rk4_step(minus, nodes, sc)[0]
+            up = step(plus)[0].copy()  # the next call overwrites it
+            down = step(minus)[0]
             for i in range(2):
                 fd = (up[i] - down[i]) / (2.0 * h)
                 blk = exact[2 * i + j]
@@ -519,8 +524,8 @@ def test_solve_is_deterministic(corpus96):
 
 def test_rk4_stepper_results_match_fresh_steps(corpus96, solved96):
     """The stepper overwrites its result buffers on each call: stepping
-    z1, then z2, then z1 again gives, bit for bit, what a fresh
-    `_rk4_step` gives for each state."""
+    z1, then z2, then z1 again gives, bit for bit, what a fresh stepper
+    gives for each state."""
     sc, sol = corpus96["peak_touch"], solved96["peak_touch"]
     nodes, m = _day(sc).nodes, sc.cost
     step = _rk4_stepper(nodes, sc.load.dt, m.d, m.g, m.alpha, m.pbar_kw)
@@ -530,7 +535,8 @@ def test_rk4_stepper_results_match_fresh_steps(corpus96, solved96):
     got = [[out.copy() for out in step(z)] for z in states]
     assert np.count_nonzero(got[1][1]) > np.count_nonzero(got[0][1]) > 0
     for z, (end, excess) in zip(states, got):
-        want_end, want_excess = _rk4_step(z, nodes, sc)
+        want_end, want_excess = _rk4_stepper(
+            nodes, sc.load.dt, m.d, m.g, m.alpha, m.pbar_kw)(z)
         assert end.tobytes() == want_end.tobytes()
         assert excess.tobytes() == want_excess.tobytes()
 
@@ -662,65 +668,66 @@ def _solution_bytes(sol) -> list:
             for v in (getattr(sol, f.name) for f in dataclasses.fields(sol))]
 
 
-def test_larger_box_reuses_a_solve_that_stayed_inside(corpus96, caplog):
-    """A day's solve that ran no Newton step and left no RK4 stage
-    outside its box answers the same day's solves at a box at least as
-    large, with the same start, weights and tol_bc, with one debug
-    record each; the smallest such box is held."""
+def test_interior_points_take_the_days_interior_pass(corpus96):
+    """A day's points whose box holds every stage draw of its interior
+    pass (`pmp._interior`) get that pass, solved from small to large
+    fleets or from large to small on a fresh copy of the load: 0 Newton
+    steps, 1 RK4 pass and the pass's arrays, with the bytes of Newton
+    started from `initial_guess` given as an explicit guess.  A box below
+    the largest draw, a tol_bc under the pass's defect, an explicit guess
+    and a weight-0 solve from a box its start leaves run Newton."""
     day = corpus96["plant_duck"]  # its optimum is the constant start
-    load = _fresh(day.load)
 
-    def scenario(count, **kw):
+    def scenario(load, count, **kw):
         kw.setdefault("alpha_schedule", day.alpha_schedule)
         return make_scenario(load, FleetSpec(M1, count), d=1.0, **kw)
 
-    count = day.fleet.count
-    first = solve(scenario(count))
-    assert first.newton_iters == 0 and first.box_violation_kw == 0.0
-    with caplog.at_level(logging.DEBUG, logger="rampsched.pmp"):
-        assert solve(scenario(count + 10)) is first
-        assert solve(scenario(count)) is first
-    records = [r for r in caplog.records if r.name == "rampsched.pmp"]
-    assert [(r.reused_pbar_kw, r.pbar_kw) for r in records] == [
-        (count * M1.demand_kw, (count + n) * M1.demand_kw) for n in (10, 0)]
-    fresh = make_scenario(_fresh(load), FleetSpec(M1, count + 10), d=1.0,
-                          alpha_schedule=day.alpha_schedule)
-    assert _solution_bytes(solve(fresh)) == _solution_bytes(first)
+    n_star = interior_count(day.load, G1)
+    counts = [n_star, n_star + 10, round(1.25 * n_star)]
+    for load, order in ((_fresh(day.load), counts),
+                        (_fresh(day.load), counts[::-1])):
+        for count in order:
+            sc = scenario(load, count)
+            sol, (_, interior, _) = solve(sc), pmp._interior(sc)
+            assert (sol.newton_iters, sol.rk4_passes, sol.converged,
+                    sol.alpha_used, sol.box_violation_kw) \
+                == (0, 1, True, sc.cost.alpha, 0.0), count
+            assert all(getattr(sol, name) is getattr(interior, name)
+                       for name in SOLUTION_ARRAYS), count
+            newton = solve(sc, pmp.initial_guess(sc))
+            assert newton.x_traj is not interior.x_traj
+            assert _solution_bytes(newton) == _solution_bytes(sol), count
 
-    binding = solve(scenario(round(0.85 * interior_count(load, G1))))
-    assert binding.newton_iters and solve(scenario(count + 10)) is first
+    below = scenario(load, n_star - 1)
+    assert below.cost.pbar_kw < pmp._interior(below)[0]
+    assert solve(below).newton_iters > 0
 
-    smaller = solve(scenario(interior_count(load, G1)))  # solved, then held
-    assert smaller is not first and smaller.newton_iters == 0
-    assert solve(scenario(count)) is smaller
-    start = pmp.initial_guess(scenario(count))
-    for kw, guess in (({"tolerances": Tolerances(1e-9)}, None),
-                      ({"alpha_schedule": (1.0, 1e4)}, None),
-                      ({}, PmpState(start.x, -0.0))):
-        held = solve(scenario(interior_count(load, G1)))
-        assert solve(scenario(count, **kw), guess) is not held, kw
-    # -0.0 == 0.0, yet a costate started at -0.0 keeps its sign bit
-    assert solve(scenario(count), PmpState(start.x, -0.0)).lambda_traj \
-        .tobytes() != smaller.lambda_traj.tobytes()
+    tv = corpus96["tv_cm"]  # its pass stays inside, off the optimum
+    least_pbar, interior, _ = pmp._interior(tv)
+    defect = interior.periodic_residual
+    assert defect > 0.0 and least_pbar <= tv.cost.pbar_kw
+    at = Tolerances(defect)
+    assert solve(dataclasses.replace(tv, tolerances=at)).x_traj \
+        is interior.x_traj
+    under = Tolerances(math.nextafter(defect, 0.0))
+    assert solve(dataclasses.replace(tv, tolerances=under)).newton_iters > 0
 
-    # at weight 0 the optimum solves any box without a Newton step, but
-    # from a small box its stages stray outside and the clipped draw
-    # reads the box: such a solve is not held
-    def unweighted(day_load, count):
-        sc = make_scenario(day_load, FleetSpec(M1, count), d=1.0,
-                           alpha_schedule=(0.0,))
-        return solve(sc, PmpState(CM1 / (2.0 * G1), 0.0))
-
-    small = unweighted(load, 1000)
-    assert small.newton_iters == 0 and small.box_violation_kw > 0.0
-    assert _solution_bytes(unweighted(load, 1200)) \
-        == _solution_bytes(unweighted(_fresh(load), 1200))
+    # at weight 0 the penalty never acts, so the constant start solves
+    # any box without a Newton step; from a box below its largest draw
+    # the solve is Newton's, and its clipped draw reads the box
+    small = scenario(load, 1000, alpha_schedule=(0.0,))
+    _, interior, _ = pmp._interior(small)
+    assert pmp.initial_guess(small).x == interior.x_traj[0]
+    sol = solve(small)
+    assert sol.newton_iters == 0 and sol.box_violation_kw > 0.0
+    assert sol.x_traj is not interior.x_traj
 
 
-def test_evaluate_prices_a_solution_once_per_day(corpus96):
-    """A reused solution's breakdown is the one its first `evaluate`
-    made, and `daily_report` reads its ramping term; a smaller box or
-    another weight is priced afresh with the bits of `objective`."""
+def test_evaluate_prices_the_interior_draw_once_per_day(corpus96):
+    """The interior pass's draw has one breakdown per day: at every box
+    that holds the pass, at any weight, `evaluate` returns that object,
+    with the bits of `objective`, and `daily_report` reads its ramping
+    term; in a box the draw leaves it is priced afresh, with a penalty."""
     day = corpus96["plant_duck"]  # its optimum is the constant start
     load = _fresh(day.load)
 
@@ -728,21 +735,23 @@ def test_evaluate_prices_a_solution_once_per_day(corpus96):
         return make_scenario(load, FleetSpec(M1, count), d=1.0,
                              alpha_schedule=schedule)
 
-    count = day.fleet.count
-    sol = solve(scenario(count))
-    bd = evaluate(sol, scenario(count))
-    larger = scenario(count + 10)
-    assert solve(larger) is sol and evaluate(sol, larger) is bd
-    report = daily_report(sol, larger, M1)
+    n_star = interior_count(load, G1)
+    sol = solve(scenario(n_star))
+    bd = evaluate(sol, scenario(n_star))
+    assert bd is pmp._interior(scenario(n_star))[2]
+    for sc in (scenario(n_star), scenario(n_star + 10),
+               scenario(round(1.25 * n_star)), scenario(n_star, (1.0, 1e3))):
+        assert evaluate(sol, sc) is bd, sc.fleet.count
+        assert repr(bd) == repr(
+            pmp.objective(sc, sol.pm_traj[:-1], pmp._day(sc).baseline))
+    report = daily_report(sol, scenario(n_star + 10), M1)
     assert report.ramping_saved_fleet \
         == bd.baseline.ramping_usd - bd.ramping_usd
-    tight = round(0.5 * sol.pm_traj.max() / M1.demand_kw)
-    for sc in (scenario(tight), scenario(count + 10, (1.0, 1e3))):
-        got = evaluate(sol, sc)
-        assert got is not bd
-        assert repr(got) \
-            == repr(pmp.objective(sc, sol.pm_traj[:-1], pmp._day(sc).baseline))
-    assert evaluate(sol, scenario(tight)).penalty_usd > 0.0
+    tight = scenario(round(0.5 * sol.pm_traj.max() / M1.demand_kw))
+    got = evaluate(sol, tight)
+    assert got is not bd and got.penalty_usd > 0.0
+    assert repr(got) \
+        == repr(pmp.objective(tight, sol.pm_traj[:-1], pmp._day(tight).baseline))
 
 
 def _solve_and_price(sc) -> list:
@@ -800,20 +809,22 @@ def test_random_day_ladders_converge_or_name_the_limit():
     bounds against the box-exact oracle, or stops with a failure_reason
     that names the grid limit.  The ladder ascending on the load and
     the ladder descending on a fresh copy of it give the same bytes for
-    every field: the ascending ladders reuse larger boxes' solves, and
-    the descending one solves every point, as each box is smaller than
-    the one held."""
-    reused = 0
+    every field, and both take the day's interior pass at the same
+    points."""
+    interior = 0
     for day in random_days(RANDOM_DAYS_SEED, RANDOM_DAYS):
         scs = ladder_scenarios(day)
         counts = [sc.fleet.count for sc in scs]
         assert counts == sorted(set(counts))
         up = [solve(sc) for sc in scs]
-        down = [solve(sc)
-                for sc in ladder_scenarios(day, _fresh(day[1]))[::-1]]
-        assert len(set(map(id, down))) == len(down)
-        reused += sum(a is b for a, b in zip(up, up[1:]))
-        for sc, sol, sol_down in zip(scs, up, down[::-1]):
+        fresh = ladder_scenarios(day, _fresh(day[1]))
+        down = [solve(sc) for sc in fresh[::-1]][::-1]
+        took = [[sol.pm_traj is pmp._interior(sc)[1].pm_traj
+                 for sc, sol in zip(ladder, sols)]
+                for ladder, sols in ((scs, up), (fresh, down))]
+        assert took[0] == took[1], day[0]
+        interior += sum(took[0])
+        for sc, sol, sol_down in zip(scs, up, down):
             where = (day[0], sc.fleet.count)
             assert _solution_bytes(sol) == _solution_bytes(sol_down), where
             if not sol.converged:
@@ -828,7 +839,7 @@ def test_random_day_ladders_converge_or_name_the_limit():
             assert abs(gap) <= 0.005 * (1.0 + abs(ref.objective)), where
             assert np.max(np.abs(sol.pm_clipped[:-1] - ref.pm)) \
                 <= 0.02 * pbar, where
-    assert reused
+    assert interior
 
 
 def test_random_day_ladders_pinned():
