@@ -84,12 +84,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _within(kind, lo, hi=math.inf):
-    """argparse type: `kind` of the text, refused outside [lo, hi]."""
+def _within(kind, lo, hi=math.inf, *, above=False):
+    """argparse type: `kind` of the text, refused outside [lo, hi], or
+    outside (lo, hi] if `above`."""
     def parse(text: str):
         value = kind(text)
-        if not lo <= value <= hi:
-            bound = f">= {lo}" if hi == math.inf else f"within [{lo}, {hi}]"
+        if not (lo < value if above else lo <= value) or value > hi:
+            bound = (f"{'>' if above else '>='} {lo}" if hi == math.inf else
+                     f"within {'(' if above else '['}{lo}, {hi}]")
             raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
         return value
     parse.__name__ = kind.__name__  # argparse's "invalid int value: ..."
@@ -97,8 +99,12 @@ def _within(kind, lo, hi=math.inf):
 
 
 def _schedule(text: str) -> tuple[float, ...]:
-    """argparse type: comma-separated finite penalty weights."""
-    return tuple(map(_finite_float, text.split(",")))
+    """argparse type: comma-separated finite weights >= 0, increasing."""
+    weights = tuple(map(_within(_finite_float, 0), text.split(",")))
+    if not all(b > a for a, b in zip(weights, weights[1:])):
+        raise argparse.ArgumentTypeError(
+            f"must be strictly increasing, got {text}")
+    return weights
 
 
 def _spacing(period: float, n: int) -> float:
@@ -304,15 +310,16 @@ class _Parser(argparse.ArgumentParser):
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--load", required=True, help="load CSV (timestamp,load_kw[,pv_kw])")
     p.add_argument("--machine", required=True, help="machine key=value config file")
-    p.add_argument("--fleet-count", type=int, default=None)
+    p.add_argument("--fleet-count", type=_within(int, 1), default=None)
     p.add_argument("--alpha-schedule", type=_schedule,
                    default=pmp.DEFAULT_ALPHA_SCHEDULE,
                    help="comma-separated increasing penalty weights")
     p.add_argument("--n", type=_within(int, 4), default=None,
                    help="resample the load to N nodes per period")
-    p.add_argument("--load-scale", type=_finite_float, default=1.0,
+    positive = _within(_finite_float, 0, above=True)
+    p.add_argument("--load-scale", type=positive, default=1.0,
                    help="multiply ingested power columns by this factor")
-    p.add_argument("--tol-bc", type=_finite_float, default=pmp.DEFAULT_TOL_BC)
+    p.add_argument("--tol-bc", type=positive, default=pmp.DEFAULT_TOL_BC)
 
 
 @functools.cache
@@ -345,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--machine", required=True)
     p.add_argument("--solution", required=True,
                    help="solution directory or solution.csv path")
-    p.add_argument("--fleet-count", type=int, default=None)
+    p.add_argument("--fleet-count", type=_within(int, 1), default=None)
     p.add_argument("--attribution", choices=("marginal", "average"),
                    default="marginal")
     p.add_argument("--format", choices=("json", "table"), default="json",
@@ -362,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solution", default=None,
                    help="solution whose ramping saving enters every year; "
                         "without it the saving is 0")
-    p.add_argument("--fleet-count", type=int, default=None,
+    p.add_argument("--fleet-count", type=_within(int, 1), default=None,
                    help="needs --solution")
     defaults = econ.project_net_profit.__kwdefaults__
     p.add_argument("--share0", type=_within(_finite_float, 0, 100),

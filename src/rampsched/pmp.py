@@ -19,9 +19,10 @@ F_i = RK4step_i(z_i) - z_{i+1 mod n} of all node states z_i = (x_i, lam_i)
 to zero at once.  The box constraint on p_m enters through the soft
 penalty xi, whose derivative xi' is piecewise linear, so each step is
 affine between the box edges and full-step Newton is exact semismooth
-Newton.  Each Newton system is solved in O(n) as a cyclic tridiagonal
-system in the state updates, diagonally dominant while the step
-stiffness dt*sqrt((g + alpha)/d) stays below Z_STAR.
+Newton.  Each iteration is one RK4 pass, one defect check and one
+update, solved in O(n) as a cyclic tridiagonal system in the state
+updates, diagonally dominant while the step stiffness
+dt*sqrt((g + alpha)/d) stays below Z_STAR.
 
 Everything here is deterministic: fixed steps, fixed iteration order,
 no adaptive logic, so identical scenarios produce bit-identical results.
@@ -411,10 +412,11 @@ def _newton(sc: Scenario, alpha: float, start: PmpState,
     RK4 pass and the defect bookkeeping write into buffers made once per
     solve, which no other solve sees.
 
-    Stops when the defect max |F_i| (wrap step included) is within
-    tol_bc or after _MAX_NEWTON_ITERS linear solves.  Returns (z, defect,
-    penalty stages, Newton iterations), z the node states with t = T
-    mirrored; each iteration and the start cost one residual pass.
+    Each iteration runs the RK4 pass, the defects and penalty patterns,
+    the debug record, the stop rule (max |F_i|, wrap step included,
+    within tol_bc, or _MAX_NEWTON_ITERS updates taken) and one update.
+    Returns (z, defect, penalty stages, Newton iterations), z the node
+    states with t = T mirrored.
 
     Raises:
         DivergenceError: a defect is not finite, at the end time of the
@@ -423,9 +425,7 @@ def _newton(sc: Scenario, alpha: float, start: PmpState,
     n = sc.load.count
     dt, d, g = sc.load.dt, sc.cost.d, sc.cost.g
     step = _rk4_stepper(nodes, dt, d, g, alpha, sc.cost.pbar_kw)
-    z = np.empty((2, n + 1))
-    z[0] = float(start.x)
-    z[1] = float(start.lam)
+    z = np.array(start, dtype=float)[:, None].repeat(n + 1, axis=1)
     f = np.empty((2, n + 1))
     abs_f = np.empty((2, n + 1))
     outside = np.empty((4, n), dtype=bool)
@@ -439,46 +439,38 @@ def _newton(sc: Scenario, alpha: float, start: PmpState,
     zeros = np.zeros((4, n))
     tol = sc.tolerances.tol_bc
     debug = logger.isEnabledFor(logging.DEBUG)
-
-    def defects() -> float:
-        """max |F| of the last pass; writes F into f, the stages outside
-        the box into `outside` and each step's penalty pattern into `pattern`."""
-        np.subtract(zn_steps, z_next, out=f_steps)
-        f_first[:] = f_last
-        defect = np.abs(f, out=abs_f).max()
-        if not math.isfinite(defect):  # step i ends at t_{i+1}
-            bad = np.flatnonzero(~np.isfinite(f_steps).all(axis=0))[0]
-            t_fail = float((bad + 1) * dt)
-            raise DivergenceError(
-                f"non-finite state at t = {t_fail:.6g} h", t_hours=t_fail,
-                initial_state=(float(start.x), float(start.lam)))
-        np.not_equal(excess_steps, zeros, out=outside)
-        np.dot(_STAGE_BITS, outside, out=pattern_steps)
-        pattern[0] = pattern[n]
-        return defect
-
     iters = 0
     with np.errstate(all="ignore"):
         table = _condensed_table(float(dt), float(d), float(g), float(alpha))
-        zn, excess = step(z)  # every pass writes these two buffers
-        zn_steps, excess_steps = zn[:, :n], excess[:, :n]
-        defect = defects()
-        while defect > tol and iters < _MAX_NEWTON_ITERS:
-            t0 = time.perf_counter() if debug else 0.0
-            dx, dl = _newton_step(table, pattern, f)
-            z_x += dx
-            z_lam += dl
-            z_last[:] = z_first
-            step(z)
-            defect = defects()
-            iters += 1
-            if debug:
+        while True:
+            zn, excess = step(z)  # every pass writes these two buffers
+            np.subtract(zn[:, :n], z_next, out=f_steps)
+            f_first[:] = f_last
+            defect = np.abs(f, out=abs_f).max()
+            if not math.isfinite(defect):  # step i ends at t_{i+1}
+                bad = np.flatnonzero(~np.isfinite(f_steps).all(axis=0))[0]
+                t_fail = float((bad + 1) * dt)
+                raise DivergenceError(
+                    f"non-finite state at t = {t_fail:.6g} h", t_hours=t_fail,
+                    initial_state=(float(start.x), float(start.lam)))
+            np.not_equal(excess[:, :n], zeros, out=outside)
+            np.dot(_STAGE_BITS, outside, out=pattern_steps)
+            pattern[0] = pattern[n]
+            if debug and iters:
                 ms = 1e3 * (time.perf_counter() - t0)
                 stages = int(np.count_nonzero(outside))
                 logger.debug("newton iter %d: defect %.3g, %d penalty stages, "
                              "%.3f ms", iters, defect, stages, ms,
                              extra={"iter": iters, "defect": float(defect),
                                     "penalty_stages": stages, "ms": ms})
+            if defect <= tol or iters == _MAX_NEWTON_ITERS:
+                break
+            t0 = time.perf_counter() if debug else 0.0
+            dx, dl = _newton_step(table, pattern, f)
+            z_x += dx
+            z_lam += dl
+            z_last[:] = z_first
+            iters += 1
     return z, float(defect), int(np.count_nonzero(outside)), iters
 
 

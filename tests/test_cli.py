@@ -644,6 +644,19 @@ REFUSALS = [
     ("test_bad_number_is_input_error[solve---fleet-count-1e400]",
      f"{SOLVE} --fleet-count {E400}", {},
      f"count must be a positive integer within float range, got {E400}"),
+    # each refused in the flag's own name, not the library field's
+    ("test_bad_number_is_input_error[solve---fleet-count-0]",
+     f"{SOLVE} --fleet-count 0", {}, "argument --fleet-count: must be >= 1, got 0"),
+    ("test_bad_number_is_input_error[solve---tol-bc-0]",
+     f"{SOLVE} --tol-bc 0", {}, "argument --tol-bc: must be > 0, got 0"),
+    ("test_bad_number_is_input_error[solve---alpha-schedule-10,1]",
+     f"{SOLVE} --alpha-schedule 10,1", {},
+     "argument --alpha-schedule: must be strictly increasing, got 10,1"),
+    ("test_bad_number_is_input_error[solve---alpha-schedule--1]",
+     f"{SOLVE} --alpha-schedule -1", {},
+     "argument --alpha-schedule: must be >= 0, got -1"),
+    ("test_bad_number_is_input_error[solve---load-scale--1]",
+     f"{SOLVE} --load-scale -1", {}, "argument --load-scale: must be > 0, got -1"),
     ("test_bad_number_is_input_error[solve---load-scale-abc]",
      f"{SOLVE} --load-scale abc", {},
      "argument --load-scale: expected a finite number, got 'abc'"),

@@ -890,15 +890,21 @@ def _constant_draw_objective(sc, draw):
     return float(dt * (dens.sum() - 0.5 * (dens[0] + dens[-1])))
 
 
-def test_unreachable_stage_flags_not_converged(monkeypatch):
-    # one Newton iteration cannot close a binding scenario cold
+def test_unreachable_stage_flags_not_converged(monkeypatch, caplog):
+    # one Newton iteration cannot close a binding scenario cold; Newton
+    # stops at the cap after the pass that follows its one update
     monkeypatch.setattr(pmp, "_MAX_NEWTON_ITERS", 1)
     load = SampledProfile(0.25, 100.0 + 12.0 * np.exp(
         -((np.arange(96) * 0.25 - 19.0) ** 2) / 2.88))
     sc = make_scenario(load, FLEET20, g=CM1 / 212.0, d=1.0,
                        alpha_schedule=(0.25, 16.0))
-    sol = solve(sc)
+    with caplog.at_level(logging.DEBUG, logger="rampsched.pmp"):
+        sol = solve(sc)
     assert not sol.converged
+    assert (sol.newton_iters, sol.rk4_passes) == (1, 2)
+    assert sol.periodic_residual > sc.tolerances.tol_bc
+    (record,) = [r for r in caplog.records if r.name == "rampsched.pmp"]
+    assert (record.iter, record.defect) == (1, sol.periodic_residual)
 
 
 # ------------------------------------------------------------- evaluation
