@@ -185,7 +185,7 @@ def daily_report(sol: PmpSolution, sc: Scenario, machine: MachineSpec,
     at g*x.  The fleet's ramping saving is the no-mining baseline's
     ramping term less the schedule's, both from `evaluate`, which prices
     the raw draw `pm_traj`, not the clipped one, and returns the day's
-    interior draw already priced.
+    interior draw already priced once the day has built its pass.
     """
     if not sol.converged:
         raise ReportOnUnconvergedError(

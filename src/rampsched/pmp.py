@@ -29,11 +29,11 @@ no adaptive logic, so identical scenarios produce bit-identical results.
 Every ufunc of the RK4 pass takes array operands shaped like its output,
 filled once per solve (`_rk4_stepper`).
 Each solve is single-threaded and shares with other solves only what
-its day fixes, built once and never written after: the day's profile
-data and baseline (`_day`) and its interior pass (`_interior`), as
-read-only arrays.  Scenarios and solutions are immutable too, so
-distinct solves may run concurrently and results can be handed between
-threads freely.
+its day fixes: one `_Day` per load, c_m, g and d (`_day`), holding the
+profile data and baseline, and the interior pass and CSV cells, each
+built on first use and never written after, as read-only arrays.
+Scenarios and solutions are immutable too, so distinct solves may run
+concurrently and results can be handed between threads freely.
 """
 
 from __future__ import annotations
@@ -130,14 +130,6 @@ class Scenario:
             cm=compute_cm(machine) if self.cm is None else self.cm,
             d=self.d, alpha=sched[-1]))
 
-    @functools.cached_property
-    def _csv_grid_cells(self) -> tuple[list[str], list[str]]:
-        """The t_h and pl_kw cells of a schedule CSV, t = T included,
-        formatted once: oracle-check writes two schedules on one grid."""
-        t = np.arange(self.load.count + 1) * self.load.dt
-        return (list(map(repr, t.tolist())),
-                list(map(repr, periodic_ext(self.load.values).tolist())))
-
 
 @dataclass(frozen=True)
 class PmpSolution:
@@ -196,19 +188,51 @@ def pmp_rhs(s: PmpState, t: float, sc: Scenario) -> tuple[float, float]:
     return (float(dx), float(dlam))
 
 
-class _Day(NamedTuple):
-    """What a day fixes for every fleet size solved on it (`_day`)."""
+@dataclass(frozen=True, eq=False)
+class _Day:
+    """What a day fixes for every fleet size solved on it (`_day`); its
+    interior pass and CSV cells are built on first use."""
 
+    load: SampledProfile
+    cost: CostModel           # g, c_m and d; Pbar unbounded
     # p_L, then c_m, at each step's start, midpoint (linear interpolation)
     # and end, shape (6, n + 1); column n is step 0
     nodes: np.ndarray
     cm: np.ndarray            # c_m at the n grid nodes
     baseline: CostBreakdown   # `objective` of no mining (p_m = 0)
 
+    @functools.cached_property
+    def interior(self) -> tuple:
+        """The first RK4 pass from `_level` and lam = 0 at alpha = 0 and
+        Pbar = 0, where its excess output is each stage's draw.  In a box
+        holding every stage draw the excess is 0.0 at any weight, and Pbar
+        enters the pass only through it: Newton's first pass from that
+        start has these bits, and the draw's penalty is 0.0.  Returns (the
+        least such Pbar, inf if a draw is below 0; the pass as `solve`
+        returns it, at weight 0; `objective` of its draw)."""
+        load, m = self.load, self.cost
+        z = np.repeat([[_level(load, m)], [0.0]], load.count + 1, axis=1)
+        with np.errstate(all="ignore"):
+            zn, draws = _rk4_stepper(self.nodes, load.dt, m.d, m.g, 0.0, 0.0)(z)
+            defect = float(np.abs(zn[:, :-1] - z[:, 1:]).max())
+        sol = _solution(z, load, m, math.inf, converged=True, newton_iters=0,
+                        periodic_residual=defect, alpha_used=0.0, rk4_passes=1)
+        least_pbar = float(draws.max()) if draws.min() >= 0.0 else math.inf
+        return (least_pbar, sol,
+                _objective(load, m, self.cm, sol.pm_traj[:-1], self.baseline))
+
+    @functools.cached_property
+    def csv_cells(self) -> tuple[list[str], list[str]]:
+        """The t_h and pl_kw cells of a schedule CSV, t = T included:
+        oracle-check writes two schedules on one grid."""
+        t = np.arange(self.load.count + 1) * self.load.dt
+        return (list(map(repr, t.tolist())),
+                list(map(repr, periodic_ext(self.load.values).tolist())))
+
 
 def _day(sc: Scenario) -> _Day:
     """The scenario's day, shared by every scenario with its load, c_m,
-    g and d, as read-only arrays."""
+    g and d."""
     m = sc.cost
     return _build_day(sc.load, m.cm, m.g, m.d)
 
@@ -216,8 +240,8 @@ def _day(sc: Scenario) -> _Day:
 @functools.lru_cache(maxsize=64)
 def _build_day(load: SampledProfile, cm: Union[float, SampledProfile],
                g: float, d: float) -> _Day:
-    """Build a day's data once per process: a fleet-size study solves and
-    prices one day at many fleet sizes, and none of this reads the fleet.
+    """Build a day once per process: a fleet-size study solves and prices
+    one day at many fleet sizes, and none of this reads the fleet.
 
     The key is exact: `SampledProfile` is frozen and read-only and hashes
     by identity, and no mining pays exactly 0.0 revenue and penalty at
@@ -237,9 +261,9 @@ def _build_day(load: SampledProfile, cm: Union[float, SampledProfile],
                       for row in (v[:-1], 0.5 * (v[:-1] + v[1:]), v[1:])])
     for v in (cm_nodes, nodes):
         v.setflags(write=False)
-    day_cost = CostModel(g=g, pbar_kw=1.0, cm=cm, d=d)  # Pbar, alpha unread
+    m = CostModel(g=g, pbar_kw=np.finfo(float).max, cm=cm, d=d)
     with np.errstate(over="ignore"):
-        baseline = _objective(load, day_cost, cm_nodes, np.zeros(load.count))
+        baseline = _objective(load, m, cm_nodes, np.zeros(load.count))
     cm_peak = float(cm_nodes.max())
     # a node sum, then dt times it, of the revenue at c_m/2g
     revenue = cm_peak * cm_peak / (2.0 * g) * load.count * max(load.dt, 1.0)
@@ -253,7 +277,7 @@ def _build_day(load: SampledProfile, cm: Union[float, SampledProfile],
         if not math.isfinite(usd):
             raise ValidationError(
                 f"the {cost} is past float range at {coefficient}")
-    return _Day(nodes, cm_nodes, baseline)
+    return _Day(load, m, nodes, cm_nodes, baseline)
 
 
 def _rk4_stepper(nodes: np.ndarray, dt: float, d: float, g: float,
@@ -508,36 +532,6 @@ def _solution(z: np.ndarray, load: SampledProfile, m: CostModel,
         **diagnostics)
 
 
-def _interior(sc: Scenario) -> tuple:
-    """The scenario's interior pass, shared as `_day` is."""
-    m = sc.cost
-    return _build_interior(sc.load, m.cm, m.g, m.d)
-
-
-@functools.lru_cache(maxsize=64)
-def _build_interior(load: SampledProfile, cm: Union[float, SampledProfile],
-                    g: float, d: float) -> tuple:
-    """Run a day's first RK4 pass once per process, keyed like `_build_day`:
-    from `_level` and lam = 0 at every node, at alpha = 0 and Pbar = 0,
-    where the pass's excess output is each stage's draw.  In a box holding
-    every stage draw the excess is 0.0 at any weight, and Pbar enters the
-    pass only through it, so Newton's first pass from that start has these
-    bits, and the draw's penalty there is 0.0.  Returns (the least Pbar
-    whose box holds every stage draw, inf if one is below 0; the pass as
-    `solve` returns it, at weight 0; `objective` of its draw there)."""
-    day = _build_day(load, cm, g, d)
-    m = CostModel(g=g, pbar_kw=np.finfo(float).max, cm=cm, d=d)  # holds all pm >= 0
-    z = np.repeat([[_level(load, m)], [0.0]], load.count + 1, axis=1)
-    with np.errstate(all="ignore"):
-        zn, draws = _rk4_stepper(day.nodes, load.dt, d, g, 0.0, 0.0)(z)
-        defect = float(np.abs(zn[:, :-1] - z[:, 1:]).max())
-    sol = _solution(z, load, m, math.inf, converged=True, newton_iters=0,
-                    periodic_residual=defect, alpha_used=0.0, rk4_passes=1)
-    least_pbar = float(draws.max()) if draws.min() >= 0.0 else math.inf
-    return (least_pbar, sol,
-            _objective(load, m, day.cm, sol.pm_traj[:-1], day.baseline))
-
-
 def resolvable_alpha(sc: Scenario) -> float:
     """Largest penalty weight the grid resolves: a penalty arc steps at
     stiffness z = dt*sqrt((g + alpha)/d), and this weight puts z at Z_STAR."""
@@ -589,9 +583,9 @@ def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
     requested weight, dt and the largest weight dt resolves.
 
     Without a guess, where the start is the level of its day's interior
-    pass (`_interior`), the box holds the pass and tol_bc its defect, the
-    pass is the solution at the final weight: 0 Newton steps, 1 RK4 pass,
-    the bits Newton from that start would give.
+    pass (`_Day.interior`), the box holds the pass and tol_bc its defect,
+    the pass is the solution at the final weight: 0 Newton steps, 1 RK4
+    pass, the bits Newton from that start would give.
 
     Raises:
         ValidationError: the guess is not finite, or the day's costs
@@ -603,7 +597,7 @@ def solve(sc: Scenario, guess: PmpState | None = None) -> PmpSolution:
     start = guess if guess is not None else initial_guess(sc)
     # the start's largest draw: past the box, no pass stays inside it
     if guess is None and start.x - float(sc.load.values.min()) <= pbar:
-        least_pbar, interior, _ = _interior(sc)
+        least_pbar, interior, _ = _day(sc).interior
         if (interior.x_traj[0] == start.x and least_pbar <= pbar
                 and interior.periodic_residual <= tol):
             return replace(interior, alpha_used=sc.cost.alpha)
@@ -685,15 +679,16 @@ def evaluate(sol: PmpSolution, sc: Scenario) -> CostBreakdown:
     (p_m = 0, generation follows the load) attached so callers can
     report savings.
 
-    The day's interior draw (`_interior`) comes priced: in a box holding
-    the pass, its penalty is 0.0 at any weight, and the rest reads the day.
+    The day's interior draw comes priced once the day has built its pass
+    (`_Day.interior`): in a box holding the pass, its penalty is 0.0 at
+    any weight, and the rest reads the day.
     """
-    m = sc.cost
-    if not sol.newton_iters:  # as the pass; binding solves never build it
-        least_pbar, interior, bd = _interior(sc)
+    m, day = sc.cost, _day(sc)
+    built = vars(day).get("interior")  # a pass not built prices no draw
+    if built is not None:
+        least_pbar, interior, bd = built
         if sol.pm_traj is interior.pm_traj and least_pbar <= m.pbar_kw:
             return bd
-    day = _day(sc)
     return _objective(sc.load, m, day.cm, sol.pm_traj[:-1], day.baseline)
 
 
@@ -767,7 +762,7 @@ def read_diagnostics(path: Path) -> dict:
 
 def _schedule_csv(sc: Scenario, x, lam, u, pm, pm_clipped) -> str:
     """Solution CSV of the node columns given, t = T included."""
-    t_cells, pl_cells = sc._csv_grid_cells
+    t_cells, pl_cells = _day(sc).csv_cells
     return format_table(SOLUTION_CSV_HEADER, (
         t_cells, *(np.asarray(v, dtype=float).tolist()
                    for v in (x, lam, u, pm, pm_clipped)), pl_cells))
@@ -802,8 +797,9 @@ def read_solution_csv(source) -> dict[str, np.ndarray]:
             f"got {len(rows)}")
     refuse_negative(rows, data[:, -1:], header[-1:])  # pl_kw
     t = data[:, 0]
-    grid = float(t[1]) * np.arange(len(t))
-    off = np.abs(t - grid) > 1e-9 * grid[-1]
+    with np.errstate(over="ignore"):  # a grid time past float range is off
+        grid = float(t[1]) * np.arange(len(t))
+        off = np.abs(t - grid) > 1e-9 * min(grid[-1], np.finfo(float).max)
     off[:2] = t[0] != 0.0, not t[1] > 0.0
     if off.any():
         i = int(np.argmax(off))

@@ -247,13 +247,15 @@ def load_csv(source, scale: float = 1.0) -> dict[str, SampledProfile]:
         raise ValidationError(
             f"need at least {_MIN_SAMPLES} data rows, got {len(rows)}")
 
-    gaps = np.diff(ts)
-    if np.any(gaps <= 0.0):
-        bad = int(np.argmax(gaps <= 0.0))
-        raise ValidationError(
-            f"line {rows[bad + 1][0]}: timestamps not strictly increasing")
-    ordered = np.sort(gaps)  # np.median would import numpy.ma
-    median_gap = float(ordered[(gaps.size - 1) // 2] + ordered[gaps.size // 2]) / 2.0
+    with np.errstate(over="ignore"):  # a gap past float range is inf
+        gaps = np.diff(ts)
+    for bad, what in ((gaps <= 0.0, "timestamps not strictly increasing"),
+                      (gaps == math.inf, "timestamp gap past float range")):
+        if bad.any():
+            raise ValidationError(f"line {rows[int(np.argmax(bad)) + 1][0]}: {what}")
+    # np.median would import numpy.ma; halved first, as a sum may overflow
+    ordered = np.sort(gaps).tolist()
+    median_gap = ordered[(gaps.size - 1) // 2] / 2.0 + ordered[gaps.size // 2] / 2.0
     off = np.abs(gaps - median_gap) > _SPACING_JITTER * median_gap
     if np.any(off):
         bad = int(np.argmax(off))

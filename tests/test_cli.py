@@ -4,18 +4,20 @@ import codecs
 import errno
 import hashlib
 import io
+import itertools
 import json
 import logging
 import os
 from datetime import datetime
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from corpus import CM1, build_corpus
 
-from rampsched import (cli, costmodel, oracle, pmp, synth_duck_curve,
-                       write_csv)
+from rampsched import (cli, costmodel, econ, oracle, pmp,
+                       synth_duck_curve, write_csv)
 from rampsched.cli import build_parser, main
 from rampsched.pmp import SOLUTION_CSV_HEADER
 
@@ -187,6 +189,43 @@ def test_oracle_check_exit_code_when_oracle_fails(
     assert code == 3
     err = capsys.readouterr().err
     assert "oracle error: active set not settled after 0 steps" in err
+
+
+def test_oracle_check_exit_code_when_oracle_cycles(
+        tmp_path, machine_cfg, plant_net_csv, monkeypatch, capsys):
+    """The verifier's free-block solves put every node at +10 Pbar, then
+    -10 Pbar, in turn: one line names the cycle, and nothing is written."""
+    pbar = costmodel.fleet_from_config(
+        costmodel.load_config(machine_cfg)).pbar_kw
+    signs = itertools.cycle((10.0, -10.0))
+    monkeypatch.setattr(oracle, "_cyclic_thomas", lambda lo, di, up, r: np.full(
+        len(di), next(signs) * pbar))
+    out = tmp_path / "c"
+    code = main(["oracle-check", "--load", plant_net_csv, "--machine",
+                 machine_cfg, "--n", "48", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr() == (
+        "", "verification failed: oracle error: active-set cycling after "
+            "3 steps\n")
+    assert not out.exists()
+
+
+def test_econ_of_a_read_back_solution_builds_no_interior_pass(
+        tmp_path, machine_cfg, plant_net_csv):
+    """A solution read back from disk is priced from the day's data: its
+    report leaves the day's interior pass unbuilt, though the solution
+    is that pass."""
+    run = tmp_path / "run"
+    assert main(["solve", "--load", plant_net_csv, "--machine", machine_cfg,
+                 "--out", str(run)]) == 0
+    args = build_parser().parse_args(["econ", "--machine", machine_cfg,
+                                      "--solution", str(run), "--out",
+                                      str(tmp_path / "econ")])
+    cfg = costmodel.load_config(machine_cfg)
+    sol, sc = cli._scenario_from_solution(args, cfg)
+    assert sol.newton_iters == 0
+    econ.daily_report(sol, sc, costmodel.machine_from_config(cfg))
+    assert "interior" not in vars(pmp._day(sc))
 
 
 def test_oracle_check_warm_start_keeps_cold_verifier_bits(tmp_path):
@@ -585,6 +624,12 @@ def _off_grid(rows):
         row[0] = repr(7.0 * float(row[0]))
 
 
+def _times_past_float_range(rows):
+    rows[1][0] = "1e308"  # dt, so row 2's grid time leaves float range
+    for row in rows[2:]:
+        row[0] = "1.7e308"
+
+
 def _huge_draw(rows):
     rows[1][SOLUTION_CSV_HEADER.split(",").index("pm_kw")] = "1e308"
 
@@ -871,6 +916,15 @@ REFUSALS = [
     ("test_overflow_is_one_error_line[econ-draw]",
      ECON, {"run/solution.csv": _solution(_huge_draw)},
      "run/solution.csv on machine1.cfg: report fields must be finite"),
+    ("test_overflow_is_one_error_line[econ-solution-times]",
+     ECON, {"run/solution.csv": _solution(_times_past_float_range)},
+     "run/solution.csv: line 4: t_h 1.7e+308 is off the uniform grid 0, dt, "
+     "2*dt, ... with dt = t_h[1] = 1e+308 > 0"),
+    ("test_overflow_is_one_error_line[solve-timestamp-gap]",
+     SOLVE.replace("synth/duck_net.csv", "bad.csv"),
+     {"bad.csv": "timestamp,load_kw\n-1.7e308,1.0\n1.7e308,1.0\n"
+      "1.75e308,1.0\n1.79e308,1.0\n"},
+     "bad.csv: line 3: timestamp gap past float range"),
     ("test_overflow_is_one_error_line[project-profit]",
      f"{PROJECT} --profit-b 1e308", {},
      "year 1: the projected net profit of -inf $/day is not finite"),

@@ -1,6 +1,7 @@
 """Discrete objective, its gradient, and the active-set verifier."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -280,6 +281,18 @@ def test_step_cap_raises(monkeypatch):
     # a cap of one step in total
     monkeypatch.setattr(oracle, "_MAX_STEPS_PER_NODE", 1.0 / sc.load.count)
     with pytest.raises(RampSchedError, match="not settled"):
+        solve_active_set(sc)
+
+
+def test_cycling_raises(monkeypatch):
+    """Free-block solves that put every node at +10 Pbar, then -10 Pbar,
+    in turn, bring the first step's sets back at the third."""
+    sc = build_corpus(48)["peak_touch"]
+    signs = itertools.cycle((10.0, -10.0))
+    monkeypatch.setattr(oracle, "_cyclic_thomas", lambda lo, di, up, r: np.full(
+        len(di), next(signs) * sc.cost.pbar_kw))
+    with pytest.raises(RampSchedError,
+                       match="^active-set cycling after 3 steps$"):
         solve_active_set(sc)
 
 

@@ -670,7 +670,7 @@ def _solution_bytes(sol) -> list:
 
 def test_interior_points_take_the_days_interior_pass(corpus96):
     """A day's points whose box holds every stage draw of its interior
-    pass (`pmp._interior`) get that pass, solved from small to large
+    pass (`pmp._Day.interior`) get that pass, solved from small to large
     fleets or from large to small on a fresh copy of the load: 0 Newton
     steps, 1 RK4 pass and the pass's arrays, with the bytes of Newton
     started from `initial_guess` given as an explicit guess.  A box below
@@ -688,7 +688,7 @@ def test_interior_points_take_the_days_interior_pass(corpus96):
                         (_fresh(day.load), counts[::-1])):
         for count in order:
             sc = scenario(load, count)
-            sol, (_, interior, _) = solve(sc), pmp._interior(sc)
+            sol, (_, interior, _) = solve(sc), pmp._day(sc).interior
             assert (sol.newton_iters, sol.rk4_passes, sol.converged,
                     sol.alpha_used, sol.box_violation_kw) \
                 == (0, 1, True, sc.cost.alpha, 0.0), count
@@ -699,11 +699,11 @@ def test_interior_points_take_the_days_interior_pass(corpus96):
             assert _solution_bytes(newton) == _solution_bytes(sol), count
 
     below = scenario(load, n_star - 1)
-    assert below.cost.pbar_kw < pmp._interior(below)[0]
+    assert below.cost.pbar_kw < pmp._day(below).interior[0]
     assert solve(below).newton_iters > 0
 
     tv = corpus96["tv_cm"]  # its pass stays inside, off the optimum
-    least_pbar, interior, _ = pmp._interior(tv)
+    least_pbar, interior, _ = pmp._day(tv).interior
     defect = interior.periodic_residual
     assert defect > 0.0 and least_pbar <= tv.cost.pbar_kw
     at = Tolerances(defect)
@@ -716,11 +716,48 @@ def test_interior_points_take_the_days_interior_pass(corpus96):
     # any box without a Newton step; from a box below its largest draw
     # the solve is Newton's, and its clipped draw reads the box
     small = scenario(load, 1000, alpha_schedule=(0.0,))
-    _, interior, _ = pmp._interior(small)
+    _, interior, _ = pmp._day(small).interior
     assert pmp.initial_guess(small).x == interior.x_traj[0]
     sol = solve(small)
     assert sol.newton_iters == 0 and sol.box_violation_kw > 0.0
     assert sol.x_traj is not interior.x_traj
+
+
+def test_a_day_builds_its_interior_pass_on_first_use(corpus96,
+                                                     monkeypatch):
+    """On a fresh load, a solve whose start leaves the box, with its
+    `evaluate`, `solution_diagnostics` and `daily_report`, leaves the
+    day's interior pass unbuilt.  An interior ladder builds it once, in
+    the one RK4 stepper of the ladder, and every point shares it."""
+    trough = corpus96["trough_touch"]  # the upper bound binds at night
+    sc = dataclasses.replace(trough, load=_fresh(trough.load))
+    sol = solve(sc)
+    assert sol.converged and sol.newton_iters > 0
+    evaluate(sol, sc)
+    pmp.solution_diagnostics(sol, sc)
+    daily_report(sol, sc, M1)
+    assert "interior" not in vars(_day(sc))
+
+    steppers = []
+    stepper = pmp._rk4_stepper
+    monkeypatch.setattr(pmp, "_rk4_stepper",
+                        lambda *args: steppers.append(args) or stepper(*args))
+    day = corpus96["plant_duck"]  # its optimum is the constant start
+    load = _fresh(day.load)
+    n_star = interior_count(load, G1)
+    ladder = [make_scenario(load, FleetSpec(M1, count), d=1.0,
+                            alpha_schedule=day.alpha_schedule)
+              for count in (n_star, n_star + 10, round(1.25 * n_star))]
+    sols = [solve(sc) for sc in ladder]
+    shared = _day(ladder[0])
+    assert "interior" in vars(shared) and len(steppers) == 1
+    _, interior, bd = shared.interior
+    for sc, sol in zip(ladder, sols):
+        assert _day(sc) is shared, sc.fleet.count
+        assert sol.x_traj is interior.x_traj, sc.fleet.count
+        assert evaluate(sol, sc) is bd, sc.fleet.count
+        daily_report(sol, sc, M1)
+    assert len(steppers) == 1
 
 
 def test_evaluate_prices_the_interior_draw_once_per_day(corpus96):
@@ -738,7 +775,7 @@ def test_evaluate_prices_the_interior_draw_once_per_day(corpus96):
     n_star = interior_count(load, G1)
     sol = solve(scenario(n_star))
     bd = evaluate(sol, scenario(n_star))
-    assert bd is pmp._interior(scenario(n_star))[2]
+    assert bd is pmp._day(scenario(n_star)).interior[2]
     for sc in (scenario(n_star), scenario(n_star + 10),
                scenario(round(1.25 * n_star)), scenario(n_star, (1.0, 1e3))):
         assert evaluate(sol, sc) is bd, sc.fleet.count
@@ -819,7 +856,7 @@ def test_random_day_ladders_converge_or_name_the_limit():
         up = [solve(sc) for sc in scs]
         fresh = ladder_scenarios(day, _fresh(day[1]))
         down = [solve(sc) for sc in fresh[::-1]][::-1]
-        took = [[sol.pm_traj is pmp._interior(sc)[1].pm_traj
+        took = [[sol.pm_traj is pmp._day(sc).interior[1].pm_traj
                  for sc, sol in zip(ladder, sols)]
                 for ladder, sols in ((scs, up), (fresh, down))]
         assert took[0] == took[1], day[0]
@@ -987,7 +1024,10 @@ def test_cm_profile_must_share_grid():
     ((0.5, 0.75, 1.0, 1.25, 1.5), 2), ((0.0, 0.0, 0.0, 0.0, 0.0), 3),
     ((0.0, -0.25, -0.5, -0.75, -1.0), 3),
     ((0.0, 0.25, 0.5000001, 0.75, 1.0), 4),
-], ids=["nonzero-start", "zero-dt", "negative-dt", "off-grid"])
+    ((0.0, 1e308, 1.7e308, 1.7e308, 1.7e308), 4),
+    ((0.0, 8e307, -1.7e308, 1.7e308, 1.7e308), 4),
+], ids=["nonzero-start", "zero-dt", "negative-dt", "off-grid",
+        "grid-past-float-range", "gap-past-float-range"])
 def test_solution_csv_times_must_be_uniform_from_zero(times, line):
     rows = "".join(f"{t!r},1,2,3,4,5,6\n" for t in times)
     with pytest.raises(ValidationError, match=f"^line {line}: t_h "):

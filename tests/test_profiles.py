@@ -138,6 +138,21 @@ def test_load_csv_spacing_is_the_median_gap(rows):
     assert p.dt == float(np.median(np.diff(times))) / 3600.0
 
 
+def test_load_csv_gap_past_float_range_names_line():
+    text = _csv_text([-1.7e308, 1.7e308, 1.75e308, 1.79e308],
+                     {"load_kw": [1.0] * 4})
+    with pytest.raises(ValidationError,
+                       match="^line 3: timestamp gap past float range$"):
+        load_csv(text.encode())
+
+
+def test_load_csv_median_of_gaps_past_half_float_range():
+    """Two middle gaps whose sum leaves float range still give their mean."""
+    times = [-1.5e308, -0.5e308, 0.5e308, 1.5e308]
+    text = _csv_text(times, {"load_kw": [1.0] * 4})
+    assert load_csv(text.encode())["load"].dt == 1e308 / 3600.0
+
+
 def test_load_csv_leaves_numpy_ma_unimported(tmp_path):
     # np.median imports numpy.ma, 14 ms of every CLI process that reads a CSV
     path = tmp_path / "day.csv"
