@@ -161,7 +161,7 @@ def cmd_oracle_check(args) -> int:
     sc = _build_scenario(args)
     sol = pmp.solve(sc)
     try:
-        ref = oracle.solve_active_set(sc, start=sol.pm_clipped[:-1])
+        ref = oracle.solve_active_set(sc, start=sol.pm_clipped)
     except RampSchedError as exc:
         print(f"verification failed: oracle error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
@@ -171,7 +171,7 @@ def cmd_oracle_check(args) -> int:
     terms = diagnostics["objective_breakdown"]  # the draw priced once
     j_pmp_cmp = terms["generation_usd"] + terms["ramping_usd"] - terms["revenue_usd"]
     obj_gap = abs(j_pmp_cmp - ref.objective) / (1.0 + abs(ref.objective))
-    pm_gap = float(np.max(np.abs(sol.pm_clipped[:-1] - ref.pm)))
+    pm_gap = float(np.max(np.abs(sol.pm_clipped - ref.pm)))
     pm_gap_frac = pm_gap / sc.cost.pbar_kw
     ok = (sol.converged and ref_diagnostics["converged"]
           and obj_gap <= args.obj_tol and pm_gap_frac <= args.pm_tol)
@@ -212,12 +212,12 @@ def _solution_csv(args) -> Path:
 
 def _scenario_from_solution(args, cfg) -> tuple[pmp.PmpSolution, pmp.Scenario]:
     csv_path = _solution_csv(args)
-    cols = pmp.read_solution_csv(csv_path)
+    # the node rows: the t = T row, checked to repeat row 0, goes here
+    cols = {name: v[:-1] for name, v in pmp.read_solution_csv(csv_path).items()}
     diag = pmp.read_diagnostics(csv_path.parent / "diagnostics.json")
 
-    t = cols["t_h"]
-    dt = float(t[1] - t[0])
-    load = profiles.SampledProfile(dt, cols["pl_kw"][:-1])
+    dt = float(cols["t_h"][1])  # t_h[0] is 0.0
+    load = profiles.SampledProfile(dt, cols["pl_kw"])
     sc = _config_scenario(cfg, args, load, alpha_schedule=(diag["alpha_used"],))
     pbar, clipped = sc.cost.pbar_kw, cols["pm_clipped_kw"]
     if pmp.box_violation(clipped, pbar) > 1e-9 * pbar:

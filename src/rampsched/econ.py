@@ -194,11 +194,11 @@ def daily_report(sol: PmpSolution, sc: Scenario, machine: MachineSpec,
         raise ValidationError(f"unknown attribution {attribution!r}")
 
     n_machines = sc.fleet.count
-    pm_c = sol.pm_clipped[:-1]
+    pm_c = sol.pm_clipped
     gross = revenue(sc, pm_c) / n_machines
     price_factor = 2.0 if attribution == "marginal" else 1.0
     operating = (price_factor * sc.cost.g * sc.load.dt
-                 * float(sol.x_traj[:-1] @ pm_c) / n_machines)
+                 * float(sol.x_traj @ pm_c) / n_machines)
 
     bd = evaluate(sol, sc)
     saved_fleet = bd.baseline.ramping_usd - bd.ramping_usd

@@ -133,7 +133,8 @@ class Scenario:
 
 @dataclass(frozen=True)
 class PmpSolution:
-    """Trajectories plus convergence diagnostics for one scenario."""
+    """Trajectories at the n grid nodes (the CSV adds t = T) plus
+    convergence diagnostics for one scenario."""
 
     x_traj: np.ndarray
     lambda_traj: np.ndarray
@@ -196,7 +197,7 @@ class _Day:
     load: SampledProfile
     cost: CostModel           # g, c_m and d; Pbar unbounded
     # p_L, then c_m, at each step's start, midpoint (linear interpolation)
-    # and end, shape (6, n + 1); column n is step 0
+    # and end, shape (6, n); step n - 1 ends at node 0
     nodes: np.ndarray
     cm: np.ndarray            # c_m at the n grid nodes
     baseline: CostBreakdown   # `objective` of no mining (p_m = 0)
@@ -211,15 +212,15 @@ class _Day:
         least such Pbar, inf if a draw is below 0; the pass as `solve`
         returns it, at weight 0; `objective` of its draw)."""
         load, m = self.load, self.cost
-        z = np.repeat([[_level(load, m)], [0.0]], load.count + 1, axis=1)
+        z = np.repeat([[_level(load, m)], [0.0]], load.count, axis=1)
         with np.errstate(all="ignore"):
             zn, draws = _rk4_stepper(self.nodes, load.dt, m.d, m.g, 0.0, 0.0)(z)
-            defect = float(np.abs(zn[:, :-1] - z[:, 1:]).max())
+            defect = float(np.abs(zn - z).max())  # z is every step's next state
         sol = _solution(z, load, m, math.inf, converged=True, newton_iters=0,
                         periodic_residual=defect, alpha_used=0.0, rk4_passes=1)
         least_pbar = float(draws.max()) if draws.min() >= 0.0 else math.inf
         return (least_pbar, sol,
-                _objective(load, m, self.cm, sol.pm_traj[:-1], self.baseline))
+                _objective(load, m, self.cm, sol.pm_traj, self.baseline))
 
     @functools.cached_property
     def csv_cells(self) -> tuple[list[str], list[str]]:
@@ -256,7 +257,7 @@ def _build_day(load: SampledProfile, cm: Union[float, SampledProfile],
         cm_nodes = cm.values
     else:
         cm_nodes = np.full(load.count, float(cm))
-    ends = [np.concatenate([v, v[:2]]) for v in (load.values, cm_nodes)]
+    ends = [periodic_ext(v) for v in (load.values, cm_nodes)]
     nodes = np.array([row for v in ends
                       for row in (v[:-1], 0.5 * (v[:-1] + v[1:]), v[1:])])
     for v in (cm_nodes, nodes):
@@ -407,21 +408,22 @@ def _newton_step(table: np.ndarray, pattern: np.ndarray, f: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Newton update (dx, dlam) of the node states from the defects f =
     (fx, fl) and the penalty patterns, which index `_condensed_table`, of
-    the steps n - 1, 0, ..., n - 1 (column 0 wraps).  Step i's rows read
+    the steps 0, ..., n - 1, indices mod n.  Step i's rows read
     A_i dx_i + B_i dl_i - dx_{i+1} = -fx_i and
     C_i dx_i + D_i dl_i - dl_{i+1} = -fl_i.  The first gives
     dl_i = (dx_{i+1} - A_i dx_i - fx_i) / B_i; substituted into the
     second, it leaves a cyclic tridiagonal system in dx whose row k is
-    step k - 1's costate row.
+    step k - 1's costate row, each of its operands one concatenation of
+    the step-k values (np.roll is slower).
     """
-    n = pattern.size - 1
     lower, upper, d_b, a_b, d, inv_b, a = table.take(pattern, axis=1)
     fx, fl = f
-    rhs = (d * fx * inv_b - fl)[:n] - fx[1:] * inv_b[1:]
-    dx = _cyclic_thomas(lower[:n].tolist(), (d_b[:n] + a_b[1:]).tolist(),
-                        upper[1:].tolist(), rhs.tolist())
+    lower_p, d_b_p, rhs_p = (np.concatenate((v[-1:], v[:-1]))
+                             for v in (lower, d_b, d * fx * inv_b - fl))
+    dx = _cyclic_thomas(lower_p.tolist(), (d_b_p + a_b).tolist(),
+                        upper.tolist(), (rhs_p - fx * inv_b).tolist())
     dx_next = np.concatenate((dx[1:], dx[:1]))
-    return dx, (dx_next - a[1:] * dx - fx[1:]) * inv_b[1:]
+    return dx, (dx_next - a * dx - fx) * inv_b
 
 
 def _newton(sc: Scenario, alpha: float, start: PmpState,
@@ -429,18 +431,18 @@ def _newton(sc: Scenario, alpha: float, start: PmpState,
     """Full-step semismooth Newton on the node defects at penalty weight
     alpha, from `start` at every node, on the day's `nodes`.
 
-    The node states are one (2, n + 1) array whose last column mirrors
-    the first, so the next node's state is a view.  A step's condensed
-    system depends only on which of its stages lie outside the box:
-    every iteration gathers from `_condensed_table`'s 16 patterns.  The
-    RK4 pass and the defect bookkeeping write into buffers made once per
-    solve, which no other solve sees.
+    The node states are one contiguous (2, n) array, the defects (2, n)
+    and the penalty patterns (n,), column i holding step i, which ends
+    at node i + 1 mod n: the last step's defect is one more subtraction.
+    A step's condensed system depends only on which of its stages lie
+    outside the box: every iteration gathers from `_condensed_table`'s
+    16 patterns.  The RK4 pass and the defect bookkeeping write into
+    buffers made once per solve, which no other solve sees.
 
     Each iteration runs the RK4 pass, the defects and penalty patterns,
-    the debug record, the stop rule (max |F_i|, wrap step included,
-    within tol_bc, or _MAX_NEWTON_ITERS updates taken) and one update.
-    Returns (z, defect, penalty stages, Newton iterations), z the node
-    states with t = T mirrored.
+    the debug record, the stop rule (max |F_i| within tol_bc, or
+    _MAX_NEWTON_ITERS updates taken) and one update.  Returns (z,
+    defect, penalty stages, Newton iterations), z the node states.
 
     Raises:
         DivergenceError: a defect is not finite, at the end time of the
@@ -449,17 +451,12 @@ def _newton(sc: Scenario, alpha: float, start: PmpState,
     n = sc.load.count
     dt, d, g = sc.load.dt, sc.cost.d, sc.cost.g
     step = _rk4_stepper(nodes, dt, d, g, alpha, sc.cost.pbar_kw)
-    z = np.array(start, dtype=float)[:, None].repeat(n + 1, axis=1)
-    f = np.empty((2, n + 1))
-    abs_f = np.empty((2, n + 1))
+    z = np.array(start, dtype=float)[:, None].repeat(n, axis=1)
+    f, abs_f = np.empty((2, 2, n))
     outside = np.empty((4, n), dtype=bool)
-    # f and pattern hold step i in column i + 1 and step n - 1 again in
-    # column 0, the layout `_newton_step` reads
-    pattern = np.empty(n + 1, dtype=_STAGE_BITS.dtype)
-    z_x, z_lam, z_next = z[0, :n], z[1, :n], z[:, 1:]
-    z_first, z_last = z[:, 0], z[:, n]
-    f_steps, f_first, f_last = f[:, 1:], f[:, 0], f[:, n]
-    pattern_steps = pattern[1:]
+    pattern = np.empty(n, dtype=_STAGE_BITS.dtype)
+    z_x, z_lam, z_next, z_first = z[0], z[1], z[:, 1:], z[:, 0]
+    f_steps, f_wrap = f[:, :-1], f[:, -1]  # step n - 1 wraps
     zeros = np.zeros((4, n))
     tol = sc.tolerances.tol_bc
     debug = logger.isEnabledFor(logging.DEBUG)
@@ -468,18 +465,17 @@ def _newton(sc: Scenario, alpha: float, start: PmpState,
         table = _condensed_table(float(dt), float(d), float(g), float(alpha))
         while True:
             zn, excess = step(z)  # every pass writes these two buffers
-            np.subtract(zn[:, :n], z_next, out=f_steps)
-            f_first[:] = f_last
+            np.subtract(zn[:, :-1], z_next, out=f_steps)
+            np.subtract(zn[:, -1], z_first, out=f_wrap)
             defect = np.abs(f, out=abs_f).max()
             if not math.isfinite(defect):  # step i ends at t_{i+1}
-                bad = np.flatnonzero(~np.isfinite(f_steps).all(axis=0))[0]
+                bad = np.flatnonzero(~np.isfinite(f).all(axis=0))[0]
                 t_fail = float((bad + 1) * dt)
                 raise DivergenceError(
                     f"non-finite state at t = {t_fail:.6g} h", t_hours=t_fail,
                     initial_state=(float(start.x), float(start.lam)))
-            np.not_equal(excess[:, :n], zeros, out=outside)
-            np.dot(_STAGE_BITS, outside, out=pattern_steps)
-            pattern[0] = pattern[n]
+            np.not_equal(excess, zeros, out=outside)
+            np.dot(_STAGE_BITS, outside, out=pattern)
             if debug and iters:
                 ms = 1e3 * (time.perf_counter() - t0)
                 stages = int(np.count_nonzero(outside))
@@ -493,7 +489,6 @@ def _newton(sc: Scenario, alpha: float, start: PmpState,
             dx, dl = _newton_step(table, pattern, f)
             z_x += dx
             z_lam += dl
-            z_last[:] = z_first
             iters += 1
     return z, float(defect), int(np.count_nonzero(outside)), iters
 
@@ -521,7 +516,7 @@ def _solution(z: np.ndarray, load: SampledProfile, m: CostModel,
     z.setflags(write=False)
     xs, ls = z
     u = cmod.control_from_costate(ls, m) + 0.0  # folds -0.0 into 0.0
-    pm = xs - periodic_ext(load.values)
+    pm = xs - load.values
     clipped = np.clip(pm, 0.0, pbar)
     for v in (u, pm, clipped):
         v.setflags(write=False)
@@ -689,7 +684,7 @@ def evaluate(sol: PmpSolution, sc: Scenario) -> CostBreakdown:
         least_pbar, interior, bd = built
         if sol.pm_traj is interior.pm_traj and least_pbar <= m.pbar_kw:
             return bd
-    return _objective(sc.load, m, day.cm, sol.pm_traj[:-1], day.baseline)
+    return _objective(sc.load, m, day.cm, sol.pm_traj, day.baseline)
 
 
 def breakdown_as_dict(bd: CostBreakdown) -> dict:
@@ -761,15 +756,15 @@ def read_diagnostics(path: Path) -> dict:
 
 
 def _schedule_csv(sc: Scenario, x, lam, u, pm, pm_clipped) -> str:
-    """Solution CSV of the node columns given, t = T included."""
+    """Solution CSV of the n-node columns given, t = T (node 0) appended."""
     t_cells, pl_cells = _day(sc).csv_cells
     return format_table(SOLUTION_CSV_HEADER, (
-        t_cells, *(np.asarray(v, dtype=float).tolist()
+        t_cells, *(periodic_ext(np.asarray(v, dtype=float)).tolist()
                    for v in (x, lam, u, pm, pm_clipped)), pl_cells))
 
 
 def solution_to_csv(sol: PmpSolution, sc: Scenario) -> str:
-    """Render the solution as CSV text (one row per grid node, t=T included)."""
+    """Render the solution as CSV text (one row per grid node, then t = T)."""
     return _schedule_csv(sc, sol.x_traj, sol.lambda_traj, sol.u_traj,
                          sol.pm_traj, sol.pm_clipped)
 

@@ -101,7 +101,7 @@ def test_criterion_03_oracle_equivalence():
             # penalty excluded: the discrete program enforces the box exactly
             j_solver = bd.generation_usd + bd.ramping_usd - bd.revenue_usd
             obj_gap = abs(j_solver - ref.objective) / (1.0 + abs(ref.objective))
-            pm_gap = float(np.max(np.abs(sol.pm_clipped[:-1] - ref.pm)))
+            pm_gap = float(np.max(np.abs(sol.pm_clipped - ref.pm)))
             worst_obj = max(worst_obj, obj_gap)
             worst_pm = max(worst_pm, pm_gap / sc.cost.pbar_kw)
             worst_kkt = max(worst_kkt, ref.grad_norm / sc.cost.pbar_kw)

@@ -1,5 +1,6 @@
 """Discrete objective, its gradient, and the active-set verifier."""
 
+import dataclasses
 import hashlib
 import itertools
 
@@ -10,7 +11,8 @@ from corpus import (BINDING_NAMES, CM1, M1, build_corpus, build_long_arc,
                     ladder_scenarios, random_days)
 
 from rampsched import (FleetSpec, RampSchedError, SampledProfile,
-                       ValidationError, evaluate, make_scenario, solve)
+                       ValidationError, evaluate, make_scenario, solve,
+                       synth_duck_curve)
 from rampsched import oracle
 from rampsched.oracle import (DiscreteSolution, default_start,
                               discretize_objective, oracle_to_csv,
@@ -63,7 +65,7 @@ def test_evaluate_prices_with_discrete_objective(solved96, corpus96):
         sol = solved96[name]
         bd = evaluate(sol, sc)
         assert bd.generation_usd + bd.ramping_usd - bd.revenue_usd \
-            == pytest.approx(discretize_objective(sc, sol.pm_traj[:-1]),
+            == pytest.approx(discretize_objective(sc, sol.pm_traj),
                              rel=1e-12), name
         assert bd.baseline.total_usd == pytest.approx(
             discretize_objective(sc, np.zeros(sc.load.count)), rel=1e-12), name
@@ -79,7 +81,7 @@ def test_solver_objective_gap_falls_at_fourth_order():
         sc = build_corpus(n)["tv_cm"]
         sol, ref = solve(sc), solve_active_set(sc)
         assert sol.converged, n
-        j = discretize_objective(sc, sol.pm_traj[:-1])
+        j = discretize_objective(sc, sol.pm_traj)
         gaps.append(abs(j - ref.objective) / (1.0 + abs(ref.objective)))
     assert gaps[0] < 1e-7
     assert gaps[0] >= 12.0 * gaps[1] and gaps[1] >= 12.0 * gaps[2], gaps
@@ -168,7 +170,7 @@ def assert_same_result(warm, cold, label):
 def binding1440_warm(binding1440):
     corpus, _ = binding1440
     return [solve_active_set(corpus[name],
-                             start=solve(corpus[name]).pm_clipped[:-1])
+                             start=solve(corpus[name]).pm_clipped)
             for name in BINDING_NAMES]
 
 
@@ -201,7 +203,7 @@ def test_warm_start_returns_cold_start_bits():
         sol = solve(sc)
         stopped += not sol.converged
         cold = solve_active_set(sc)
-        warm = solve_active_set(sc, start=sol.pm_clipped[:-1])
+        warm = solve_active_set(sc, start=sol.pm_clipped)
         assert_same_result(warm, cold, i)
         assert warm.iterations <= cold.iterations, i
         cold_steps += cold.iterations
@@ -227,7 +229,7 @@ def test_start_outside_box_is_clipped():
     corpus = build_corpus(96)
     for name in BINDING_NAMES:
         sc = corpus[name]
-        raw = solve(sc).pm_traj[:-1]
+        raw = solve(sc).pm_traj
         assert raw.min() < 0.0 or raw.max() > sc.cost.pbar_kw, name
         assert_same_result(solve_active_set(sc, start=raw),
                            solve_active_set(sc), name)
@@ -256,6 +258,24 @@ def test_kkt_residual_at_convergence():
         assert np.all(grad[lo] >= -tol), name
         assert np.all(grad[hi] <= tol), name
         assert np.all(np.abs(grad[free]) <= tol), name
+
+
+def test_convergence_flag_holds_at_one_node_per_second():
+    """`oracle_diagnostics`' flag compares the KKT residual in kW,
+    grad_norm / H_ii with H_ii = 2g + 4d/dt^2, with 1e-8 of Pbar.  On the
+    synth duck day at one node per second (n = 86400, the finest grid the
+    CLI takes), 3000 machines of type 1 hold the day's interior optimum:
+    grad_norm's rounding alone is above 1e-8 of Pbar there, and the flag
+    still holds.  A residual of twice the tolerance in kW fails it."""
+    _, _, net = synth_duck_curve(8000.0, 3000.0, 9000.0, dt=24.0 / 86400)
+    sc = make_scenario(net, FleetSpec(M1, 3000), d=1.0)
+    ref = solve_active_set(sc)
+    tol = 1e-8 * sc.cost.pbar_kw
+    assert ref.grad_norm > tol
+    assert oracle.oracle_diagnostics(ref, sc)["converged"] is True
+    h_ii = 2.0 * sc.cost.g + 4.0 * sc.cost.d / sc.load.dt ** 2
+    off = dataclasses.replace(ref, grad_norm=2.0 * tol * h_ii)
+    assert oracle.oracle_diagnostics(off, sc)["converged"] is False
 
 
 def test_box_respected_exactly():

@@ -1,7 +1,9 @@
 """Optimality-system integration and the multiple-shooting Newton solve."""
 
+import argparse
 import dataclasses
 import hashlib
+import json
 import logging
 import math
 import sys
@@ -18,9 +20,12 @@ from rampsched import (DivergenceError, FleetSpec, SampledProfile,
                        ValidationError, compute_cm, compute_g, daily_report,
                        evaluate, hamiltonian, make_scenario, pmp, pmp_rhs,
                        solve, stationary_point)
+from rampsched import cli
 from rampsched.costmodel import box_excess, gen_cost, penalty_xi, ramp_cost
 from rampsched.econ import report_as_dict
-from rampsched.oracle import discretize_objective, solve_active_set
+from rampsched.oracle import (discretize_objective, oracle_diagnostics,
+                              oracle_to_csv, solve_active_set)
+from rampsched.profiles import periodic_ext
 from rampsched.pmp import (SOLUTION_CSV_HEADER, PmpState, Scenario, Tolerances,
                            _condensed_table, _cyclic_thomas, _day,
                            _rk4_step_derivative, _rk4_stepper,
@@ -120,8 +125,8 @@ def _step_all(sc, z):
     """One `_rk4_stepper` step from the states z (shape (2, n)) at every
     node, at the scenario's weight."""
     m = sc.cost
-    return _rk4_stepper(_day(sc).nodes[:, :sc.load.count], sc.load.dt, m.d,
-                        m.g, m.alpha, m.pbar_kw)(z)[0]
+    return _rk4_stepper(_day(sc).nodes, sc.load.dt, m.d, m.g, m.alpha,
+                        m.pbar_kw)(z)[0]
 
 
 def test_integration_holds_equilibrium_exactly():
@@ -426,7 +431,7 @@ def test_guard_schedule_within_reach_matches_oracle():
     sol = solve(sc)
     assert sol.converged and sol.alpha_used == 100.0
     ref = solve_active_set(sc)
-    pm = sol.pm_clipped[:-1]
+    pm = sol.pm_clipped
     # under the soft alpha = 100 box the raw draw leaves [0, Pbar] by
     # 0.09 % of Pbar, and with its penalty dropped it scores 2.9 % below
     # the oracle's optimum; the clipped schedule scores 0.16 % above it
@@ -457,16 +462,17 @@ def test_long_arc_scenario_converges_at_final_alpha(name, n):
 
 
 def test_solver_iterates_pinned(solved96):
-    """Newton keeps its exact iterates: sha256 of x_traj and lambda_traj
-    on the binding corpus at n=96, the undersized plant day stopped at
-    alpha = 100 at n=96 and the long-arc plant duck day at n=1440."""
+    """Newton keeps its exact iterates: sha256 of x_traj and lambda_traj,
+    each with its t = T value (`periodic_ext`), on the binding corpus at
+    n=96, the undersized plant day stopped at alpha = 100 at n=96 and the
+    long-arc plant duck day at n=1440."""
     sols = [solved96[name] for name in BINDING_NAMES]
     sols.append(solve(plant_duck_undersized(96)))
     sols.append(solve(build_long_arc(1440)["plant_duck_085"]))
     digests = []
     for sol in sols:
-        h = hashlib.sha256(sol.x_traj.tobytes())
-        h.update(sol.lambda_traj.tobytes())
+        h = hashlib.sha256(periodic_ext(sol.x_traj).tobytes())
+        h.update(periodic_ext(sol.lambda_traj).tobytes())
         digests.append(h.hexdigest())
     assert digests == [
         "e0fda2fb6abeafe4af60b4b264d4c14f314127874e6a86c1565aab72e0fbe32b",
@@ -501,8 +507,7 @@ def test_solver_reaches_stationary_point_on_constant_scenarios(solved96, corpus9
 def test_balance_constraint_exact(solved96, corpus96):
     for name, sol in solved96.items():
         pl = corpus96[name].load.values
-        pl_ext = np.concatenate([pl, pl[:1]])
-        assert np.array_equal(sol.pm_traj, sol.x_traj - pl_ext), name
+        assert np.array_equal(sol.pm_traj, sol.x_traj - pl), name
 
 
 def test_clipped_draw_stays_in_box(solved96, corpus96):
@@ -605,6 +610,28 @@ def test_rk4_stepper_closure_is_not_a_20_tuple():
     assert len(step.__closure__) != 20
 
 
+@pytest.mark.parametrize("n", [48, 96])
+def test_no_roll_on_the_hot_paths(monkeypatch, n):
+    """Solving, pricing, verifying and writing a day shift its node
+    arrays by concatenation, never by np.roll, which made a fleet-size
+    study 1.25x slower: every corpus day runs with np.roll raising."""
+    corpus = build_corpus(n)  # fresh loads, so every day is built here
+
+    def roll(*args, **kwargs):
+        raise AssertionError("np.roll on a hot path")
+    monkeypatch.setattr(np, "roll", roll)
+    for name, sc in corpus.items():
+        sol = solve(sc)
+        evaluate(sol, sc)
+        solution_to_csv(sol, sc)
+        pmp.solution_diagnostics(sol, sc)
+        ref = solve_active_set(sc)
+        oracle_to_csv(ref, sc)
+        oracle_diagnostics(ref, sc)
+        assert sol.converged, name
+        daily_report(sol, sc, M1)
+
+
 def test_grids_of_one_size_share_no_operands(corpus96):
     """Solves on two grids of n nodes and different dt, in turn, give
     byte for byte what each gives on its first solve."""
@@ -663,8 +690,9 @@ def _fresh(load: SampledProfile) -> SampledProfile:
 
 
 def _solution_bytes(sol) -> list:
-    """Every `PmpSolution` field: arrays as bytes, the rest as repr."""
-    return [v.tobytes() if isinstance(v, np.ndarray) else repr(v)
+    """Every `PmpSolution` field: arrays as the bytes of their n nodes and
+    t = T (`periodic_ext`), the rest as repr."""
+    return [periodic_ext(v).tobytes() if isinstance(v, np.ndarray) else repr(v)
             for v in (getattr(sol, f.name) for f in dataclasses.fields(sol))]
 
 
@@ -780,7 +808,7 @@ def test_evaluate_prices_the_interior_draw_once_per_day(corpus96):
                scenario(round(1.25 * n_star)), scenario(n_star, (1.0, 1e3))):
         assert evaluate(sol, sc) is bd, sc.fleet.count
         assert repr(bd) == repr(
-            pmp.objective(sc, sol.pm_traj[:-1], pmp._day(sc).baseline))
+            pmp.objective(sc, sol.pm_traj, pmp._day(sc).baseline))
     report = daily_report(sol, scenario(n_star + 10), M1)
     assert report.ramping_saved_fleet \
         == bd.baseline.ramping_usd - bd.ramping_usd
@@ -788,7 +816,7 @@ def test_evaluate_prices_the_interior_draw_once_per_day(corpus96):
     got = evaluate(sol, tight)
     assert got is not bd and got.penalty_usd > 0.0
     assert repr(got) \
-        == repr(pmp.objective(tight, sol.pm_traj[:-1], pmp._day(tight).baseline))
+        == repr(pmp.objective(tight, sol.pm_traj, pmp._day(tight).baseline))
 
 
 def _solve_and_price(sc) -> list:
@@ -874,7 +902,7 @@ def test_random_day_ladders_converge_or_name_the_limit():
             gap = bd.generation_usd + bd.ramping_usd - bd.revenue_usd \
                 - ref.objective
             assert abs(gap) <= 0.005 * (1.0 + abs(ref.objective)), where
-            assert np.max(np.abs(sol.pm_clipped[:-1] - ref.pm)) \
+            assert np.max(np.abs(sol.pm_clipped - ref.pm)) \
                 <= 0.02 * pbar, where
     assert interior
 
@@ -1037,13 +1065,13 @@ def test_solution_csv_times_must_be_uniform_from_zero(times, line):
 @pytest.mark.parametrize("case", ["clipped_zero_sign", "column_twice"])
 def test_schedule_csv_matches_row_repr_reference(case):
     """The column writer writes what the row formula ",".join(map(repr,
-    row)) writes, on random columns holding -0.0, 5e-324, 1e300 and 1/3."""
+    row)) writes, on random n-node columns holding -0.0, 5e-324, 1e300 and
+    1/3, each with its t = T row appended."""
     n = 36
     rng = np.random.default_rng(17)
     special = np.array([-0.0, 0.0, 5e-324, 1e300, -1e300, 1.0 / 3.0])
-    cols = rng.standard_normal((4, n + 1)) * 10.0 ** rng.integers(-300, 300,
-                                                                  (4, n + 1))
-    cols[:, ::5] = rng.choice(special, (4, len(range(0, n + 1, 5))))
+    cols = rng.standard_normal((4, n)) * 10.0 ** rng.integers(-300, 300, (4, n))
+    cols[:, ::5] = rng.choice(special, (4, len(range(0, n, 5))))
     x, lam, u, pm = cols
     pm[1:5] = 0.0, -0.0, 0.0, -0.0
     if case == "clipped_zero_sign":
@@ -1054,8 +1082,8 @@ def test_schedule_csv_matches_row_repr_reference(case):
         args = (x, lam, x, pm, pm)  # oracle_to_csv passes pm twice
     load = SampledProfile(24.0 / n, rng.uniform(0.0, 1e4, n))
     sc = make_scenario(load, FLEET20, g=1e-3, d=1.0, alpha_schedule=(1.0,))
-    rows = np.column_stack((np.arange(n + 1) * load.dt, *args,
-                            np.append(load.values, load.values[0]))).tolist()
+    rows = np.column_stack((np.arange(n + 1) * load.dt,
+                            *map(periodic_ext, (*args, load.values)))).tolist()
     expected = "\n".join([SOLUTION_CSV_HEADER,
                           *(",".join(map(repr, row)) for row in rows)]) + "\n"
     assert _schedule_csv(sc, *args) == expected
@@ -1067,6 +1095,52 @@ def test_solution_csv_roundtrip(solved96, corpus96):
     text = solution_to_csv(sol, sc)
     cols = read_solution_csv(__import__("io").StringIO(text))
     assert np.array_equal(cols["t_h"], np.arange(97) * 0.25)
-    assert np.array_equal(cols["x_kw"], sol.x_traj)
-    assert np.array_equal(cols["lambda"], sol.lambda_traj)
-    assert np.array_equal(cols["pm_clipped_kw"], sol.pm_clipped)
+    assert np.array_equal(cols["x_kw"], periodic_ext(sol.x_traj))
+    assert np.array_equal(cols["lambda"], periodic_ext(sol.lambda_traj))
+    assert np.array_equal(cols["pm_clipped_kw"], periodic_ext(sol.pm_clipped))
+
+
+def _read_back(tmp_path, sol, sc):
+    """The solution and scenario `econ --solution` reads back
+    (`cli._scenario_from_solution`) from the files `solve` writes for sol:
+    `solution_to_csv` and `solution_diagnostics`, machine 1's config."""
+    (tmp_path / "solution.csv").write_text(solution_to_csv(sol, sc))
+    (tmp_path / "diagnostics.json").write_text(
+        json.dumps(pmp.solution_diagnostics(sol, sc)))
+    cfg = {"name": M1.name, "demand_w": M1.demand_w,
+           "income_usd_day": M1.income_usd_day, "elec_cost": M1.elec_cost_coeff,
+           "price_usd": M1.price_usd, "lifespan_years": M1.lifespan_years,
+           "k": M1.k_const, "count": sc.fleet.count, "g_override": sc.cost.g,
+           "d": sc.cost.d}
+    args = argparse.Namespace(solution=str(tmp_path), fleet_count=None)
+    return cli._scenario_from_solution(args, cfg)
+
+
+@pytest.mark.parametrize("name", ["peak_touch", "plant_duck"])
+def test_read_back_solution_equals_the_solve(tmp_path, solved96, corpus96,
+                                             name):
+    """A converged solve read back from its files is the solve: every
+    `PmpSolution` field, with n nodes in each array.  peak_touch binds;
+    plant_duck is its day's interior pass."""
+    sol = solved96[name]
+    assert sol.converged
+    got, _ = _read_back(tmp_path, sol, corpus96[name])
+    for field in SOLUTION_ARRAYS:
+        assert getattr(got, field).shape == (sol.x_traj.size,), field
+    assert _solution_bytes(got) == _solution_bytes(sol)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "read_solution_csv's columns are strided views of one row-major table, "
+    "and numpy's dot sums a strided operand in another order than solve's "
+    "contiguous arrays: gross_mining and operating_cost differ in the last "
+    "bits.  Contiguous columns fix it and change the pinned econ_report.json "
+    "digest (ROADMAP item 11)."))
+@pytest.mark.parametrize("name", ["peak_touch", "plant_duck"])
+def test_read_back_report_equals_the_solve(tmp_path, solved96, corpus96, name):
+    """`daily_report` of a converged solve read back from its files is
+    the solve's, to the bit."""
+    sol, sc = solved96[name], corpus96[name]
+    got, got_sc = _read_back(tmp_path, sol, sc)
+    assert report_as_dict(daily_report(got, got_sc, M1)) \
+        == report_as_dict(daily_report(sol, sc, M1))
